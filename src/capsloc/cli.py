@@ -2,6 +2,9 @@
 
 Config files are flat `key = value` text with `#` comments and section
 prefixes (sim., train., eval., align., magloc.). Unknown keys are rejected.
+The sim.* keys are the scalar fields of simkit.SimConfig and
+simkit.DipoleParams, with their types and defaults, except seed (set by
+the top-level seed key) and slow_speed_cap.
 Every output file starts with a header echoing the effective configuration.
 """
 
@@ -9,35 +12,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import evalbench, evoalign, fusenet, magloc, simkit
-from .geometry import Pose, RigidTransform, save_trajectory
+from .geometry import RigidTransform
 from .neuralcore import Hyperparams
 
 __all__ = ["RunConfig", "main"]
+
+# The scalar simulation fields a config file may set; the seed comes from
+# the top-level seed key.
+_SIM_FIELDS = [
+    f
+    for cls in (simkit.SimConfig, simkit.DipoleParams)
+    for f in fields(cls)
+    if f.name not in ("seed", "slow_speed_cap") and not isinstance(f.default, tuple)
+]
 
 # key -> (type, default)
 KNOWN_KEYS = {
     "seed": (int, 0),
     "n_datasets": (int, 1),
-    "sim.duration": (float, 60.0),
-    "sim.motion_profile": (str, "comprehensive_scan"),
-    "sim.workspace_half_extent": (float, 0.1),
-    "sim.mag_rate": (float, 50.0),
-    "sim.vis_rate": (float, 25.0),
-    "sim.mag_noise_sd": (float, 5e-7),
-    "sim.vis_trans_noise_sd": (float, 2e-4),
-    "sim.vis_rot_noise_sd": (float, 2e-3),
-    "sim.vis_drift_rate": (float, 0.02),
-    "sim.vis_rot_drift_rate": (float, 0.2),
-    "sim.vis_trans_bias_rate": (float, 1.2e-3),
-    "sim.vis_rot_bias_rate": (float, 6e-3),
-    "sim.jitter_scale": (float, 1.0),
-    "sim.jitter_tau": (float, 0.5),
-    "sim.moment_magnitude": (float, 8e-3),
+    **{f"sim.{f.name}": (type(f.default), f.default) for f in _SIM_FIELDS},
     "train.max_epochs": (int, 30),
     "train.window_length": (int, 16),
     "train.early_stop_patience": (int, 10),
@@ -103,28 +101,16 @@ class RunConfig:
     def header_lines(self):
         return [f"config {k}={self.values[k]}" for k in sorted(self.values)]
 
-    def sim_config(self, seed) -> simkit.SimConfig:
+    def _sim_values(self, cls) -> dict:
+        """Field name -> value for the fields of cls that have a sim.* key."""
         v = self.values
-        return simkit.SimConfig(
-            duration=v["sim.duration"],
-            seed=seed,
-            motion_profile=v["sim.motion_profile"],
-            workspace_half_extent=v["sim.workspace_half_extent"],
-            mag_rate=v["sim.mag_rate"],
-            vis_rate=v["sim.vis_rate"],
-            mag_noise_sd=v["sim.mag_noise_sd"],
-            vis_trans_noise_sd=v["sim.vis_trans_noise_sd"],
-            vis_rot_noise_sd=v["sim.vis_rot_noise_sd"],
-            vis_drift_rate=v["sim.vis_drift_rate"],
-            vis_rot_drift_rate=v["sim.vis_rot_drift_rate"],
-            vis_trans_bias_rate=v["sim.vis_trans_bias_rate"],
-            vis_rot_bias_rate=v["sim.vis_rot_bias_rate"],
-            jitter_scale=v["sim.jitter_scale"],
-            jitter_tau=v["sim.jitter_tau"],
-        )
+        return {f.name: v[f"sim.{f.name}"] for f in fields(cls) if f"sim.{f.name}" in v}
+
+    def sim_config(self, seed) -> simkit.SimConfig:
+        return simkit.SimConfig(seed=seed, **self._sim_values(simkit.SimConfig))
 
     def dipole(self) -> simkit.DipoleParams:
-        return simkit.DipoleParams(moment_magnitude=self.values["sim.moment_magnitude"])
+        return simkit.DipoleParams(**self._sim_values(simkit.DipoleParams))
 
     def inversion_settings(self) -> magloc.InversionSettings:
         v = self.values

@@ -8,7 +8,7 @@ error. RMSE is taken over all such segments (pooled across datasets)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,16 +16,15 @@ from .geometry import (
     Pose,
     RigidTransform,
     Trajectory,
+    apply_relative,
     compose,
     inverse,
     pose_error,
     pose_to_transform,
-    relative_pose,
     resample_trajectory,
+    skew,
     transform_to_pose,
-    apply_relative,
 )
-from .magloc import MagMeasurement5DoF
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -123,7 +122,7 @@ def _min_rotation_between(a, b) -> np.ndarray:
             axis = np.cross(a, [0.0, 1.0, 0.0])
         axis /= np.linalg.norm(axis)
         return 2.0 * np.outer(axis, axis) - np.eye(3)
-    K = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    K = skew(v)
     return np.eye(3) + K + K @ K * ((1 - c) / s**2)
 
 

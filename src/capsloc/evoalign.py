@@ -14,18 +14,17 @@ estimate, which keeps the parameterization singularity-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, compose, inverse
+from .geometry import RigidTransform, compose, inverse, skew
 
 __all__ = [
     "Frame",
     "CorrespondenceSet",
     "AlignmentState",
     "AlignmentWeights",
-    "AlignmentSettings",
     "DegenerateInputError",
     "project",
     "unproject",
@@ -99,14 +98,13 @@ class AlignmentWeights:
             raise ValueError("weights must not all be zero")
 
 
-@dataclass(frozen=True)
-class AlignmentSettings:
-    max_sparse_iterations: int = 30
-    max_dense_iterations: int = 15
-    convergence_tol: float = 1e-12
-    initial_damping: float = 1e-6
-    pixel_stride: int = 2  # dense-term subsampling
-    fd_step: float = 1e-7  # finite-difference step for dense Jacobians
+# Solver settings of minimize_alignment.
+_MAX_SPARSE_ITERATIONS = 30
+_MAX_DENSE_ITERATIONS = 15
+_CONVERGENCE_TOL = 1e-12  # increment norm
+_INITIAL_DAMPING = 1e-6
+_PIXEL_STRIDE = 2  # dense-term subsampling
+_FD_STEP = 1e-7  # finite-difference step for dense Jacobians
 
 
 def project(point, intrinsics) -> np.ndarray:
@@ -132,7 +130,7 @@ def rotation_exp(w) -> np.ndarray:
     """Rodrigues: rotation matrix for an axis-angle 3-vector."""
     w = np.asarray(w, dtype=float).reshape(3)
     theta = np.linalg.norm(w)
-    K = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
+    K = skew(w)
     if theta < 1e-12:
         return np.eye(3) + K + 0.5 * (K @ K)
     A = np.sin(theta) / theta
@@ -318,17 +316,12 @@ def _sparse_residual_jacobian(state: AlignmentState, corr: CorrespondenceSet):
         if i > 0:
             col = 6 * (i - 1)
             J[3 * k : 3 * k + 3, col : col + 3] += Ti.R
-            J[3 * k : 3 * k + 3, col + 3 : col + 6] += -Ti.R @ _skew(pi)
+            J[3 * k : 3 * k + 3, col + 3 : col + 6] += -Ti.R @ skew(pi)
         if j > 0:
             col = 6 * (j - 1)
             J[3 * k : 3 * k + 3, col : col + 3] += -Tj.R
-            J[3 * k : 3 * k + 3, col + 3 : col + 6] += Tj.R @ _skew(pj)
+            J[3 * k : 3 * k + 3, col + 3 : col + 6] += Tj.R @ skew(pj)
     return r, J
-
-
-def _skew(v):
-    v = np.asarray(v, dtype=float).reshape(3)
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
 
 def _apply_increment(state: AlignmentState, delta) -> AlignmentState:
@@ -342,10 +335,10 @@ def _apply_increment(state: AlignmentState, delta) -> AlignmentState:
     return AlignmentState(new)
 
 
-def _lm_minimize(state, energy_fn, residual_fn, settings, max_iter):
+def _lm_minimize(state, energy_fn, residual_fn, max_iter):
     """Damped Gauss-Newton accepting only energy-decreasing steps."""
     energy = energy_fn(state)
-    lam = settings.initial_damping
+    lam = _INITIAL_DAMPING
     trace = [energy]
     for _ in range(max_iter):
         r, J = residual_fn(state)
@@ -370,12 +363,12 @@ def _lm_minimize(state, energy_fn, residual_fn, settings, max_iter):
             lam *= 10.0
         if not stepped:
             break
-        if np.linalg.norm(delta) < settings.convergence_tol:
+        if np.linalg.norm(delta) < _CONVERGENCE_TOL:
             break
     return state, energy, trace
 
 
-def _dense_residual_stack(state, frames, corr, weights, settings):
+def _dense_residual_stack(state, frames, corr, weights):
     """Weighted residual vector of the full energy (sqrt-weighted blocks)."""
     blocks = []
     if weights.w_sparse > 0 and len(corr) > 0:
@@ -385,7 +378,7 @@ def _dense_residual_stack(state, frames, corr, weights, settings):
         blocks.append(np.sqrt(weights.w_sparse) * np.concatenate(rs))
     if weights.w_dense > 0 and frames:
         rp, rg, _ = _dense_residuals(
-            state, frames, settings.pixel_stride, want_geo=True, want_photo=True
+            state, frames, _PIXEL_STRIDE, want_geo=True, want_photo=True
         )
         blocks.append(np.sqrt(weights.w_dense * weights.w_photo) * rp)
         blocks.append(np.sqrt(weights.w_dense * weights.w_geo) * rg)
@@ -396,7 +389,6 @@ def minimize_alignment(
     frames,
     corr: CorrespondenceSet,
     weights: AlignmentWeights = AlignmentWeights(),
-    settings: AlignmentSettings = AlignmentSettings(),
 ):
     """Two-stage minimization; returns (AlignmentState, info dict).
 
@@ -420,34 +412,30 @@ def minimize_alignment(
         return _sparse_residual_jacobian(s, corr)
 
     state, e1, trace1 = _lm_minimize(
-        state, sparse_energy, sparse_resid, settings, settings.max_sparse_iterations
+        state, sparse_energy, sparse_resid, _MAX_SPARSE_ITERATIONS
     )
 
     def full_energy(s):
-        return e_align(s, frames, corr, weights, stride=settings.pixel_stride)
+        return e_align(s, frames, corr, weights, stride=_PIXEL_STRIDE)
 
     stage1_full = full_energy(state)
 
     def full_resid(s):
-        r = _dense_residual_stack(s, frames, corr, weights, settings)
+        r = _dense_residual_stack(s, frames, corr, weights)
         n_free = 6 * (len(s.transforms) - 1)
         J = np.zeros((r.size, n_free))
-        h = settings.fd_step
+        h = _FD_STEP
         for p in range(n_free):
             d = np.zeros(n_free)
             d[p] = h
-            r_hi = _dense_residual_stack(
-                _apply_increment(s, d), frames, corr, weights, settings
-            )
-            r_lo = _dense_residual_stack(
-                _apply_increment(s, -d), frames, corr, weights, settings
-            )
+            r_hi = _dense_residual_stack(_apply_increment(s, d), frames, corr, weights)
+            r_lo = _dense_residual_stack(_apply_increment(s, -d), frames, corr, weights)
             J[:, p] = (r_hi - r_lo) / (2.0 * h)
         return r, J
 
     if weights.w_dense > 0 and frames:
         state, e2, trace2 = _lm_minimize(
-            state, full_energy, full_resid, settings, settings.max_dense_iterations
+            state, full_energy, full_resid, _MAX_DENSE_ITERATIONS
         )
     else:
         e2, trace2 = stage1_full, [stage1_full]

@@ -11,15 +11,21 @@ lets the network carry sensor history across the asynchronous streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import Pose, Trajectory, apply_relative, relative_pose, resample_trajectory
+from .geometry import (
+    Pose,
+    Trajectory,
+    apply_relative,
+    format_config,
+    parse_config,
+    relative_pose,
+    resample_trajectory,
+)
 from .magloc import MagMeasurement5DoF, angles_from_heading
 from .neuralcore import (
-    GATES,
-    AdamState,
     Hyperparams,
     LstmState,
     LstmWeights,
@@ -29,13 +35,11 @@ from .neuralcore import (
     init_lstm_weights,
     linear_backward,
     linear_forward,
-    lstm_backward,
     lstm_cell_backward,
     lstm_cell_forward,
     pose_loss,
     zero_lstm_grads,
 )
-from .simkit import VisMeasurement
 
 __all__ = [
     "FusionNetwork",
@@ -294,12 +298,6 @@ class TrainingConfig:
     validation_fraction: float = 0.25
     seed: int = 0
     warmup_epochs: int = 10  # beta fixed to 1 during warm-up
-    beta_clamp: tuple = (1.0, 1000.0)
-    # Per-epoch multiplier on the initial learning rate. The pose loss uses
-    # unsquared norms, so gradient magnitudes do not vanish near an optimum;
-    # without decay the parameters keep random-walking at a step-size-
-    # dependent amplitude instead of settling.
-    lr_decay: float = 1.0
 
     def __post_init__(self):
         if self.window_length < 2:
@@ -438,12 +436,8 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     bad_epochs = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        lr = hp.alpha * cfg.lr_decay ** (epoch - 1)
-        hp_epoch = replace(hp, alpha=lr)
         if epoch == cfg.warmup_epochs + 1:
-            beta, beta_flagged = calibrate_beta(
-                net, val_flat, stats, cfg.beta_clamp
-            )
+            beta, beta_flagged = calibrate_beta(net, val_flat, stats)
         order = rng.permutation(len(train_windows))
         train_loss = 0.0
         n_steps = 0
@@ -457,7 +451,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 ckpt = Checkpoint(best_params, net.rate_ratio, hp, stats, best_beta)
                 log.append({"epoch": epoch, "aborted": "non-finite loss"})
                 return ckpt, log
-            params, adam = adam_step(params, grads, adam, hp_epoch)
+            params, adam = adam_step(params, grads, adam, hp)
             net = FusionNetwork.from_params(params, net.rate_ratio)
             train_loss += loss
             n_steps += len(window)
@@ -469,7 +463,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 "train_loss": train_loss,
                 "val_loss": val_loss,
                 "beta": beta,
-                "lr": lr,
+                "lr": hp.alpha,
             }
         )
         if val_loss < best_val - 1e-15:
@@ -522,20 +516,11 @@ def predict_trajectory(
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     with open(path, "w") as f:
         f.write(f"# {ckpt.version}\n")
-        hp = ckpt.hyperparams
-        f.write(
-            f"HP alpha={hp.alpha!r} beta1={hp.beta1!r} beta2={hp.beta2!r} "
-            f"epsilon={hp.epsilon!r} beta_loss={hp.beta_loss!r} "
-            f"dropout_rate={hp.dropout_rate!r} hidden_size={hp.hidden_size}\n"
-        )
+        f.write(f"HP {format_config(ckpt.hyperparams)}\n")
         f.write(f"META rate_ratio={ckpt.rate_ratio} beta_loss={ckpt.beta_loss!r}\n")
-        st = ckpt.stats
-        for name, arr in (
-            ("mag_mean", st.mag_mean), ("mag_sd", st.mag_sd),
-            ("vis_mean", st.vis_mean), ("vis_sd", st.vis_sd),
-            ("target_mean", st.target_mean), ("target_sd", st.target_sd),
-        ):
-            f.write(f"STAT {name} " + " ".join(repr(float(v)) for v in arr) + "\n")
+        for fld in fields(NormStats):
+            vals = " ".join(repr(float(v)) for v in getattr(ckpt.stats, fld.name))
+            f.write(f"STAT {fld.name} {vals}\n")
         for name, arr in sorted(ckpt.params.items()):
             dims = "x".join(str(d) for d in arr.shape)
             vals = " ".join(repr(float(v)) for v in arr.ravel())
@@ -543,7 +528,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    hp_kv = meta_kv = None
+    hp = meta_kv = None
+    stat_names = [fld.name for fld in fields(NormStats)]
     stats_arrays = {}
     params = {}
     with open(path) as f:
@@ -556,11 +542,13 @@ def load_checkpoint(path) -> Checkpoint:
                 continue
             kind, rest = line.split(" ", 1)
             if kind == "HP":
-                hp_kv = dict(tok.split("=") for tok in rest.split())
+                (hp,) = parse_config(rest, Hyperparams)
             elif kind == "META":
                 meta_kv = dict(tok.split("=") for tok in rest.split())
             elif kind == "STAT":
                 name, vals = rest.split(" ", 1)
+                if name not in stat_names:
+                    raise ValueError(f"unknown STAT record {name!r}")
                 stats_arrays[name] = np.array([float(v) for v in vals.split()])
             elif kind == "W":
                 name, dims, vals = rest.split(" ", 2)
@@ -568,22 +556,12 @@ def load_checkpoint(path) -> Checkpoint:
                 params[name] = np.array([float(v) for v in vals.split()]).reshape(shape)
             else:
                 raise ValueError(f"unknown checkpoint record {kind!r}")
-    if hp_kv is None or meta_kv is None:
+    if hp is None or meta_kv is None:
         raise ValueError("corrupt checkpoint: missing HP/META records")
-    hp = Hyperparams(
-        alpha=float(hp_kv["alpha"]),
-        beta1=float(hp_kv["beta1"]),
-        beta2=float(hp_kv["beta2"]),
-        epsilon=float(hp_kv["epsilon"]),
-        beta_loss=float(hp_kv["beta_loss"]),
-        dropout_rate=float(hp_kv["dropout_rate"]),
-        hidden_size=int(hp_kv["hidden_size"]),
-    )
-    stats = NormStats(
-        stats_arrays["mag_mean"], stats_arrays["mag_sd"],
-        stats_arrays["vis_mean"], stats_arrays["vis_sd"],
-        stats_arrays["target_mean"], stats_arrays["target_sd"],
-    )
+    for name in stat_names:
+        if name not in stats_arrays:
+            raise ValueError(f"corrupt checkpoint: missing STAT record {name!r}")
+    stats = NormStats(**stats_arrays)
     return Checkpoint(
         params, int(meta_kv["rate_ratio"]), hp, stats, float(meta_kv["beta_loss"])
     )

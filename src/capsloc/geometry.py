@@ -1,4 +1,6 @@
-"""SE(3) pose algebra, trajectory containers, and error metrics.
+"""SE(3) pose algebra, trajectory containers, and error metrics, plus the
+`name=value` text form that dataset headers and checkpoints use for flat
+config dataclasses.
 
 Conventions used everywhere in this repo:
   * Euler angles are intrinsic Z-Y-X (yaw about z, then pitch about y,
@@ -10,7 +12,7 @@ Conventions used everywhere in this repo:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +22,7 @@ __all__ = [
     "RigidTransform",
     "Trajectory",
     "wrap_angle",
+    "skew",
     "euler_to_matrix",
     "matrix_to_euler",
     "compose",
@@ -32,6 +35,8 @@ __all__ = [
     "resample_trajectory",
     "save_trajectory",
     "load_trajectory",
+    "format_config",
+    "parse_config",
 ]
 
 GIMBAL_EPS = 1e-3
@@ -102,6 +107,12 @@ class RigidTransform:
     def apply(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return p @ self.R.T + self.t
+
+
+def skew(v) -> np.ndarray:
+    """Cross-product matrix [v]x, so that skew(v) @ p == np.cross(v, p)."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
 
 def euler_to_matrix(r) -> np.ndarray:
@@ -259,3 +270,51 @@ def load_trajectory(path) -> Trajectory:
             times.append(vals[0])
             poses.append(vals[1:])
     return Trajectory(np.array(times), np.array(poses))
+
+
+def _format_value(v) -> str:
+    if isinstance(v, tuple):
+        return ",".join(repr(float(x)) for x in v)
+    return f"{v}"
+
+
+def _parse_value(default, text: str):
+    if isinstance(default, tuple):
+        return tuple(float(x) for x in text.split(","))
+    return type(default)(text)
+
+
+def format_config(*configs) -> str:
+    """`name=value` tokens of flat config dataclasses, in field order.
+
+    Tuples are written as comma-separated repr(float); parse_config reads
+    the text back into equal instances."""
+    return " ".join(
+        f"{f.name}={_format_value(getattr(c, f.name))}"
+        for c in configs
+        for f in fields(c)
+    )
+
+
+def parse_config(text: str, *classes) -> tuple:
+    """One instance per config dataclass in classes, from format_config text.
+
+    Each value is parsed as the type of its field's default. Raises
+    ValueError naming a missing, repeated or unknown key."""
+    kv = {}
+    for tok in text.split():
+        key, _, val = tok.partition("=")
+        if key in kv:
+            raise ValueError(f"repeated config key {key!r}")
+        kv[key] = val
+    out = []
+    for cls in classes:
+        values = {}
+        for f in fields(cls):
+            if f.name not in kv:
+                raise ValueError(f"missing config key {f.name!r}")
+            values[f.name] = _parse_value(f.default, kv.pop(f.name))
+        out.append(cls(**values))
+    if kv:
+        raise ValueError(f"unknown config key {next(iter(kv))!r}")
+    return tuple(out)

@@ -18,14 +18,13 @@ ones are pulled towards the track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .simkit import (
     MU0_OVER_4PI,
     SENSOR_GRID_N,
-    SENSOR_PITCH,
     ActuatorFieldModel,
     DipoleParams,
     HallArrayReading,
@@ -72,12 +71,17 @@ class InversionSettings:
     convergence_tol: float = 1e-12  # relative step norm
     initial_damping: float = 1e-3
     restart_count: int = 3
-    jacobian_step: float = 1e-7
-    outlier_gate: float = 5.0  # x running median of differentiated residual
 
     def __post_init__(self):
         if self.convergence_tol <= 0 or self.initial_damping <= 0:
             raise ValueError("tolerances must be positive")
+
+
+# Central-difference step of the residual Jacobian, in parameter units.
+_JACOBIAN_STEP = 1e-7
+# A streamed frame is gated when its differentiated fit residual exceeds
+# this multiple of the running median.
+_OUTLIER_GATE = 5.0
 
 
 class DivergenceError(RuntimeError):
@@ -145,15 +149,15 @@ def _residual(params, target_flat, dipole):
     return predict_normal_components(params, dipole) - target_flat
 
 
-def _numeric_jacobian(params, target_flat, dipole, step):
+def _numeric_jacobian(params, target_flat, dipole):
     J = np.empty((target_flat.size, 5))
     for i in range(5):
         dp = np.zeros(5)
-        dp[i] = step
+        dp[i] = _JACOBIAN_STEP
         J[:, i] = (
             _residual(params + dp, target_flat, dipole)
             - _residual(params - dp, target_flat, dipole)
-        ) / (2.0 * step)
+        ) / (2.0 * _JACOBIAN_STEP)
     return J
 
 
@@ -165,7 +169,7 @@ def _levenberg_marquardt(params0, target_flat, dipole, settings):
     iters = 0
     for iters in range(1, settings.max_iterations + 1):
         cost_prev = cost
-        J = _numeric_jacobian(params, target_flat, dipole, settings.jacobian_step)
+        J = _numeric_jacobian(params, target_flat, dipole)
         g = J.T @ r
         H = J.T @ J
         stepped = False
@@ -288,7 +292,7 @@ def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_ext
 
 
 def position_covariance(
-    est: MagMeasurement5DoF, target_flat, dipole: DipoleParams, settings
+    est: MagMeasurement5DoF, target_flat, dipole: DipoleParams
 ) -> np.ndarray:
     """(3, 3) position covariance sigma^2 (J^T J)^-1 of one frame's fit.
 
@@ -296,7 +300,7 @@ def position_covariance(
     (64 - 5), the noise variance the fit's own residual implies. Raises
     numpy.linalg.LinAlgError when J^T J is singular."""
     params = np.concatenate([est.position, angles_from_heading(est.heading)])
-    J = _numeric_jacobian(params, target_flat, dipole, settings.jacobian_step)
+    J = _numeric_jacobian(params, target_flat, dipole)
     sigma2 = est.residual**2 / (target_flat.size - params.size)
     return sigma2 * np.linalg.inv(J.T @ J)[:3, :3]
 
@@ -403,7 +407,7 @@ def localize_stream(
             )
             if len(gate_history) >= 10 and prev is not None:
                 med = float(np.median(gate_history))
-                if med > 0 and gate_val > settings.outlier_gate * med:
+                if med > 0 and gate_val > _OUTLIER_GATE * med:
                     est = MagMeasurement5DoF(
                         reading.timestamp,
                         prev.position,
@@ -419,7 +423,7 @@ def localize_stream(
             track.predict(reading.timestamp)
             if est.converged:
                 try:
-                    R = position_covariance(est, target, dipole, settings)
+                    R = position_covariance(est, target, dipole)
                     track.update(est.position, R)
                 except np.linalg.LinAlgError:
                     pass  # no usable covariance: prediction only

@@ -9,19 +9,22 @@ LSTM cell with no bias terms:
     o = sigmoid(W_ox x + W_oh h_prev)
     h = o * tanh(c)
 
-Adam variant with epsilon inside the square root:
+Adam variant with epsilon inside the square root of the bias-corrected
+second moment:
 
     m <- b1 m + (1 - b1) grad
     v <- b2 v + (1 - b2) grad^2
-    W <- W - alpha * (sqrt(1 - b2^t) / (1 - b1^t)) * m / sqrt(v + eps)
+    m_hat = m / (1 - b1^t),  v_hat = v / (1 - b2^t)
+    W <- W - alpha * m_hat / sqrt(v_hat + eps)
 
-For v >> eps^2 this differs from the usual sqrt(v) + eps form by less than
-1e-12 relative.
+This is not the usual m_hat / (sqrt(v_hat) + eps): the two agree only for
+v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
+10x sqrt(v_hat) + eps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

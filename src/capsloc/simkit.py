@@ -8,15 +8,16 @@ field. The capsule moves below the array (negative z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     Pose,
     Trajectory,
-    apply_relative,
     euler_to_matrix,
+    format_config,
+    parse_config,
     relative_pose,
     resample_trajectory,
     wrap_angle,
@@ -406,36 +407,9 @@ def simulate_dataset(cfg: SimConfig, dipole: DipoleParams | None = None) -> Data
 FORMAT_VERSION = "capsloc-dataset v1"
 
 
-def _config_kv(cfg: SimConfig, dipole: DipoleParams) -> str:
-    items = {
-        "duration": cfg.duration,
-        "seed": cfg.seed,
-        "motion_profile": cfg.motion_profile,
-        "workspace_half_extent": cfg.workspace_half_extent,
-        "workspace_center": ",".join(repr(float(v)) for v in cfg.workspace_center),
-        "mag_rate": cfg.mag_rate,
-        "vis_rate": cfg.vis_rate,
-        "mag_noise_sd": cfg.mag_noise_sd,
-        "vis_trans_noise_sd": cfg.vis_trans_noise_sd,
-        "vis_rot_noise_sd": cfg.vis_rot_noise_sd,
-        "vis_drift_rate": cfg.vis_drift_rate,
-        "vis_rot_drift_rate": cfg.vis_rot_drift_rate,
-        "vis_trans_bias_rate": cfg.vis_trans_bias_rate,
-        "vis_rot_bias_rate": cfg.vis_rot_bias_rate,
-        "jitter_scale": cfg.jitter_scale,
-        "jitter_tau": cfg.jitter_tau,
-        "slow_speed_cap": cfg.slow_speed_cap,
-        "actuator_uniform": ",".join(repr(float(v)) for v in cfg.actuator_uniform),
-        "actuator_gradient": ",".join(repr(float(v)) for v in cfg.actuator_gradient),
-        "moment_magnitude": dipole.moment_magnitude,
-        "moment_axis": ",".join(repr(float(v)) for v in dipole.moment_axis),
-    }
-    return " ".join(f"{k}={v}" for k, v in items.items())
-
-
 def write_dataset(path, ds: Dataset) -> None:
     with open(path, "w") as f:
-        f.write(f"# {FORMAT_VERSION} {_config_kv(ds.config, ds.dipole)}\n")
+        f.write(f"# {FORMAT_VERSION} {format_config(ds.config, ds.dipole)}\n")
         for t, p in zip(ds.gt.times, ds.gt.poses):
             f.write("GT " + " ".join(repr(float(v)) for v in (t, *p)) + "\n")
         for m in ds.mag:
@@ -450,35 +424,7 @@ def _parse_header(line: str):
     body = line[1:].strip()
     if not body.startswith(FORMAT_VERSION):
         raise ValueError(f"unrecognized dataset header: {line.strip()!r}")
-    kv = {}
-    for tok in body[len(FORMAT_VERSION):].split():
-        k, _, v = tok.partition("=")
-        kv[k] = v
-    def fvec(s):
-        return tuple(float(x) for x in s.split(","))
-    cfg = SimConfig(
-        duration=float(kv["duration"]),
-        seed=int(kv["seed"]),
-        motion_profile=kv["motion_profile"],
-        workspace_half_extent=float(kv["workspace_half_extent"]),
-        workspace_center=fvec(kv["workspace_center"]),
-        mag_rate=float(kv["mag_rate"]),
-        vis_rate=float(kv["vis_rate"]),
-        mag_noise_sd=float(kv["mag_noise_sd"]),
-        vis_trans_noise_sd=float(kv["vis_trans_noise_sd"]),
-        vis_rot_noise_sd=float(kv["vis_rot_noise_sd"]),
-        vis_drift_rate=float(kv["vis_drift_rate"]),
-        vis_rot_drift_rate=float(kv["vis_rot_drift_rate"]),
-        vis_trans_bias_rate=float(kv["vis_trans_bias_rate"]),
-        vis_rot_bias_rate=float(kv["vis_rot_bias_rate"]),
-        jitter_scale=float(kv["jitter_scale"]),
-        jitter_tau=float(kv["jitter_tau"]),
-        slow_speed_cap=float(kv["slow_speed_cap"]),
-        actuator_uniform=fvec(kv["actuator_uniform"]),
-        actuator_gradient=fvec(kv["actuator_gradient"]),
-    )
-    dipole = DipoleParams(float(kv["moment_magnitude"]), fvec(kv["moment_axis"]))
-    return cfg, dipole
+    return parse_config(body[len(FORMAT_VERSION):], SimConfig, DipoleParams)
 
 
 def read_dataset(path) -> Dataset:

@@ -452,3 +452,27 @@ def test_checkpoint_corrupt_file(tmp_path):
     path.write_text(f"# {fn.CHECKPOINT_VERSION}\nBOGUS record here\n")
     with pytest.raises(ValueError):
         fn.load_checkpoint(path)
+
+
+def _drop_lines(path, prefix):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith(prefix)) + "\n")
+
+
+def test_checkpoint_missing_hp_key_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    text = path.read_text()
+    hp_line = next(l for l in text.splitlines() if l.startswith("HP "))
+    cut = " ".join(tok for tok in hp_line.split() if not tok.startswith("epsilon="))
+    path.write_text(text.replace(hp_line, cut))
+    with pytest.raises(ValueError, match="missing config key 'epsilon'"):
+        fn.load_checkpoint(path)
+
+
+def test_checkpoint_missing_stat_record_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    _drop_lines(path, "STAT vis_sd ")
+    with pytest.raises(ValueError, match="missing STAT record 'vis_sd'"):
+        fn.load_checkpoint(path)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,18 @@ from capsloc.geometry import (
     Trajectory,
     compose,
     euler_to_matrix,
+    format_config,
     inverse,
     load_trajectory,
     matrix_to_euler,
     pose_error,
+    parse_config,
     pose_to_transform,
     relative_pose,
     apply_relative,
     resample_trajectory,
     save_trajectory,
+    skew,
     wrap_angle,
 )
 
@@ -208,3 +213,46 @@ def test_trajectory_text_roundtrip(tmp_path):
     back = load_trajectory(path)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.poses, traj.poses)
+
+
+def test_skew_is_cross_product():
+    rng = np.random.default_rng(5)
+    v, p = rng.normal(size=3), rng.normal(size=3)
+    assert np.allclose(skew(v) @ p, np.cross(v, p), rtol=0, atol=1e-15)
+    assert np.array_equal(skew(v), -skew(v).T)
+
+
+@dataclass(frozen=True)
+class _Knobs:
+    rate: float = 0.1
+    count: int = 3
+    name: str = "a"
+    axis: tuple = (1.0, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class _More:
+    gain: float = 2.0
+
+
+def test_config_text_roundtrip():
+    knobs, more = _Knobs(1 / 3, 7, "fast_complex", (0.1, -2e-7, 3.0)), _More(-0.5)
+    text = format_config(knobs, more)
+    assert text == (
+        f"rate={1 / 3!r} count=7 name=fast_complex axis=0.1,-2e-07,3.0 gain=-0.5"
+    )
+    assert parse_config(text, _Knobs, _More) == (knobs, more)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rate=0.1 count=3 name=a", "missing config key 'axis'"),
+        ("rate=0.1 count=3 name=a axis=1,0,0 spin=2", "unknown config key 'spin'"),
+        ("rate=0.1 rate=0.2 count=3 name=a axis=1,0,0", "repeated config key 'rate'"),
+        ("rate=x count=3 name=a axis=1,0,0", "could not convert"),
+    ],
+)
+def test_parse_config_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(text, _Knobs)

@@ -143,7 +143,6 @@ def test_estimate_residual_not_worse_than_init():
         target = ml.subtract_actuator_field(reading, ZERO_ACT).values.ravel()
         theta, phi = ml.angles_from_heading(init.heading)
         p0 = np.concatenate([init.position, [theta, phi]])
-        cost0 = float(np.sum(ml.predict_normal_components(p0, DESK_DIPOLE) - target) ** 2)
         r0 = ml.predict_normal_components(p0, DESK_DIPOLE) - target
         cost0 = float(r0 @ r0)
         est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
@@ -289,9 +288,7 @@ def test_position_covariance_matches_per_frame_scatter():
     for seed in range(200, 240):
         reading = make_reading(pose, dipole, noise_sd=5e-7, seed=seed)
         est = ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, init)
-        cov = ml.position_covariance(
-            est, reading.values.ravel(), dipole, ml.InversionSettings()
-        )
+        cov = ml.position_covariance(est, reading.values.ravel(), dipole)
         errs.append(np.sum((est.position - pose.t) ** 2))
         traces.append(np.trace(cov))
     assert 0.5 < np.mean(errs) / np.mean(traces) < 2.0

@@ -280,6 +280,41 @@ def test_dataset_truncated_file_reports_line(tmp_path):
         sk.read_dataset(path)
 
 
+def test_dataset_header_roundtrips_every_config_field(tmp_path):
+    cfg = sk.SimConfig(duration=1.0, seed=13, motion_profile="slow_incremental",
+                       workspace_center=(0.01, -0.02, -0.07), slow_speed_cap=0.004,
+                       actuator_uniform=(1e-6, 0.0, 2.5e-6))
+    dipole = sk.DipoleParams(0.01, (0.0, 0.6, 0.8))
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(cfg, dipole))
+    back = sk.read_dataset(path)
+    assert back.config == cfg
+    assert back.dipole == dipole
+
+
+def _edit_header(path, edit):
+    lines = path.read_text().splitlines()
+    lines[0] = edit(lines[0])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_dataset_header_missing_key_is_named(tmp_path):
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=14)))
+    _edit_header(path, lambda h: " ".join(
+        tok for tok in h.split() if not tok.startswith("duration=")))
+    with pytest.raises(ValueError, match=r"ds\.txt:1: missing config key 'duration'"):
+        sk.read_dataset(path)
+
+
+def test_dataset_header_unknown_key_is_rejected(tmp_path):
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=15)))
+    _edit_header(path, lambda h: h + " bogus=1")
+    with pytest.raises(ValueError, match=r"ds\.txt:1: unknown config key 'bogus'"):
+        sk.read_dataset(path)
+
+
 def test_simulate_dataset_deterministic():
     cfg = sk.SimConfig(duration=1.0, seed=12)
     a = sk.simulate_dataset(cfg)
