@@ -561,6 +561,9 @@ def load_checkpoint(path) -> Checkpoint:
     for name in stat_names:
         if name not in stats_arrays:
             raise ValueError(f"corrupt checkpoint: missing STAT record {name!r}")
+    for key in ("rate_ratio", "beta_loss"):
+        if key not in meta_kv:
+            raise ValueError(f"corrupt checkpoint: missing META key {key!r}")
     stats = NormStats(**stats_arrays)
     return Checkpoint(
         params, int(meta_kv["rate_ratio"]), hp, stats, float(meta_kv["beta_loss"])

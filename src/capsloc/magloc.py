@@ -14,10 +14,19 @@ weighted by its covariance sigma^2 (J^T J)^-1, under a constant-position
 motion model whose process sd is _MAX_SPEED times the frame interval.
 Well-determined fits pass through almost unchanged; only poorly determined
 ones are pulled towards the track.
+
+The residual Jacobian is the closed-form derivative of the dipole b_z
+model with respect to (x, y, z, theta, phi); finite differences serve only
+as a test oracle. At the poles of the heading angles (theta = 0 or pi)
+db_z/dphi vanishes, and its column is only rounding noise. Levenberg-
+Marquardt therefore damps every parameter by at least 1e-12 times the
+largest diagonal entry of J^T J, so a vanishing column cannot produce a
+huge phi step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,8 +86,6 @@ class InversionSettings:
             raise ValueError("tolerances must be positive")
 
 
-# Central-difference step of the residual Jacobian, in parameter units.
-_JACOBIAN_STEP = 1e-7
 # A streamed frame is gated when its differentiated fit residual exceeds
 # this multiple of the running median.
 _OUTLIER_GATE = 5.0
@@ -149,15 +156,37 @@ def _residual(params, target_flat, dipole):
     return predict_normal_components(params, dipole) - target_flat
 
 
-def _numeric_jacobian(params, target_flat, dipole):
-    J = np.empty((target_flat.size, 5))
-    for i in range(5):
-        dp = np.zeros(5)
-        dp[i] = _JACOBIAN_STEP
-        J[:, i] = (
-            _residual(params + dp, target_flat, dipole)
-            - _residual(params - dp, target_flat, dipole)
-        ) / (2.0 * _JACOBIAN_STEP)
+def _moment_gain(r, d2):
+    """db_z/dm = C (3 r_z r - d^2 e_z) / d^5 at sensor offsets r (..., 3)
+    with squared lengths d2 (..., 1); b_z is linear in the moment m."""
+    G = 3.0 * r[..., 2:] * r
+    G[..., 2:] -= d2
+    G *= MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2))
+    return G
+
+
+def _jacobian(params, dipole):
+    """(64, 5) derivative of predict_normal_components with respect to
+    (x, y, z, theta, phi), in closed form.
+
+    With r = s - p, d = |r| and b = C (3 (m.r) r_z / d^5 - m_z / d^3):
+    db/dr = C (3 (m r_z + (m.r) e_z) / d^5 - (15 (m.r) r_z / d^2 - 3 m_z) r / d^5),
+    db/dp = -db/dr, and db/dm (_moment_gain) is chained with dm/dtheta and
+    dm/dphi."""
+    st, ct = np.sin(params[3]), np.cos(params[3])
+    sp, cp = np.sin(params[4]), np.cos(params[4])
+    M = dipole.moment_magnitude
+    m = M * np.array([st * cp, st * sp, ct])
+    dm = M * np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
+    r = sensor_positions().reshape(-1, 3) - params[:3]
+    d2 = np.sum(r * r, axis=1, keepdims=True)
+    mdotr = r @ m[:, None]
+    rz = r[:, 2:]
+    db_dr = 3.0 * rz * m - (15.0 * mdotr * rz / d2 - 3.0 * m[2]) * r
+    db_dr[:, 2:] += 3.0 * mdotr
+    J = np.empty((r.shape[0], 5))
+    J[:, :3] = db_dr * (-MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2)))
+    J[:, 3:] = _moment_gain(r, d2) @ dm
     return J
 
 
@@ -169,13 +198,17 @@ def _levenberg_marquardt(params0, target_flat, dipole, settings):
     iters = 0
     for iters in range(1, settings.max_iterations + 1):
         cost_prev = cost
-        J = _numeric_jacobian(params, target_flat, dipole)
+        J = _jacobian(params, dipole)
         g = J.T @ r
         H = J.T @ J
+        # Marquardt scaling, floored: at a heading pole the phi column of J
+        # is rounding noise, and an unfloored diagonal would not damp it.
+        dH = np.diag(H)
+        D = np.diag(np.maximum(dH, 1e-12 * dH.max()))
         stepped = False
         for _ in range(25):
             try:
-                delta = np.linalg.solve(H + lam * np.diag(np.diag(H) + 1e-300), -g)
+                delta = np.linalg.solve(H + lam * D, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -255,39 +288,39 @@ def grid_search_init(
     )
 
 
+# (theta, phi) of the grid search's 26 headings: the unit vectors towards a
+# cube cell's neighbours, in dx, dy, dz order.
+_GRID_HEADINGS = np.array([
+    angles_from_heading(np.divide(d, np.linalg.norm(d)))
+    for d in itertools.product((-1, 0, 1), repeat=3)
+    if any(d)
+])
+
+
 def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_extent):
-    """grid_search_init on an actuator-free, flattened reading."""
+    """grid_search_init on an actuator-free, flattened reading.
+
+    Every (position, heading) candidate is evaluated at once; argmin keeps
+    the first of equal costs in x, y, z, heading order."""
     c = np.asarray(workspace_center, dtype=float)
     he = workspace_half_extent
     xs = np.linspace(c[0] - he, c[0] + he, 5)
     ys = np.linspace(c[1] - he, c[1] + he, 5)
     zs = np.linspace(c[2] - 0.6 * he, c[2] + 0.6 * he, 3)
-    dirs = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                d = np.array([dx, dy, dz], dtype=float)
-                dirs.append(d / np.linalg.norm(d))
-    best_params, best_cost = None, np.inf
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                if z > -0.01:
-                    continue
-                for d in dirs:
-                    theta, phi = angles_from_heading(d)
-                    p = np.array([x, y, z, theta, phi])
-                    r = _residual(p, target, dipole)
-                    cost = float(r @ r)
-                    if cost < best_cost:
-                        best_params, best_cost = p, cost
+    pos = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+    pos = pos[pos[:, 2] <= -0.01]
+    m = dipole.moment_magnitude * heading_from_angles(*_GRID_HEADINGS.T).T  # (26, 3)
+    r = sensor_positions().reshape(1, -1, 3) - pos[:, None, :]  # (P, 64, 3)
+    G = _moment_gain(r, np.sum(r * r, axis=2, keepdims=True))
+    diff = np.einsum("psc,hc->phs", G, m)  # (P, 26, 64) b_z of every candidate
+    diff -= target
+    costs = np.einsum("phs,phs->ph", diff, diff)
+    ip, ih = np.unravel_index(np.argmin(costs), costs.shape)
     return MagMeasurement5DoF(
         timestamp,
-        best_params[:3],
-        heading_from_angles(best_params[3], best_params[4]),
-        residual=float(np.sqrt(best_cost)),
+        pos[ip],
+        heading_from_angles(*_GRID_HEADINGS[ih]),
+        residual=float(np.sqrt(costs[ip, ih])),
     )
 
 
@@ -300,7 +333,7 @@ def position_covariance(
     (64 - 5), the noise variance the fit's own residual implies. Raises
     numpy.linalg.LinAlgError when J^T J is singular."""
     params = np.concatenate([est.position, angles_from_heading(est.heading)])
-    J = _numeric_jacobian(params, target_flat, dipole)
+    J = _jacobian(params, dipole)
     sigma2 = est.residual**2 / (target_flat.size - params.size)
     return sigma2 * np.linalg.inv(J.T @ J)[:3, :3]
 

@@ -163,7 +163,8 @@ def test_criterion_2_adam_fidelity(verdict):
     # Hand-computed scalar example: w=1, g=2, defaults -> 0.999000.
     params = {"w": np.array([1.0])}
     out, _ = nc.adam_step(params, {"w": np.array([2.0])}, nc.adam_init(params), hp)
-    hand_ok = abs(out["w"][0] - 0.999000) < 5e-7
+    hand_w = out["w"][0]
+    hand_ok = abs(hand_w - 0.999000) < 5e-7
 
     # First-step magnitude within 1% of alpha across gradient scales.
     worst_dev = 0.0
@@ -180,7 +181,7 @@ def test_criterion_2_adam_fidelity(verdict):
         2,
         "Adam fidelity",
         hand_ok and scale_ok,
-        f"hand case w'={out['w'][0]:.6f} path ok={hand_ok}, "
+        f"hand case w'={hand_w:.6f} path ok={hand_ok}, "
         f"first-step deviation <= {worst_dev:.2%} over 1e-3..1e3",
     )
 

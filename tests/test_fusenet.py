@@ -470,6 +470,18 @@ def test_checkpoint_missing_hp_key_is_named(tmp_path):
         fn.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["rate_ratio", "beta_loss"])
+def test_checkpoint_missing_meta_key_is_named(tmp_path, key):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    text = path.read_text()
+    meta_line = next(l for l in text.splitlines() if l.startswith("META "))
+    cut = " ".join(tok for tok in meta_line.split() if not tok.startswith(key + "="))
+    path.write_text(text.replace(meta_line, cut))
+    with pytest.raises(ValueError, match=f"missing META key '{key}'"):
+        fn.load_checkpoint(path)
+
+
 def test_checkpoint_missing_stat_record_is_named(tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
