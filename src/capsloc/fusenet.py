@@ -7,6 +7,11 @@ consumes one 6-vector delta; the concatenated hidden states (after dropout
 when training) feed the core LSTM, whose hidden state a linear head maps to
 a 6-DoF delta. All LSTM states persist across fused steps, which is what
 lets the network carry sensor history across the asynchronous streams.
+
+forward runs each LSTM over all N steps in turn: magnetic (N * rate_ratio
+inputs), visual, one dropout draw on the (N, 2H) concatenation (the same
+RNG stream, so the same masks), core, then the head as one GEMM. Neither
+branch LSTM reads the core's state, so this is the per-step math reordered.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from .neuralcore import (
     init_lstm_weights,
     linear_backward,
     linear_forward,
-    lstm_cell_backward,
-    lstm_cell_forward,
+    lstm_backward,
+    lstm_sequence_forward,
     pose_loss,
-    zero_lstm_grads,
+    pose_residual_norms,
 )
 
 __all__ = [
@@ -210,43 +215,30 @@ def forward(
     rng=None,
     dropout_rate: float = 0.0,
 ):
-    """Run the fusion network over normalized fused samples.
+    """Run the fusion network over a nonempty list of normalized fused samples.
 
     Returns (outputs (N, 6), caches, final_states). States persist across
     steps; feeding a window in chunks with carried states is equivalent."""
     hs = net.hidden_size
+    r = net.rate_ratio
     if initial_states is None:
-        states = {
-            "mag": LstmState.zeros(hs),
-            "vis": LstmState.zeros(hs),
-            "core": LstmState.zeros(hs),
-        }
-    else:
-        states = dict(initial_states)
-    outputs = []
-    caches = []
-    for s in samples:
-        mag_caches = []
-        for r in range(net.rate_ratio):
-            states["mag"], cache = lstm_cell_forward(
-                s.mag_inputs[r], states["mag"], net.mag_lstm
-            )
-            mag_caches.append(cache)
-        states["vis"], vis_cache = lstm_cell_forward(
-            s.vis_input, states["vis"], net.vis_lstm
-        )
-        z = np.concatenate([states["mag"].h, states["vis"].h])
-        if training and dropout_rate > 0:
-            z_dropped, mask = dropout(z, dropout_rate, rng, training=True)
-        else:
-            z_dropped, mask = z, np.ones_like(z)
-        states["core"], core_cache = lstm_cell_forward(
-            z_dropped, states["core"], net.core_lstm
-        )
-        y = linear_forward(states["core"].h, net.head_W, net.head_b)
-        outputs.append(y)
-        caches.append((mag_caches, vis_cache, core_cache, mask, states["core"].h))
-    return np.array(outputs), caches, states
+        initial_states = {k: LstmState.zeros(hs) for k in ("mag", "vis", "core")}
+    mag_states, mag_cache = lstm_sequence_forward(
+        np.concatenate([s.mag_inputs for s in samples]),
+        initial_states["mag"], net.mag_lstm,
+    )
+    vis_states, vis_cache = lstm_sequence_forward(
+        [s.vis_input for s in samples], initial_states["vis"], net.vis_lstm
+    )
+    # The core sees the magnetic state after every rate_ratio-th input.
+    z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=1)
+    z, mask = dropout(z, dropout_rate, rng, training)
+    core_states, core_cache = lstm_sequence_forward(
+        z, initial_states["core"], net.core_lstm
+    )
+    outputs = linear_forward(core_cache.h[1:], net.head_W, net.head_b)
+    final = {"mag": mag_states[-1], "vis": vis_states[-1], "core": core_states[-1]}
+    return outputs, (mag_cache, vis_cache, core_cache, mask), final
 
 
 def backward(net: FusionNetwork, caches, dy_list):
@@ -254,40 +246,20 @@ def backward(net: FusionNetwork, caches, dy_list):
 
     dy_list holds the upstream gradient on each step's 6-vector output.
     Returns a dict of parameter gradients matching net.params()."""
+    mag_cache, vis_cache, core_cache, mask = caches
     hs = net.hidden_size
-    grads = {f"mag.{k}": v for k, v in zero_lstm_grads(net.mag_lstm).items()}
-    grads.update({f"vis.{k}": v for k, v in zero_lstm_grads(net.vis_lstm).items()})
-    grads.update({f"core.{k}": v for k, v in zero_lstm_grads(net.core_lstm).items()})
-    grads["head.W"] = np.zeros_like(net.head_W)
-    grads["head.b"] = np.zeros_like(net.head_b)
-
-    mag_g = {k: grads[f"mag.{k}"] for k in zero_lstm_grads(net.mag_lstm)}
-    vis_g = {k: grads[f"vis.{k}"] for k in zero_lstm_grads(net.vis_lstm)}
-    core_g = {k: grads[f"core.{k}"] for k in zero_lstm_grads(net.core_lstm)}
-
-    dh = {k: np.zeros(hs) for k in ("mag", "vis", "core")}
-    dc = {k: np.zeros(hs) for k in ("mag", "vis", "core")}
-
-    for t in range(len(caches) - 1, -1, -1):
-        mag_caches, vis_cache, core_cache, mask, core_h = caches[t]
-        dy = np.asarray(dy_list[t], dtype=float)
-        dW, db, dh_core_head = linear_backward(core_h, net.head_W, dy)
-        grads["head.W"] += dW
-        grads["head.b"] += db
-        dz, dh["core"], dc["core"] = lstm_cell_backward(
-            core_cache, net.core_lstm, dh["core"] + dh_core_head, dc["core"], core_g
-        )
-        dz = dz * mask
-        dh["mag"] += dz[:hs]
-        dh["vis"] += dz[hs:]
-        _, dh["vis"], dc["vis"] = lstm_cell_backward(
-            vis_cache, net.vis_lstm, dh["vis"], dc["vis"], vis_g
-        )
-        for r in range(len(mag_caches) - 1, -1, -1):
-            _, dh["mag"], dc["mag"] = lstm_cell_backward(
-                mag_caches[r], net.mag_lstm, dh["mag"], dc["mag"], mag_g
-            )
-    return grads
+    r = net.rate_ratio
+    dW_head, db_head, dh_core = linear_backward(core_cache.h[1:], net.head_W, dy_list)
+    core_g, _, dz = lstm_backward(core_cache, net.core_lstm, dh_core)
+    dz *= mask
+    vis_g, _, _ = lstm_backward(vis_cache, net.vis_lstm, dz[:, hs:])
+    dh_mag = np.zeros((len(mag_cache.x), hs))
+    dh_mag[r - 1 :: r] = dz[:, :hs]
+    mag_g, _, _ = lstm_backward(mag_cache, net.mag_lstm, dh_mag)
+    grads = {}
+    for lstm, g in (("mag.", mag_g), ("vis.", vis_g), ("core.", core_g)):
+        grads.update({lstm + k: v for k, v in g.items()})
+    return {**grads, "head.W": dW_head, "head.b": db_head}
 
 
 @dataclass(frozen=True)
@@ -326,18 +298,22 @@ def _windows(samples, window_length):
     ]
 
 
-def _window_loss_and_grads(net, window, beta, hp, rng, training=True):
+def _window_pass(net, window, beta, hp, rng, training=True):
+    """Forward (and, when training, backward) over one window: (loss,
+    per-step translational and rotational residual norms, gradients)."""
     outputs, caches, _ = forward(
         net, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
     )
-    total = 0.0
-    dys = []
-    for y, s in zip(outputs, window):
-        loss, dy = pose_loss(y, s.target, beta)
-        total += loss
-        dys.append(dy)
+    targets = np.array([s.target for s in window])
+    loss, dys = pose_loss(outputs, targets, beta)
+    trans, rot = pose_residual_norms(outputs, targets)
     grads = backward(net, caches, dys) if training else None
-    return total, grads
+    return loss, trans, rot, grads
+
+
+def _window_loss_and_grads(net, window, beta, hp, rng, training=True):
+    loss, _, _, grads = _window_pass(net, window, beta, hp, rng, training)
+    return loss, grads
 
 
 def _eval_loss(net, windows, beta, hp):
@@ -355,12 +331,10 @@ def calibrate_beta(net: FusionNetwork, val_samples, stats: NormStats,
     """beta = mean translational / mean rotational residual norm over the
     validation set (raw units); clamped. Returns (beta, flagged)."""
     outputs, _, _ = forward(net, val_samples, training=False)
-    trans, rot = [], []
-    for y, s in zip(outputs, val_samples):
-        pred = stats.denormalize_output(y)
-        tgt = stats.denormalize_output(np.asarray(s.target))
-        trans.append(np.linalg.norm(pred[:3] - tgt[:3]))
-        rot.append(np.linalg.norm(pred[3:] - tgt[3:]))
+    trans, rot = pose_residual_norms(
+        stats.denormalize_output(outputs),
+        stats.denormalize_output(np.array([s.target for s in val_samples])),
+    )
     mean_trans = float(np.mean(trans))
     mean_rot = float(np.mean(rot))
     if mean_rot == 0.0:
@@ -377,9 +351,9 @@ def _refit_head_bias(params: dict, rate_ratio: int, windows) -> dict:
     predict_trajectory integrates the outputs, a constant offset is what
     turns into drift."""
     net = FusionNetwork.from_params(params, rate_ratio)
-    residuals = [
-        y - s.target for w in windows for y, s in zip(forward(net, w)[0], w)
-    ]
+    residuals = np.concatenate(
+        [forward(net, w)[0] - np.array([s.target for s in w]) for w in windows]
+    )
     refit = dict(params)
     refit["head.b"] = params["head.b"] - np.mean(residuals, axis=0)
     return refit
@@ -424,10 +398,9 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     val_flat = [s for w in val_windows for s in w]
 
     net = init_network(hp.hidden_size, datasets[0][0].mag_inputs.shape[0], rng)
-    params = net.params()
+    params = net.params()  # views into net, which adam_step updates in place
     adam = adam_init(params)
     beta = 1.0
-    beta_flagged = False
 
     log = []
     best_val = np.inf
@@ -437,13 +410,13 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
     for epoch in range(1, cfg.max_epochs + 1):
         if epoch == cfg.warmup_epochs + 1:
-            beta, beta_flagged = calibrate_beta(net, val_flat, stats)
+            beta, _ = calibrate_beta(net, val_flat, stats)
         order = rng.permutation(len(train_windows))
-        train_loss = 0.0
+        train_loss = train_trans = train_rot = grad_norm = 0.0
         n_steps = 0
         for wi in order:
             window = train_windows[wi]
-            loss, grads = _window_loss_and_grads(net, window, beta, hp, rng)
+            loss, trans, rot, grads = _window_pass(net, window, beta, hp, rng)
             if not np.isfinite(loss):
                 best_params = _refit_head_bias(
                     best_params, net.rate_ratio, train_windows
@@ -451,19 +424,23 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 ckpt = Checkpoint(best_params, net.rate_ratio, hp, stats, best_beta)
                 log.append({"epoch": epoch, "aborted": "non-finite loss"})
                 return ckpt, log
-            params, adam = adam_step(params, grads, adam, hp)
-            net = FusionNetwork.from_params(params, net.rate_ratio)
+            grad_norm += np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+            adam_step(params, grads, adam, hp)
             train_loss += loss
+            train_trans += trans.sum()
+            train_rot += rot.sum()
             n_steps += len(window)
-        train_loss /= n_steps
         val_loss = _eval_loss(net, val_windows, beta, hp)
         log.append(
             {
                 "epoch": epoch,
-                "train_loss": train_loss,
+                "train_loss": train_loss / n_steps,
                 "val_loss": val_loss,
                 "beta": beta,
                 "lr": hp.alpha,
+                "train_trans": float(train_trans / n_steps),
+                "train_rot": float(train_rot / n_steps),
+                "grad_norm": float(grad_norm / len(order)),
             }
         )
         if val_loss < best_val - 1e-15:
@@ -482,15 +459,19 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
 
 def write_training_log(path, log) -> None:
+    """One line per epoch. train_trans, train_rot: mean per-step residual
+    norms of the training windows (normalized units, rotation unweighted by
+    beta); grad_norm: mean L2 norm of the per-window gradient."""
     with open(path, "w") as f:
-        f.write("# epoch train_loss val_loss beta lr\n")
+        f.write("# epoch train_loss val_loss beta lr train_trans train_rot grad_norm\n")
         for rec in log:
             if "aborted" in rec:
                 f.write(f"# aborted at epoch {rec['epoch']}: {rec['aborted']}\n")
                 continue
             f.write(
                 f"{rec['epoch']} {rec['train_loss']!r} {rec['val_loss']!r} "
-                f"{rec['beta']!r} {rec['lr']!r}\n"
+                f"{rec['beta']!r} {rec['lr']!r} {rec['train_trans']!r} "
+                f"{rec['train_rot']!r} {rec['grad_norm']!r}\n"
             )
 
 

@@ -139,7 +139,11 @@ def test_forward_output_length_matches_input():
     for n in (1, 3, 11):
         outputs, caches, _ = fn.forward(net, toy_samples(n, np.random.default_rng(3)))
         assert outputs.shape == (n, 6)
-        assert len(caches) == n
+        grads = fn.backward(net, caches, np.zeros((n, 6)))
+        params = net.params()
+        assert list(grads) == list(params)
+        for k, p in params.items():
+            assert grads[k].shape == p.shape, k
 
 
 def test_forward_matches_step_by_step_oracle():
@@ -170,6 +174,49 @@ def test_forward_statefulness_chunking():
     second, _, _ = fn.forward(net, samples[4:], initial_states=states)
     chunked = np.vstack([first, second])
     assert np.array_equal(whole, chunked)
+
+
+def test_sequence_kernel_matches_per_cell_loop():
+    # H = 7: the magnetic (5) and visual (6) inputs are narrower than H and
+    # the core's (14) wider. Three magnetic inputs per step, dropout on.
+    H, r, rate = 7, 3, 0.25
+    rng = np.random.default_rng(40)
+    net = fn.init_network(H, r, rng)
+    samples = toy_samples(5, rng, rate_ratio=r)
+    outputs, caches, states = fn.forward(
+        net, samples, training=True, rng=np.random.default_rng(41),
+        dropout_rate=rate,
+    )
+
+    mask_rng = np.random.default_rng(41)
+    mag_s, vis_s, core_s = (nc.LstmState.zeros(H) for _ in range(3))
+    for k, s in enumerate(samples):
+        for x in s.mag_inputs:
+            mag_s, _ = nc.lstm_cell_forward(x, mag_s, net.mag_lstm)
+        vis_s, _ = nc.lstm_cell_forward(s.vis_input, vis_s, net.vis_lstm)
+        keep = (mask_rng.random(2 * H) >= rate) / (1.0 - rate)
+        z = np.concatenate([mag_s.h, vis_s.h]) * keep
+        core_s, _ = nc.lstm_cell_forward(z, core_s, net.core_lstm)
+        assert np.allclose(outputs[k], net.head_W @ core_s.h + net.head_b,
+                           rtol=0, atol=1e-12)
+    for name, s in (("mag", mag_s), ("vis", vis_s), ("core", core_s)):
+        assert np.allclose(states[name].h, s.h, rtol=0, atol=1e-12)
+        assert np.allclose(states[name].c, s.c, rtol=0, atol=1e-12)
+
+    targets = np.array([s.target for s in samples])
+
+    def loss_fn(params):
+        n2 = fn.FusionNetwork.from_params(params, r)
+        y, _, _ = fn.forward(n2, samples, training=True,
+                             rng=np.random.default_rng(41), dropout_rate=rate)
+        return nc.pose_loss(y, targets, 2.5)[0]
+
+    grads = fn.backward(net, caches, nc.pose_loss(outputs, targets, 2.5)[1])
+    fd = nc.finite_difference_gradient(loss_fn, net.params(), step=1e-5)
+    assert list(grads) == list(fd)
+    for k in fd:
+        denom = max(np.max(np.abs(fd[k])), 1e-8)
+        assert np.max(np.abs(grads[k] - fd[k])) / denom < 1e-5, k
 
 
 def test_forward_shape_asymmetry_contract():
@@ -357,9 +404,12 @@ def test_training_log_format(tmp_path):
     assert len(lines) == len(log)
     for line in lines:
         fields = line.split()
-        assert len(fields) == 5
+        assert len(fields) == 8
         int(fields[0])
-        [float(x) for x in fields[1:]]
+        loss, _, beta, _, trans, rot, grad_norm = [float(x) for x in fields[1:]]
+        # The loss splits into its translational and rotational terms.
+        assert abs(loss - (trans + beta * rot)) < 1e-12 * loss
+        assert grad_norm > 0
 
 
 # --- prediction ------------------------------------------------------------

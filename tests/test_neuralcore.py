@@ -288,10 +288,49 @@ def test_pose_loss_nonnegative_zero_only_at_equal():
 def test_adam_zero_gradient_fixed_point():
     hp = nc.Hyperparams()
     params = {"w": np.array([1.0, -2.0, 3.0])}
+    before = params["w"].copy()
     state = nc.adam_init(params)
     out, state = nc.adam_step(params, {"w": np.zeros(3)}, state, hp)
-    assert np.array_equal(out["w"], params["w"])
+    assert np.array_equal(out["w"], before)
     assert state.t == 1
+
+
+def adam_formula(p, g, m, v, t, hp):
+    """The Adam update written out, returning new arrays."""
+    m = hp.beta1 * m + (1.0 - hp.beta1) * g
+    v = hp.beta2 * v + (1.0 - hp.beta2) * g * g
+    m_hat = m / (1.0 - hp.beta1**t)
+    v_hat = v / (1.0 - hp.beta2**t)
+    return p - hp.alpha * m_hat / np.sqrt(v_hat + hp.epsilon), m, v
+
+
+def test_adam_in_place_matches_formula():
+    hp = nc.Hyperparams()
+    rng = np.random.default_rng(27)
+    base = rng.normal(0, 1, (50, 40))
+    params = {
+        "big": rng.normal(0, 1, (800, 600)),
+        "view": base[3:40:2, 5:30],  # strided view of a larger array
+        "one": np.array([0.3]),
+    }
+    ref = {k: p.copy() for k, p in params.items()}
+    ref_m = {k: np.zeros(p.shape) for k, p in params.items()}
+    ref_v = {k: np.zeros(p.shape) for k, p in params.items()}
+    state = nc.adam_init(params)
+    for t in range(1, 21):
+        grads = {k: rng.normal(0, 10.0 ** rng.integers(-4, 3), p.shape)
+                 for k, p in params.items()}
+        out, out_state = nc.adam_step(params, grads, state, hp)
+        assert out is params and out_state is state and state.t == t
+        for k in params:
+            ref[k], ref_m[k], ref_v[k] = adam_formula(
+                ref[k], grads[k], ref_m[k], ref_v[k], t, hp
+            )
+            assert np.array_equal(params[k], ref[k]), (k, t)
+            assert np.array_equal(state.m[k], ref_m[k]), (k, t)
+            assert np.array_equal(state.v[k], ref_v[k]), (k, t)
+    assert np.shares_memory(params["view"], base)
+    assert np.array_equal(base[3:40:2, 5:30], ref["view"])
 
 
 def test_adam_scalar_hand_case():
