@@ -1,84 +1,46 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark: simulate datasets, localize magnetically, train the
-fusion network, and write the RMSE-vs-path-length comparison.
+"""End-to-end benchmark: the acceptance comparison of fusion, EVO-only and
+magnetic-only localization, from seeds to the RMSE-vs-path-length report.
 
-Equivalent to chaining the `capsloc` subcommands, but keeps everything in
-memory and prints timing. Defaults match the desk-scale acceptance run.
+Runs evalbench.run_fusion_comparison, the protocol of acceptance criterion 6
+(fast_complex motion, 30 s training and 75 s evaluation datasets, the desk
+network), and prints timing. With the default seeds it reproduces the
+criterion-6 numbers; other seeds give a held-out check, e.g.
+
+    python3 scripts/run_benchmark.py --train-seeds 110 111 112 113 114 115 116 117 \\
+        --eval-seeds 210 211 212 213 214
 """
 
 import argparse
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, "src")
 
-from capsloc import evalbench, fusenet, magloc, simkit
-from capsloc.neuralcore import Hyperparams
-
-
-def simulate(seed, duration, profile):
-    cfg = simkit.SimConfig(duration=duration, seed=seed, motion_profile=profile)
-    return simkit.simulate_dataset(cfg)
-
-
-def localize(ds):
-    actuator = simkit.ActuatorFieldModel.from_config(ds.config)
-    return magloc.localize_stream(
-        ds.mag,
-        actuator,
-        ds.dipole,
-        workspace_center=ds.config.workspace_center,
-        workspace_half_extent=ds.config.workspace_half_extent,
-    )
+from capsloc import evalbench, fusenet
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--train-seeds", type=int, nargs="+", default=[100, 101, 102])
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("--train-seeds", type=int, nargs="+",
+                    default=[100, 101, 102, 103, 104, 105, 106, 107])
     ap.add_argument("--eval-seeds", type=int, nargs="+", default=[200, 201, 202, 203, 204])
-    ap.add_argument("--train-duration", type=float, default=60.0)
-    ap.add_argument("--eval-duration", type=float, default=75.0)
-    ap.add_argument("--profile", default="fast_complex",
-                    choices=sorted(simkit.MOTION_PROFILES))
-    ap.add_argument("--hidden-size", type=int, default=16)
-    ap.add_argument("--max-epochs", type=int, default=50)
     ap.add_argument("--out", default="benchmark_report.txt")
     ap.add_argument("--checkpoint", default=None, help="also save the trained model")
     args = ap.parse_args()
 
     t0 = time.time()
-    sample_sets = []
-    for seed in args.train_seeds:
-        ds = simulate(seed, args.train_duration, args.profile)
-        ests = localize(ds)
-        sample_sets.append(
-            fusenet.align_streams(ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio)
-        )
-        print(f"[{time.time() - t0:6.1f}s] training data seed {seed} ready")
-
-    cfg = fusenet.TrainingConfig(max_epochs=args.max_epochs, window_length=16,
-                                 early_stop_patience=10, warmup_epochs=10, seed=0)
-    hp = Hyperparams(hidden_size=args.hidden_size, dropout_rate=0.1)
-    ckpt, log = fusenet.train(sample_sets, cfg, hp)
-    print(f"[{time.time() - t0:6.1f}s] trained {len(log)} epochs, beta={ckpt.beta_loss:.3g}")
+    reports, ckpt, log = evalbench.run_fusion_comparison(
+        args.train_seeds, args.eval_seeds
+    )
+    print(f"[{time.time() - t0:6.1f}s] {len(log)} training epochs, "
+          f"beta={ckpt.beta_loss:.3g}")
     if args.checkpoint:
         fusenet.save_checkpoint(args.checkpoint, ckpt)
         fusenet.write_training_log(args.checkpoint + ".log", log)
 
-    eval_sets = []
-    for seed in args.eval_seeds:
-        ds = simulate(seed, args.eval_duration, args.profile)
-        eval_sets.append({
-            "gt": ds.gt,
-            "mag_estimates": localize(ds),
-            "vis": ds.vis,
-            "dipole_axis": ds.dipole.moment_axis,
-        })
-        print(f"[{time.time() - t0:6.1f}s] evaluation data seed {seed} ready")
-
-    reports = evalbench.compare_methods(eval_sets, ckpt)
     evalbench.write_report(args.out, reports,
                            header_lines=[f"train_seeds={args.train_seeds}",
                                          f"eval_seeds={args.eval_seeds}"])

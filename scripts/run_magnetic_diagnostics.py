@@ -28,14 +28,9 @@ def main():
     cfg = simkit.SimConfig(duration=args.duration, seed=args.seed,
                            motion_profile=args.profile, mag_noise_sd=args.noise_sd)
     ds = simkit.simulate_dataset(cfg)
-    actuator = simkit.ActuatorFieldModel.from_config(cfg)
 
     t0 = time.perf_counter()
-    ests = magloc.localize_stream(
-        ds.mag, actuator, ds.dipole,
-        workspace_center=cfg.workspace_center,
-        workspace_half_extent=cfg.workspace_half_extent,
-    )
+    ests = magloc.localize_dataset(ds)
     dt = time.perf_counter() - t0
 
     axis = np.asarray(ds.dipole.moment_axis)

@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import evalbench, evoalign, fusenet, magloc, simkit
-from .geometry import RigidTransform
+from .geometry import RigidTransform, inverse, rotation_exp
 from .neuralcore import Hyperparams
 
 __all__ = ["RunConfig", "main"]
@@ -49,10 +49,6 @@ KNOWN_KEYS = {
     "magloc.convergence_tol": (float, 1e-12),
     "magloc.initial_damping": (float, 1e-3),
     "magloc.restart_count": (int, 3),
-    "align.w_sparse": (float, 1.0),
-    "align.w_dense": (float, 1.0),
-    "align.w_photo": (float, 1.0),
-    "align.w_geo": (float, 10.0),
     "align.noise_sd": (float, 0.0),
 }
 
@@ -172,18 +168,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _localize(ds, cfg):
-    actuator = simkit.ActuatorFieldModel.from_config(ds.config)
-    return magloc.localize_stream(
-        ds.mag,
-        actuator,
-        ds.dipole,
-        cfg.inversion_settings(),
-        workspace_center=ds.config.workspace_center,
-        workspace_half_extent=ds.config.workspace_half_extent,
-    )
-
-
 def _write_mag_estimates(path, ests, cfg):
     with open(path, "w") as f:
         f.write("# capsloc-magest v1\n")
@@ -222,7 +206,7 @@ def read_mag_estimates(path):
 def cmd_localize_mag(args) -> int:
     cfg = _load_config(args)
     ds = simkit.read_dataset(args.dataset)
-    ests = _localize(ds, cfg)
+    ests = magloc.localize_dataset(ds, cfg.inversion_settings())
     _write_mag_estimates(args.out, ests, cfg)
     print(f"wrote {args.out} ({len(ests)} frames)")
     return 0
@@ -233,7 +217,7 @@ def cmd_train(args) -> int:
     sample_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
-        ests = _localize(ds, cfg)
+        ests = magloc.localize_dataset(ds, cfg.inversion_settings())
         samples = fusenet.align_streams(
             ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio
         )
@@ -251,7 +235,7 @@ def cmd_evaluate(args) -> int:
     eval_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
-        ests = _localize(ds, cfg)
+        ests = magloc.localize_dataset(ds, cfg.inversion_settings())
         eval_sets.append(
             {
                 "gt": ds.gt,
@@ -272,39 +256,20 @@ def cmd_evaluate(args) -> int:
 def cmd_align_demo(args) -> int:
     cfg = _load_config(args)
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0xA11]))
-    scene = evoalign.make_scene(cfg["seed"])
     true_T = RigidTransform(
-        evoalign.rotation_exp(rng.normal(0, 0.01, 3)), rng.normal(0, 0.002, 3)
+        rotation_exp(rng.normal(0, 0.01, 3)), rng.normal(0, 0.002, 3)
     )
-    intr = (80.0, 80.0, 31.5, 31.5)
-    frames = [
-        evoalign.render_synthetic_scene(scene, RigidTransform.identity(), intr),
-        evoalign.render_synthetic_scene(scene, true_T, intr),
-    ]
-    # Known correspondences from the shared scene geometry, optionally noisy.
-    pts_world = np.column_stack(
-        [
-            rng.uniform(-0.1, 0.1, 40),
-            rng.uniform(-0.1, 0.1, 40),
-            np.zeros(40),
-        ]
-    )
-    pts_world[:, 2] = scene.height(pts_world[:, 0], pts_world[:, 1])
-    from .geometry import inverse as ginv
-
+    # Points in a box in front of frame 0, seen from both frames, optionally
+    # noisy; frame 1 sits at true_T in frame 0's coordinates.
+    pts = rng.uniform((-0.1, -0.1, 0.4), (0.1, 0.1, 0.6), (40, 3))
     noise = cfg["align.noise_sd"]
-    pairs = []
-    for p in pts_world:
-        p0 = p + rng.normal(0, noise, 3)
-        p1 = ginv(true_T).apply(p) + rng.normal(0, noise, 3)
-        pairs.append((0, 1, p0, p1))
-    weights = evoalign.AlignmentWeights(
-        cfg["align.w_sparse"], cfg["align.w_dense"],
-        cfg["align.w_photo"], cfg["align.w_geo"],
-    )
-    state, info = evoalign.minimize_alignment(
-        frames, evoalign.CorrespondenceSet(pairs), weights
-    )
+    to_frame1 = inverse(true_T)
+    pairs = [
+        (0, 1, p + rng.normal(0, noise, 3),
+         to_frame1.apply(p) + rng.normal(0, noise, 3))
+        for p in pts
+    ]
+    state, info = evoalign.minimize_alignment([], evoalign.CorrespondenceSet(pairs))
     est = state.transforms[1]
     t_err = float(np.linalg.norm(est.t - true_T.t))
     c = (np.trace(true_T.R.T @ est.R) - 1) / 2
@@ -359,7 +324,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="plot data path")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("align-demo", help="synthetic alignment diagnostics")
+    p = sub.add_parser(
+        "align-demo", help="sparse alignment on synthetic correspondences"
+    )
     common(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_align_demo)

@@ -1,5 +1,7 @@
 """Evaluation protocol: start-aligned segment RMSE bucketed by path length,
-for the fusion network and the two single-sensor baselines.
+for the fusion network and the two single-sensor baselines, and the
+end-to-end comparison run (run_fusion_comparison) that the acceptance test
+and scripts/run_benchmark.py share.
 
 For every estimate sample, the evaluator walks the ground-truth arc length
 until it first crosses the bucket length, composes the estimated relative
@@ -12,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fusenet, magloc, simkit
 from .geometry import (
     Pose,
     RigidTransform,
     Trajectory,
-    apply_relative,
     compose,
+    integrate_deltas,
     inverse,
     pose_error,
     pose_to_transform,
@@ -25,6 +28,7 @@ from .geometry import (
     skew,
     transform_to_pose,
 )
+from .neuralcore import Hyperparams
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -34,6 +38,7 @@ __all__ = [
     "evo_only_baseline",
     "magnetic_only_baseline",
     "compare_methods",
+    "run_fusion_comparison",
     "write_report",
 ]
 
@@ -97,13 +102,9 @@ def rmse_by_length(est: Trajectory, gt: Trajectory, bucket_lengths):
 
 def evo_only_baseline(vis, initial_pose: Pose) -> Trajectory:
     """Integrate visual-odometry deltas from the initial pose."""
-    times, poses = [], []
-    pose = initial_pose
-    for v in vis:
-        pose = apply_relative(pose, v.delta)
-        times.append(v.timestamp)
-        poses.append(pose.as_vector())
-    return Trajectory(np.array(times), np.array(poses))
+    return integrate_deltas(
+        initial_pose, [v.timestamp for v in vis], [v.delta for v in vis]
+    )
 
 
 def _min_rotation_between(a, b) -> np.ndarray:
@@ -157,8 +158,6 @@ def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
     (list of MagMeasurement5DoF), vis (list of VisMeasurement), and
     optionally dipole_axis. Aggregation pools segment errors across
     datasets before taking the RMSE."""
-    from .fusenet import predict_trajectory
-
     if not eval_sets:
         raise ValueError("no evaluation datasets")
     pooled = {m: {L: [] for L in bucket_lengths} for m in METHODS}
@@ -173,7 +172,7 @@ def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
             "magnetic_only": magnetic_only_baseline(mag_est, init, axis),
         }
         if checkpoint is not None:
-            trajs["fusion"] = predict_trajectory(checkpoint, mag_est, vis, init)
+            trajs["fusion"] = fusenet.predict_trajectory(checkpoint, mag_est, vis, init)
         for method, est in trajs.items():
             errs = segment_errors(est, gt, bucket_lengths)
             for L in bucket_lengths:
@@ -192,6 +191,53 @@ def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
                 buckets.append((L, None, None, 0))
         reports.append(RmseReport(method, buckets))
     return reports
+
+
+def run_fusion_comparison(train_seeds, eval_seeds):
+    """The acceptance comparison from seeds to reports.
+
+    Simulates fast_complex datasets (30 s per training seed, 75 s per
+    evaluation seed) and localizes them magnetically; trains the desk
+    network (hidden size 16, dropout 0.1, window 16, at most 50 epochs,
+    patience 10, warm-up 10, training seed 0) on the training sets; and
+    compares the three methods on the evaluation sets.
+    Returns (reports, checkpoint, training log)."""
+
+    def simulate(seed, duration):
+        cfg = simkit.SimConfig(
+            duration=duration, seed=seed, motion_profile="fast_complex"
+        )
+        ds = simkit.simulate_dataset(cfg)
+        return ds, magloc.localize_dataset(ds)
+
+    train_sets = []
+    for seed in train_seeds:
+        ds, ests = simulate(seed, 30.0)
+        train_sets.append(
+            fusenet.align_streams(ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio)
+        )
+    tcfg = fusenet.TrainingConfig(
+        max_epochs=50,
+        window_length=16,
+        early_stop_patience=10,
+        warmup_epochs=10,
+        seed=0,
+    )
+    hp = Hyperparams(hidden_size=16, dropout_rate=0.1)
+    ckpt, log = fusenet.train(train_sets, tcfg, hp)
+
+    eval_sets = []
+    for seed in eval_seeds:
+        ds, ests = simulate(seed, 75.0)
+        eval_sets.append(
+            {
+                "gt": ds.gt,
+                "mag_estimates": ests,
+                "vis": ds.vis,
+                "dipole_axis": ds.dipole.moment_axis,
+            }
+        )
+    return compare_methods(eval_sets, ckpt), ckpt, log
 
 
 def write_report(path, reports, header_lines=()) -> None:

@@ -23,8 +23,8 @@ import numpy as np
 from .geometry import (
     Pose,
     Trajectory,
-    apply_relative,
     format_config,
+    integrate_deltas,
     parse_config,
     relative_pose,
     resample_trajectory,
@@ -483,15 +483,8 @@ def predict_trajectory(
     samples = align_streams(mag, vis, gt=None, rate_ratio=ckpt.rate_ratio)
     normed = [ckpt.stats.normalize_sample(s) for s in samples]
     outputs, _, _ = forward(net, normed, training=False)
-    times = []
-    poses = []
-    pose = initial_pose
-    for y, s in zip(outputs, samples):
-        delta = Pose.from_vector(ckpt.stats.denormalize_output(y))
-        pose = apply_relative(pose, delta)
-        times.append(s.timestamp)
-        poses.append(pose.as_vector())
-    return Trajectory(np.array(times), np.array(poses))
+    deltas = [Pose.from_vector(ckpt.stats.denormalize_output(y)) for y in outputs]
+    return integrate_deltas(initial_pose, [s.timestamp for s in samples], deltas)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -23,6 +23,7 @@ __all__ = [
     "Trajectory",
     "wrap_angle",
     "skew",
+    "rotation_exp",
     "euler_to_matrix",
     "matrix_to_euler",
     "compose",
@@ -31,6 +32,7 @@ __all__ = [
     "transform_to_pose",
     "relative_pose",
     "apply_relative",
+    "integrate_deltas",
     "pose_error",
     "resample_trajectory",
     "save_trajectory",
@@ -115,6 +117,18 @@ def skew(v) -> np.ndarray:
     return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
 
 
+def rotation_exp(w) -> np.ndarray:
+    """Rodrigues: rotation matrix for an axis-angle 3-vector."""
+    w = np.asarray(w, dtype=float).reshape(3)
+    theta = np.linalg.norm(w)
+    K = skew(w)
+    if theta < 1e-12:
+        return np.eye(3) + K + 0.5 * (K @ K)
+    A = np.sin(theta) / theta
+    B = (1.0 - np.cos(theta)) / theta**2
+    return np.eye(3) + A * K + B * (K @ K)
+
+
 def euler_to_matrix(r) -> np.ndarray:
     """Rotation matrix for intrinsic Z-Y-X Euler angles (roll, pitch, yaw)."""
     roll, pitch, yaw = np.asarray(r, dtype=float).reshape(3)
@@ -183,6 +197,17 @@ def relative_pose(a: Pose, b: Pose) -> Pose:
 def apply_relative(a: Pose, d: Pose) -> Pose:
     """Compose pose a with delta d (inverse of relative_pose)."""
     return transform_to_pose(compose(pose_to_transform(a), pose_to_transform(d)))
+
+
+def integrate_deltas(initial: Pose, times, deltas) -> Trajectory:
+    """Trajectory that composes each delta onto the pose before it, starting
+    from initial: sample k is at times[k], after deltas[0..k]."""
+    poses = []
+    pose = initial
+    for d in deltas:
+        pose = apply_relative(pose, d)
+        poses.append(pose.as_vector())
+    return Trajectory(np.array(times), np.array(poses))
 
 
 def pose_error(est: Pose, gt: Pose) -> tuple[float, float]:

@@ -35,6 +35,7 @@ from .simkit import (
     MU0_OVER_4PI,
     SENSOR_GRID_N,
     ActuatorFieldModel,
+    Dataset,
     DipoleParams,
     HallArrayReading,
     sensor_positions,
@@ -53,6 +54,7 @@ __all__ = [
     "grid_search_init",
     "position_covariance",
     "localize_stream",
+    "localize_dataset",
 ]
 
 
@@ -473,3 +475,18 @@ def localize_stream(
         if diag is not None:
             diag.close()
     return out
+
+
+def localize_dataset(
+    ds: Dataset, settings: InversionSettings = InversionSettings()
+) -> list:
+    """localize_stream over a simulated dataset's magnetic stream, with the
+    actuator field, workspace and dipole of that dataset."""
+    return localize_stream(
+        ds.mag,
+        ActuatorFieldModel.from_config(ds.config),
+        ds.dipole,
+        settings,
+        workspace_center=ds.config.workspace_center,
+        workspace_half_extent=ds.config.workspace_half_extent,
+    )

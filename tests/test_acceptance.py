@@ -2,7 +2,8 @@
 
 Ten numbered criteria, one printed pass/fail line each (written through the
 capture so the verdicts are visible in any pytest run). Criteria 6 and 7
-share one expensive full-pipeline run (module-scoped fixture).
+share one expensive full-pipeline run (a module-scoped fixture over
+evalbench.run_fusion_comparison, the run scripts/run_benchmark.py makes).
 """
 
 import time
@@ -290,13 +291,7 @@ def test_criterion_4_magnetic_inversion(verdict):
     # Streaming localization with default noise stays bounded over 60 s.
     cfg = sk.SimConfig(duration=60.0, seed=41, motion_profile="comprehensive_scan")
     ds = sk.simulate_dataset(cfg)
-    ests = ml.localize_stream(
-        ds.mag,
-        sk.ActuatorFieldModel.from_config(cfg),
-        ds.dipole,
-        workspace_center=cfg.workspace_center,
-        workspace_half_extent=cfg.workspace_half_extent,
-    )
+    ests = ml.localize_dataset(ds)
     qs = np.minimum([e.timestamp for e in ests], ds.gt.times[-1])
     on_gt = resample_trajectory(ds.gt, qs)
     errs = np.linalg.norm(
@@ -426,54 +421,15 @@ MAX_EPOCHS = 50
 HIDDEN = 16
 
 
-def _localize(ds):
-    return ml.localize_stream(
-        ds.mag,
-        sk.ActuatorFieldModel.from_config(ds.config),
-        ds.dipole,
-        workspace_center=ds.config.workspace_center,
-        workspace_half_extent=ds.config.workspace_half_extent,
-    )
-
-
 @pytest.fixture(scope="module")
 def pipeline():
     t0 = time.monotonic()
-    train_sets = []
-    for seed in TRAIN_SEEDS:
-        cfg = sk.SimConfig(duration=30.0, seed=seed, motion_profile="fast_complex")
-        ds = sk.simulate_dataset(cfg)
-        train_sets.append(
-            fn.align_streams(_localize(ds), ds.vis, ds.gt, rate_ratio=cfg.rate_ratio)
-        )
-
-    cfg = fn.TrainingConfig(
-        max_epochs=MAX_EPOCHS,
-        window_length=16,
-        early_stop_patience=10,
-        warmup_epochs=10,
-        seed=0,
-    )
-    hp = Hyperparams(hidden_size=HIDDEN, dropout_rate=0.1)
-    ckpt, log = fn.train(train_sets, cfg, hp)
-
-    eval_sets = []
-    for seed in EVAL_SEEDS:
-        scfg = sk.SimConfig(duration=75.0, seed=seed, motion_profile="fast_complex")
-        ds = sk.simulate_dataset(scfg)
-        eval_sets.append(
-            {
-                "gt": ds.gt,
-                "mag_estimates": _localize(ds),
-                "vis": ds.vis,
-                "dipole_axis": ds.dipole.moment_axis,
-            }
-        )
-    reports = {r.method: r for r in eb.compare_methods(eval_sets, ckpt)}
+    reports, ckpt, log = eb.run_fusion_comparison(TRAIN_SEEDS, EVAL_SEEDS)
     return {
-        "reports": reports,
+        "reports": {r.method: r for r in reports},
         "elapsed": time.monotonic() - t0,
         "epochs": len(log),
+        "hidden": ckpt.hyperparams.hidden_size,
     }
 
 
@@ -495,7 +451,7 @@ def test_criterion_6_fusion_beats_baselines(pipeline, verdict):
     rot_ok = fusion[longest][1] < evo[longest][1]
     budget_ok = (
         pipeline["epochs"] <= MAX_EPOCHS
-        and HIDDEN == 16
+        and pipeline["hidden"] == HIDDEN
         and pipeline["elapsed"] < 600.0
     )
 
@@ -507,8 +463,8 @@ def test_criterion_6_fusion_beats_baselines(pipeline, verdict):
     )
     detail = (
         f"{rows}; rot@{longest:g}m fus {fusion[longest][1]:.3f} vs evo "
-        f"{evo[longest][1]:.3f} rad; {pipeline['epochs']} epochs, hidden {HIDDEN}, "
-        f"{pipeline['elapsed']:.0f}s"
+        f"{evo[longest][1]:.3f} rad; {pipeline['epochs']} epochs, hidden "
+        f"{pipeline['hidden']}, {pipeline['elapsed']:.0f}s"
     )
     verdict(6, "fusion beats baselines", trans_ok and rot_ok and budget_ok, detail)
 
@@ -561,7 +517,7 @@ def test_criterion_8_asynchrony_contract(verdict):
     # 50 Hz 5-input magnetic and 25 Hz 6-input visual, 6-output head.
     cfg = sk.SimConfig(duration=10.0, seed=8, motion_profile="comprehensive_scan")
     ds = sk.simulate_dataset(cfg)
-    ests = _localize(ds)
+    ests = ml.localize_dataset(ds)
     samples = fn.align_streams(ests, ds.vis, ds.gt, rate_ratio=cfg.rate_ratio)
     tcfg = fn.TrainingConfig(
         max_epochs=3, window_length=8, early_stop_patience=10,

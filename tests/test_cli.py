@@ -151,9 +151,8 @@ def test_align_demo_command(tmp_path, capsys):
     lines = (tmp_path / "align.txt").read_text().splitlines()
     kv = dict(l.split(maxsplit=1) for l in lines if not l.startswith("#") and
               not l.startswith("energy "))
-    # The dense photometric term on rendered images leaves a small bias;
-    # the exact-correspondence sparse stage alone reaches 1e-6 and is
-    # covered by the alignment unit tests.
+    # Exact correspondences (align.noise_sd = 0) recover the transform to
+    # rounding; the alignment unit tests cover accuracy in detail.
     assert float(kv["trans_error"]) < 1e-4
     assert float(kv["rot_error"]) < 1e-3
     assert float(kv["final_energy"]) >= 0.0

@@ -5,7 +5,6 @@ from capsloc import evoalign as ev
 from capsloc.geometry import RigidTransform, euler_to_matrix
 
 IDENT = RigidTransform.identity()
-INTR = (80.0, 80.0, 31.5, 31.5)
 
 
 def random_small_transform(rng, trans=0.01, rot=0.05):
@@ -24,40 +23,6 @@ def correspondences_from_transform(T, rng, n=30, noise=0.0):
             p0 = p0 + rng.normal(0, noise, 3)
         pairs.append((0, 1, p0, p1))
     return ev.CorrespondenceSet(pairs)
-
-
-def test_project_principal_point():
-    assert np.allclose(ev.project([0, 0, 1], (100, 100, 64, 64)), [64, 64])
-
-
-def test_project_linear_pinhole():
-    u, v = ev.project([0.1, 0, 1], (100, 90, 64, 48))
-    assert abs(u - 74.0) < 1e-12
-    assert abs(v - 48.0) < 1e-12
-
-
-def test_project_behind_camera():
-    with pytest.raises(ValueError):
-        ev.project([0, 0, -1], INTR)
-
-
-def test_project_unproject_roundtrip():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        p = np.array([*rng.uniform(-0.3, 0.3, 2), rng.uniform(0.1, 2.0)])
-        pix = ev.project(p, INTR)
-        back = ev.unproject(pix, p[2], INTR)
-        assert np.allclose(back, p, atol=1e-12)
-
-
-def test_bilinear_sample_integer_and_midpoint():
-    img = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
-    val, ok = ev.bilinear_sample(img, 1.0, 0.0)
-    assert ok and abs(val - 1.0) < 1e-8
-    val, ok = ev.bilinear_sample(img, 0.5, 0.5)
-    assert ok and abs(val - 2.0) < 1e-12
-    _, ok = ev.bilinear_sample(img, 5.0, 0.0)
-    assert not ok
 
 
 def test_e_sparse_trivial_cases():
@@ -104,62 +69,6 @@ def test_e_sparse_gauge_invariance():
         [RigidTransform(G.R @ T.R, G.R @ T.t + G.t) for T in state.transforms]
     )
     assert abs(ev.e_sparse(moved, corr) - base) < 1e-10 * max(1.0, base)
-
-
-def test_dense_energies_identical_frames_zero():
-    scene = ev.make_scene(7)
-    f = ev.render_synthetic_scene(scene, IDENT)
-    state = ev.AlignmentState([IDENT, IDENT])
-    assert ev.e_photo(state, [f, f], stride=2) < 1e-20
-    assert ev.e_geo(state, [f, f], stride=2) < 1e-20
-
-
-def test_dense_energies_true_transform_small():
-    for seed in range(3):
-        scene = ev.make_scene(seed)
-        f0 = ev.render_synthetic_scene(scene, IDENT)
-        T = RigidTransform(np.eye(3), np.array([1e-3, 0.0, 0.0]))
-        f1 = ev.render_synthetic_scene(scene, T)
-        state = ev.AlignmentState([IDENT, T])
-        assert ev.e_photo(state, [f0, f1], stride=2) < 1e-6
-        assert ev.e_geo(state, [f0, f1], stride=2) < 1e-6
-
-
-def test_e_photo_constant_intensity_zero():
-    rng = np.random.default_rng(4)
-    scene = ev.make_scene(5)
-    f0 = ev.render_synthetic_scene(scene, IDENT)
-    f1 = ev.render_synthetic_scene(
-        scene, RigidTransform(np.eye(3), np.array([0.002, -0.001, 0.0]))
-    )
-    flat0 = ev.Frame(np.full_like(f0.intensity, 0.5), f0.depth, f0.intrinsics)
-    flat1 = ev.Frame(np.full_like(f1.intensity, 0.5), f1.depth, f1.intrinsics)
-    state = ev.AlignmentState([IDENT, random_small_transform(rng, 0.003, 0.02)])
-    assert ev.e_photo(state, [flat0, flat1], stride=2) < 1e-20
-
-
-def test_e_align_weight_composition():
-    rng = np.random.default_rng(5)
-    scene = ev.make_scene(6)
-    f0 = ev.render_synthetic_scene(scene, IDENT)
-    T = RigidTransform(np.eye(3), np.array([0.002, 0.0, 0.0]))
-    f1 = ev.render_synthetic_scene(scene, T)
-    state = ev.AlignmentState([IDENT, random_small_transform(rng, 0.002, 0.01)])
-    corr = correspondences_from_transform(T, rng, n=10)
-
-    w_sparse_only = ev.AlignmentWeights(1.0, 0.0, 1.0, 10.0)
-    assert abs(
-        ev.e_align(state, [f0, f1], corr, w_sparse_only, stride=2)
-        - ev.e_sparse(state, corr)
-    ) < 1e-14
-
-    w = ev.AlignmentWeights(0.7, 1.3, 0.9, 11.0)
-    expected = 0.7 * ev.e_sparse(state, corr) + 1.3 * (
-        0.9 * ev.e_photo(state, [f0, f1], stride=2)
-        + 11.0 * ev.e_geo(state, [f0, f1], stride=2)
-    )
-    got = ev.e_align(state, [f0, f1], corr, w, stride=2)
-    assert abs(got - expected) < 1e-12 * max(1.0, expected)
 
 
 def test_sparse_jacobian_matches_finite_differences():
@@ -259,55 +168,13 @@ def test_minimize_energy_trace_monotone():
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
 
-def test_minimize_dense_refinement_improves_full_energy():
-    scene = ev.make_scene(12)
-    f0 = ev.render_synthetic_scene(scene, IDENT)
-    T = RigidTransform(np.eye(3), np.array([2e-3, -1e-3, 0.0]))
-    f1 = ev.render_synthetic_scene(scene, T)
-    rng = np.random.default_rng(13)
+def test_minimize_converged_false_at_iteration_cap(monkeypatch):
+    rng = np.random.default_rng(np.random.SeedSequence([12, 0]))
+    T = random_small_transform(rng, 0.02, 0.2)
     corr = correspondences_from_transform(T, rng, n=20, noise=3e-4)
-    state, info = ev.minimize_alignment([f0, f1], corr)
-    assert info["final_energy"] <= info["stage1_full_energy"] + 1e-15
-    assert np.linalg.norm(state.transforms[1].t - T.t) < 5e-4
-
-
-def test_render_deterministic():
-    scene = ev.make_scene(14)
-    cam = RigidTransform(euler_to_matrix([0.02, -0.01, 0.1]), np.array([0.01, 0.0, 0.0]))
-    a = ev.render_synthetic_scene(scene, cam)
-    b = ev.render_synthetic_scene(scene, cam)
-    assert np.array_equal(a.intensity, b.intensity)
-    assert np.array_equal(a.depth, b.depth)
-
-
-def test_render_depth_positive_and_intensity_range():
-    for seed in range(3):
-        f = ev.render_synthetic_scene(ev.make_scene(seed), IDENT)
-        assert np.all(f.depth > 0)
-        assert np.all((f.intensity >= 0) & (f.intensity <= 1))
-
-
-def test_render_normals_unit_and_camera_facing():
-    f = ev.render_synthetic_scene(ev.make_scene(15), IDENT)
-    norms = np.linalg.norm(f.normals, axis=-1)
-    assert np.allclose(norms, 1.0, atol=1e-9)
-    # The surface faces the camera looking along +z.
-    assert np.mean(f.normals[..., 2] < 0) > 0.99
-
-
-def test_render_displacement_matches_projection():
-    scene = ev.make_scene(16)
-    f0 = ev.render_synthetic_scene(scene, IDENT)
-    t = np.array([1e-3, 0.0, 0.0])
-    T = RigidTransform(np.eye(3), t)
-    fx, fy, cx, cy = f0.intrinsics
-    disps = []
-    for v in range(8, 56, 4):
-        for u in range(8, 56, 4):
-            p_cam0 = ev.unproject([u, v], f0.depth[v, u], f0.intrinsics)
-            p_cam1 = T.R.T @ (p_cam0 - T.t)
-            u1, v1 = ev.project(p_cam1, f0.intrinsics)
-            disps.append(np.hypot(u1 - u, v1 - v))
-    med = np.median(disps)
-    analytic = fx * np.linalg.norm(t) / np.median(f0.depth)
-    assert abs(med - analytic) < 0.5
+    _, info = ev.minimize_alignment([], corr)
+    assert info["converged"]
+    monkeypatch.setattr(ev, "_MAX_SPARSE_ITERATIONS", 1)
+    _, info = ev.minimize_alignment([], corr)
+    assert not info["converged"]
+    assert len(info["energy_trace"]) == 2

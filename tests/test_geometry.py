@@ -13,6 +13,7 @@ from capsloc.geometry import (
     compose,
     euler_to_matrix,
     format_config,
+    integrate_deltas,
     inverse,
     load_trajectory,
     matrix_to_euler,
@@ -22,6 +23,7 @@ from capsloc.geometry import (
     relative_pose,
     apply_relative,
     resample_trajectory,
+    rotation_exp,
     save_trajectory,
     skew,
     wrap_angle,
@@ -130,6 +132,19 @@ def test_relative_pose_roundtrip():
         assert np.allclose(wrap_angle(b2.r - b.r), 0.0, atol=1e-9)
 
 
+def test_integrate_deltas_matches_composition_loop():
+    rng = np.random.default_rng(6)
+    start = Pose(rng.normal(0, 1, 3), rng.uniform(-1.0, 1.0, 3))
+    deltas = [Pose(rng.normal(0, 0.1, 3), rng.normal(0, 0.2, 3)) for _ in range(12)]
+    times = np.arange(1, 13) / 25.0
+    traj = integrate_deltas(start, times, deltas)
+    pose = start
+    for k, d in enumerate(deltas):
+        pose = apply_relative(pose, d)
+        assert traj.times[k] == times[k]
+        assert np.array_equal(traj.poses[k], pose.as_vector())
+
+
 def test_relative_pose_self_is_zero():
     p = Pose([1, 2, 3], [0.1, 0.2, 0.3])
     d = relative_pose(p, p)
@@ -220,6 +235,33 @@ def test_skew_is_cross_product():
     v, p = rng.normal(size=3), rng.normal(size=3)
     assert np.allclose(skew(v) @ p, np.cross(v, p), rtol=0, atol=1e-15)
     assert np.array_equal(skew(v), -skew(v).T)
+
+
+def test_rotation_exp_is_rotation_about_its_axis():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        w = rng.normal(0, 1.5, 3)
+        R = rotation_exp(w)
+        assert np.allclose(R @ R.T, np.eye(3), rtol=0, atol=1e-14)
+        assert abs(np.linalg.det(R) - 1.0) < 1e-14
+        assert np.allclose(R @ w, w, rtol=0, atol=1e-14)
+
+
+def test_rotation_exp_matches_euler_for_pure_yaw():
+    for yaw in (-3.0, -0.5, 1e-6, 0.7, 2.9):
+        assert np.allclose(
+            rotation_exp([0.0, 0.0, yaw]), euler_to_matrix([0.0, 0.0, yaw]),
+            rtol=0, atol=1e-15,
+        )
+
+
+def test_rotation_exp_continuous_across_small_angle_branch():
+    # theta < 1e-12 takes the series branch; just above it, Rodrigues.
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    below = rotation_exp(axis * 1e-12 * (1 - 1e-9))
+    above = rotation_exp(axis * 1e-12 * (1 + 1e-9))
+    assert np.max(np.abs(below - above)) < 1e-20
+    assert np.allclose(above, np.eye(3) + skew(axis * 1e-12), rtol=0, atol=1e-20)
 
 
 @dataclass(frozen=True)

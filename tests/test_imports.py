@@ -1,4 +1,5 @@
-"""Static check: every name a capsloc module imports is used in that module."""
+"""Static checks: every name a capsloc module imports is used in that module,
+and every module-level private name is read somewhere in the package."""
 
 import ast
 import pathlib
@@ -23,6 +24,33 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unread_private_names(sources: dict) -> list:
+    """(module, name) of each module-level private name (leading `_`, not a
+    dunder) that none of the sources reads. sources maps module -> text."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((m, n) for m, n in defined if n not in read)
+
+
 def test_scan_flags_unused_names():
     source = (
         "import os\nfrom dataclasses import dataclass, field\n"
@@ -34,3 +62,16 @@ def test_scan_flags_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_scan_flags_unread_names():
+    sources = {
+        "a": "_USED = 1\n_ORPHAN = 2\n__all__ = []\ndef _helper():\n    return _USED\n",
+        "b": "from a import _helper\nclass _Gone:\n    pass\n",
+    }
+    assert unread_private_names(sources) == [("a", "_ORPHAN"), ("b", "_Gone")]
+
+
+def test_package_has_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
