@@ -12,10 +12,11 @@ criterion-6 numbers; other seeds give a held-out check, e.g.
 """
 
 import argparse
+import os
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from capsloc import evalbench, fusenet
 

@@ -5,12 +5,13 @@ positions, per-frame headings) on a simulated dataset, plus iteration
 counts and convergence rate."""
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from capsloc import magloc, simkit
 from capsloc.geometry import euler_to_matrix
@@ -33,16 +34,12 @@ def main():
     ests = magloc.localize_dataset(ds)
     dt = time.perf_counter() - t0
 
-    axis = np.asarray(ds.dipole.moment_axis)
-    pos_err, head_err, iters = [], [], []
-    for est, pose in zip(ests, ds.gt.poses):
-        pos_err.append(np.linalg.norm(est.position - pose[:3]))
-        hdg = euler_to_matrix(pose[3:]) @ axis
-        c = np.clip(np.dot(est.heading, hdg), -1.0, 1.0)
-        head_err.append(np.arccos(c))
-        iters.append(est.iterations)
-    pos_err = np.array(pos_err)
-    head_err = np.array(head_err)
+    positions = np.array([e.position for e in ests])
+    headings = np.array([e.heading for e in ests])
+    iters = [e.iterations for e in ests]
+    pos_err = np.linalg.norm(positions - ds.gt.poses[:, :3], axis=1)
+    hdg = euler_to_matrix(ds.gt.poses[:, 3:]) @ np.asarray(ds.dipole.moment_axis)
+    head_err = np.arccos(np.clip(np.sum(headings * hdg, axis=1), -1.0, 1.0))
 
     print(f"{len(ests)} frames in {dt:.1f} s ({1e3 * dt / len(ests):.1f} ms/frame)")
     print(f"converged: {sum(e.converged for e in ests)}/{len(ests)}")

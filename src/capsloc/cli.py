@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import evalbench, evoalign, fusenet, magloc, simkit
-from .geometry import RigidTransform, inverse, rotation_exp
+from .geometry import RigidTransform, rotation_angle, rotation_exp
 from .neuralcore import Hyperparams
 
 __all__ = ["RunConfig", "main"]
@@ -263,7 +263,7 @@ def cmd_align_demo(args) -> int:
     # noisy; frame 1 sits at true_T in frame 0's coordinates.
     pts = rng.uniform((-0.1, -0.1, 0.4), (0.1, 0.1, 0.6), (40, 3))
     noise = cfg["align.noise_sd"]
-    to_frame1 = inverse(true_T)
+    to_frame1 = RigidTransform(true_T.R.T, -true_T.R.T @ true_T.t)
     pairs = [
         (0, 1, p + rng.normal(0, noise, 3),
          to_frame1.apply(p) + rng.normal(0, noise, 3))
@@ -272,8 +272,7 @@ def cmd_align_demo(args) -> int:
     state, info = evoalign.minimize_alignment([], evoalign.CorrespondenceSet(pairs))
     est = state.transforms[1]
     t_err = float(np.linalg.norm(est.t - true_T.t))
-    c = (np.trace(true_T.R.T @ est.R) - 1) / 2
-    r_err = float(np.arccos(min(1.0, max(-1.0, c))))
+    r_err = float(rotation_angle(true_T.R, est.R))
     print(f"recovered transform error: trans={t_err:.3e} m rot={r_err:.3e} rad")
     print(f"final energy: {info['final_energy']:.3e}")
     if args.out:

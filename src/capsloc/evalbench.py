@@ -3,10 +3,13 @@ for the fusion network and the two single-sensor baselines, and the
 end-to-end comparison run (run_fusion_comparison) that the acceptance test
 and scripts/run_benchmark.py share.
 
-For every estimate sample, the evaluator walks the ground-truth arc length
-until it first crosses the bucket length, composes the estimated relative
-motion onto the ground-truth start pose, and measures the endpoint pose
-error. RMSE is taken over all such segments (pooled across datasets)."""
+For each bucket length, every estimate sample starts one segment, which ends
+at the first sample where the ground-truth arc length from the start reaches
+the bucket length (one searchsorted per bucket); starts with no such sample
+are dropped. All segments of a bucket are then scored in one array call: the
+estimated relative motion is composed onto the ground-truth start pose and
+compared with the ground-truth end pose. RMSE is taken over all segments,
+pooled across datasets."""
 
 from __future__ import annotations
 
@@ -17,16 +20,13 @@ import numpy as np
 from . import fusenet, magloc, simkit
 from .geometry import (
     Pose,
-    RigidTransform,
     Trajectory,
-    compose,
+    euler_to_matrix,
     integrate_deltas,
-    inverse,
-    pose_error,
-    pose_to_transform,
+    matrix_to_euler,
+    min_rotation_between,
     resample_trajectory,
-    skew,
-    transform_to_pose,
+    start_aligned_error,
 )
 from .neuralcore import Hyperparams
 
@@ -61,7 +61,8 @@ class RmseReport:
 
 
 def segment_errors(est: Trajectory, gt: Trajectory, bucket_lengths):
-    """Per-bucket lists of (trans_err, rot_err) over start-aligned segments."""
+    """Per-bucket (n, 2) arrays of (trans_err, rot_err) rows over
+    start-aligned segments, in order of their start samples."""
     # Estimates may extend one sensor period past the last ground-truth
     # sample; those tail samples have no reference and are skipped.
     keep = (est.times >= gt.times[0]) & (est.times <= gt.times[-1])
@@ -70,85 +71,59 @@ def segment_errors(est: Trajectory, gt: Trajectory, bucket_lengths):
     gt_at_est = resample_trajectory(gt, est.times)
     # Arc length of ground truth evaluated at estimate timestamps.
     arc = gt_at_est.arc_length()
-    buckets = {L: [] for L in bucket_lengths}
-    n = len(est)
+    buckets = {}
     for L in bucket_lengths:
         # First crossing index for each start: arc[e] - arc[s] >= L.
         ends = np.searchsorted(arc, arc + L, side="left")
-        for s in range(n):
-            e = ends[s]
-            if e >= n:
-                continue
-            T_rel_est = compose(
-                inverse(pose_to_transform(est.pose(s))),
-                pose_to_transform(est.pose(e)),
-            )
-            start_gt = pose_to_transform(gt_at_est.pose(s))
-            predicted_end = transform_to_pose(compose(start_gt, T_rel_est))
-            buckets[L].append(pose_error(predicted_end, gt_at_est.pose(e)))
+        starts = np.flatnonzero(ends < len(arc))
+        ends = ends[starts]
+        trans, rot = start_aligned_error(
+            est.poses[starts], est.poses[ends],
+            gt_at_est.poses[starts], gt_at_est.poses[ends],
+        )
+        buckets[L] = np.stack([trans, rot], axis=-1)
     return buckets
 
 
-def _rmse(pairs):
-    a = np.asarray(pairs, dtype=float)
+def _rmse(a):
+    """(trans_rmse, rot_rmse) over (n, 2) error rows; (None, None) if n = 0."""
+    if not len(a):
+        return None, None
     return float(np.sqrt(np.mean(a[:, 0] ** 2))), float(np.sqrt(np.mean(a[:, 1] ** 2)))
 
 
 def rmse_by_length(est: Trajectory, gt: Trajectory, bucket_lengths):
     """Per-bucket (trans_rmse, rot_rmse); empty buckets map to None."""
     buckets = segment_errors(est, gt, bucket_lengths)
-    return {L: (_rmse(v) if v else None) for L, v in buckets.items()}
+    return {L: (_rmse(v) if len(v) else None) for L, v in buckets.items()}
 
 
 def evo_only_baseline(vis, initial_pose: Pose) -> Trajectory:
     """Integrate visual-odometry deltas from the initial pose."""
     return integrate_deltas(
-        initial_pose, [v.timestamp for v in vis], [v.delta for v in vis]
+        initial_pose.as_vector(),
+        [v.timestamp for v in vis],
+        np.array([v.delta.as_vector() for v in vis]),
     )
 
 
-def _min_rotation_between(a, b) -> np.ndarray:
-    """Smallest rotation matrix taking unit vector a to unit vector b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    v = np.cross(a, b)
-    c = float(np.dot(a, b))
-    s = np.linalg.norm(v)
-    if s < 1e-15:
-        if c > 0:
-            return np.eye(3)
-        # Antiparallel: rotate pi about any axis orthogonal to a.
-        axis = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-12:
-            axis = np.cross(a, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    K = skew(v)
-    return np.eye(3) + K + K @ K * ((1 - c) / s**2)
-
-
 def magnetic_only_baseline(
-    mag, initial_pose: Pose, dipole_axis=(1.0, 0.0, 0.0), rule: str = "hold_initial"
+    mag, initial_pose: Pose, dipole_axis=(1.0, 0.0, 0.0)
 ) -> Trajectory:
     """Absolute 5-DoF estimates; the unobservable rotation about the dipole
-    axis is completed by the configured rule (default: hold initial)."""
+    axis is held at its initial value: each attitude is the smallest
+    rotation taking the initial dipole direction to the measured heading,
+    applied to the initial attitude."""
     if not mag:
         raise ValueError("empty magnetic stream")
-    if rule not in ("hold_initial", "zero"):
-        raise ValueError(f"unknown completion rule {rule!r}")
-    axis = np.asarray(dipole_axis, dtype=float)
-    if rule == "hold_initial":
-        R0 = pose_to_transform(initial_pose).R
-    else:
-        R0 = np.eye(3)
-    a0 = R0 @ axis
-    times, poses = [], []
-    for m in mag:
-        R = _min_rotation_between(a0, m.heading) @ R0
-        p = transform_to_pose(RigidTransform(R, m.position))
-        times.append(m.timestamp)
-        poses.append(p.as_vector())
-    return Trajectory(np.array(times), np.array(poses))
+    R0 = euler_to_matrix(initial_pose.r)
+    a0 = R0 @ np.asarray(dipole_axis, dtype=float)
+    R = min_rotation_between(a0, np.array([m.heading for m in mag])) @ R0
+    positions = np.array([m.position for m in mag], dtype=float)
+    return Trajectory(
+        np.array([m.timestamp for m in mag]),
+        np.concatenate([positions, matrix_to_euler(R)], axis=1),
+    )
 
 
 def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
@@ -176,19 +151,15 @@ def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
         for method, est in trajs.items():
             errs = segment_errors(est, gt, bucket_lengths)
             for L in bucket_lengths:
-                pooled[method][L].extend(errs[L])
+                pooled[method][L].append(errs[L])
     reports = []
     for method in METHODS:
         if method == "fusion" and checkpoint is None:
             continue
         buckets = []
         for L in bucket_lengths:
-            errs = pooled[method][L]
-            if errs:
-                tr, rr = _rmse(errs)
-                buckets.append((L, tr, rr, len(errs)))
-            else:
-                buckets.append((L, None, None, 0))
+            errs = np.concatenate(pooled[method][L])
+            buckets.append((L, *_rmse(errs), len(errs)))
         reports.append(RmseReport(method, buckets))
     return reports
 

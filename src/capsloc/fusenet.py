@@ -142,27 +142,28 @@ def align_streams(mag, vis, gt: Trajectory | None = None, rate_ratio: int = 2):
     if not mag or not vis:
         raise AlignmentError("both streams must be nonempty")
     mag_ts = np.array([m.timestamp for m in mag])
-    out = []
-    prev_t = vis[0].timestamp - (vis[1].timestamp - vis[0].timestamp) if len(vis) > 1 \
-        else vis[0].timestamp - 1.0 / 25.0
+    vis_ts = np.array([v.timestamp for v in vis])
+    first = vis_ts[0] - (vis_ts[1] - vis_ts[0]) if len(vis) > 1 else vis_ts[0] - 1.0 / 25.0
+    prev_ts = np.concatenate([[first], vis_ts[:-1]])
     eps = 1e-9
-    for k, v in enumerate(vis):
-        lo = np.searchsorted(mag_ts, prev_t + eps, side="left")
-        hi = np.searchsorted(mag_ts, v.timestamp + eps, side="left")
-        if hi - lo == rate_ratio:
-            mag_block = np.stack([_mag_vector(mag[i]) for i in range(lo, hi)])
-            target = None
-            if gt is not None:
-                t0 = max(prev_t, gt.times[0])
-                pair = resample_trajectory(gt, [t0, v.timestamp])
-                target = relative_pose(pair.pose(0), pair.pose(1)).as_vector()
-            out.append(
-                FusedSample(v.timestamp, mag_block, v.delta.as_vector(), target)
-            )
-        prev_t = v.timestamp
-    if not out:
+    lo = np.searchsorted(mag_ts, prev_ts + eps, side="left")
+    hi = np.searchsorted(mag_ts, vis_ts + eps, side="left")
+    kept = np.flatnonzero(hi - lo == rate_ratio)
+    if not len(kept):
         raise AlignmentError("streams do not overlap in any complete interval")
-    return out
+    mag_vectors = np.array([_mag_vector(m) for m in mag])
+    targets = [None] * len(kept)
+    if gt is not None:
+        # Ground truth at both ends of every kept interval, resampled once.
+        starts = np.maximum(prev_ts[kept], gt.times[0])
+        knots, at = np.unique(np.concatenate([starts, vis_ts[kept]]), return_inverse=True)
+        poses = resample_trajectory(gt, knots).poses[at.reshape(2, -1)]
+        targets = relative_pose(poses[0], poses[1])
+    return [
+        FusedSample(vis[k].timestamp, mag_vectors[lo[k]:hi[k]],
+                    vis[k].delta.as_vector(), target)
+        for k, target in zip(kept, targets)
+    ]
 
 
 @dataclass
@@ -483,8 +484,10 @@ def predict_trajectory(
     samples = align_streams(mag, vis, gt=None, rate_ratio=ckpt.rate_ratio)
     normed = [ckpt.stats.normalize_sample(s) for s in samples]
     outputs, _, _ = forward(net, normed, training=False)
-    deltas = [Pose.from_vector(ckpt.stats.denormalize_output(y)) for y in outputs]
-    return integrate_deltas(initial_pose, [s.timestamp for s in samples], deltas)
+    deltas = ckpt.stats.denormalize_output(outputs)
+    return integrate_deltas(
+        initial_pose.as_vector(), [s.timestamp for s in samples], deltas
+    )
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -3,8 +3,12 @@
 config dataclasses.
 
 Conventions used everywhere in this repo:
+  * A pose is a 6-vector [tx ty tz roll pitch yaw]: translation in metres,
+    then Euler angles in radians. The pose algebra takes and returns
+    (..., 6) arrays of them, rotations as (..., 3, 3) matrices, and
+    broadcasts over the leading axes; a single pose is a (6,) array.
   * Euler angles are intrinsic Z-Y-X (yaw about z, then pitch about y,
-    then roll about x), stored as (roll, pitch, yaw) in radians.
+    then roll about x), stored as (roll, pitch, yaw).
   * Angles are wrapped to (-pi, pi].
   * All floats are 64-bit.
 """
@@ -26,17 +30,14 @@ __all__ = [
     "rotation_exp",
     "euler_to_matrix",
     "matrix_to_euler",
-    "compose",
-    "inverse",
-    "pose_to_transform",
-    "transform_to_pose",
     "relative_pose",
     "apply_relative",
     "integrate_deltas",
+    "rotation_angle",
     "pose_error",
+    "min_rotation_between",
+    "start_aligned_error",
     "resample_trajectory",
-    "save_trajectory",
-    "load_trajectory",
     "format_config",
     "parse_config",
 ]
@@ -77,11 +78,6 @@ class Pose:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.t, self.r])
 
-    @staticmethod
-    def from_vector(v) -> "Pose":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return Pose(v[:3], v[3:])
-
 
 @dataclass(frozen=True)
 class RigidTransform:
@@ -96,12 +92,6 @@ class RigidTransform:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if np.max(np.abs(self.R @ self.R.T - np.eye(3))) > tol:
-            raise ValueError("R is not orthonormal")
-        if abs(np.linalg.det(self.R) - 1.0) > tol:
-            raise ValueError("det(R) != 1")
-
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
@@ -112,9 +102,12 @@ class RigidTransform:
 
 
 def skew(v) -> np.ndarray:
-    """Cross-product matrix [v]x, so that skew(v) @ p == np.cross(v, p)."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    """Cross-product matrices [v]x of (..., 3) vectors, so that
+    skew(v) @ p == np.cross(v, p)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape + (3,))
 
 
 def rotation_exp(w) -> np.ndarray:
@@ -130,93 +123,144 @@ def rotation_exp(w) -> np.ndarray:
 
 
 def euler_to_matrix(r) -> np.ndarray:
-    """Rotation matrix for intrinsic Z-Y-X Euler angles (roll, pitch, yaw)."""
-    roll, pitch, yaw = np.asarray(r, dtype=float).reshape(3)
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
+    """Rotation matrices (..., 3, 3) for intrinsic Z-Y-X Euler angles
+    (..., 3) ordered (roll, pitch, yaw)."""
+    r = np.asarray(r, dtype=float)
+    cr, sr = np.cos(r[..., 0]), np.sin(r[..., 0])
+    cp, sp = np.cos(r[..., 1]), np.sin(r[..., 1])
+    cy, sy = np.cos(r[..., 2]), np.sin(r[..., 2])
     # Rz(yaw) @ Ry(pitch) @ Rx(roll)
-    return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
+    entries = [
+        cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+        sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+        -sp, cp * sr, cp * cr,
+    ]
+    return np.stack(entries, axis=-1).reshape(r.shape + (3,))
 
 
 def matrix_to_euler(R) -> np.ndarray:
-    """Inverse of euler_to_matrix.
+    """Inverse of euler_to_matrix, over leading axes.
 
-    Near gimbal lock (|pitch| within 1e-3 of pi/2) the roll=0 branch is
-    taken and a GimbalLockWarning is emitted.
+    Rows near gimbal lock (|pitch| within 1e-3 of pi/2) take the roll=0
+    branch, and one GimbalLockWarning is emitted if any row does.
     """
-    R = np.asarray(R, dtype=float).reshape(3, 3)
-    sp = -R[2, 0]
-    sp = min(1.0, max(-1.0, sp))
-    pitch = np.arcsin(sp)
-    if np.pi / 2 - abs(pitch) < GIMBAL_EPS:
-        warnings.warn(
-            "pitch within 1e-3 of +/-pi/2; using roll=0 branch",
-            GimbalLockWarning,
-            stacklevel=2,
-        )
-        roll = 0.0
+    R = np.asarray(R, dtype=float)
+    pitch = np.arcsin(np.clip(-R[..., 2, 0], -1.0, 1.0))
+    locked = np.pi / 2 - np.abs(pitch) < GIMBAL_EPS
+    roll = np.arctan2(R[..., 2, 1], R[..., 2, 2])
+    yaw = np.arctan2(R[..., 1, 0], R[..., 0, 0])
+    if np.any(locked):
+        warnings.warn("pitch within 1e-3 of +/-pi/2; using roll=0 branch",
+                      GimbalLockWarning, stacklevel=2)
+        roll = np.where(locked, 0.0, roll)
         # With roll = 0 and sin(pitch) = +/-1 the remaining matrix fixes yaw.
-        yaw = np.arctan2(-R[0, 1], R[1, 1])
-    else:
-        roll = np.arctan2(R[2, 1], R[2, 2])
-        yaw = np.arctan2(R[1, 0], R[0, 0])
-    return wrap_angle(np.array([roll, pitch, yaw]))
+        yaw = np.where(locked, np.arctan2(-R[..., 0, 1], R[..., 1, 1]), yaw)
+    return wrap_angle(np.stack([roll, pitch, yaw], axis=-1))
 
 
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform applying b first, then a."""
-    return RigidTransform(a.R @ b.R, a.R @ b.t + a.t)
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products of (..., 3) arrays, rounded as np.dot rounds
+    two 3-vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def inverse(a: RigidTransform) -> RigidTransform:
-    return RigidTransform(a.R.T, -a.R.T @ a.t)
+def _apply(R, v) -> np.ndarray:
+    """R @ v over leading axes, rounded as a 3x3 matrix times a 3-vector."""
+    return (R @ v[..., None])[..., 0]
 
 
-def pose_to_transform(p: Pose) -> RigidTransform:
-    return RigidTransform(euler_to_matrix(p.r), p.t)
+def _transform(p):
+    """(R, t) of pose vectors p (..., 6)."""
+    p = np.asarray(p, dtype=float)
+    return euler_to_matrix(wrap_angle(p[..., 3:])), p[..., :3]
 
 
-def transform_to_pose(T: RigidTransform) -> Pose:
-    return Pose(T.t, matrix_to_euler(T.R))
+def _pose(R, t) -> np.ndarray:
+    return np.concatenate([t, matrix_to_euler(R)], axis=-1)
 
 
-def relative_pose(a: Pose, b: Pose) -> Pose:
-    """Delta d such that composing a with d reproduces b."""
-    Ta = pose_to_transform(a)
-    Tb = pose_to_transform(b)
-    return transform_to_pose(compose(inverse(Ta), Tb))
+def _between(a, b):
+    """(R, t) of the motion from poses a to b, in a's frame."""
+    (Ra, ta), (Rb, tb) = _transform(a), _transform(b)
+    RaT = np.swapaxes(Ra, -1, -2)
+    return RaT @ Rb, _apply(RaT, tb) + _apply(-RaT, ta)
 
 
-def apply_relative(a: Pose, d: Pose) -> Pose:
-    """Compose pose a with delta d (inverse of relative_pose)."""
-    return transform_to_pose(compose(pose_to_transform(a), pose_to_transform(d)))
+def _compose(a, Rd, td):
+    """(R, t) of the motion (Rd, td) applied in the frame of poses a."""
+    Ra, ta = _transform(a)
+    return Ra @ Rd, _apply(Ra, td) + ta
 
 
-def integrate_deltas(initial: Pose, times, deltas) -> Trajectory:
-    """Trajectory that composes each delta onto the pose before it, starting
-    from initial: sample k is at times[k], after deltas[0..k]."""
-    poses = []
-    pose = initial
-    for d in deltas:
-        pose = apply_relative(pose, d)
-        poses.append(pose.as_vector())
-    return Trajectory(np.array(times), np.array(poses))
+def relative_pose(a, b) -> np.ndarray:
+    """Deltas d (..., 6) such that apply_relative(a, d) reproduces b."""
+    return _pose(*_between(a, b))
 
 
-def pose_error(est: Pose, gt: Pose) -> tuple[float, float]:
-    """(translation error in m, geodesic rotation error in rad)."""
-    trans_err = float(np.linalg.norm(est.t - gt.t))
-    R_rel = euler_to_matrix(gt.r).T @ euler_to_matrix(est.r)
-    c = (np.trace(R_rel) - 1.0) / 2.0
-    rot_err = float(np.arccos(min(1.0, max(-1.0, c))))
-    return trans_err, rot_err
+def apply_relative(a, d) -> np.ndarray:
+    """Compose poses a with deltas d (inverse of relative_pose)."""
+    return _pose(*_compose(a, *_transform(d)))
+
+
+def integrate_deltas(initial, times, deltas) -> Trajectory:
+    """Trajectory from the pose vector initial through deltas (N, 6): sample
+    k is at times[k], after deltas[0..k]. The composition runs on matrices,
+    and the angles are read once at the end."""
+    R, t = _transform(initial)
+    Rd, td = _transform(deltas)
+    Rs, ts = np.empty_like(Rd), np.empty_like(td)
+    for k in range(len(Rd)):
+        R, t = Rs[k], ts[k] = R @ Rd[k], R @ td[k] + t
+    return Trajectory(np.array(times), _pose(Rs, ts))
+
+
+def rotation_angle(Ra, Rb) -> np.ndarray:
+    """Geodesic angle (rad) between rotation matrices (..., 3, 3)."""
+    Rrel = np.swapaxes(Ra, -1, -2) @ Rb
+    c = (np.trace(Rrel, axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def pose_error(est, gt):
+    """(translation error in m, geodesic rotation error in rad) between
+    pose vectors (..., 6)."""
+    (R_est, t_est), (R_gt, t_gt) = _transform(est), _transform(gt)
+    d = t_est - t_gt
+    return np.sqrt(_dot(d, d)), rotation_angle(R_gt, R_est)
+
+
+def min_rotation_between(a, b) -> np.ndarray:
+    """Smallest rotation matrices (..., 3, 3) taking unit vectors a to unit
+    vectors b (..., 3)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    v = np.cross(a, b)
+    c = _dot(a, b)
+    s = np.sqrt(_dot(v, v))
+    aligned = s < 1e-15
+    K = skew(v)
+    scale = (1 - c) / np.where(aligned, 1.0, s) ** 2
+    R = np.eye(3) + K + K @ K * scale[..., None, None]
+    if np.any(aligned):
+        # Parallel: identity. Antiparallel: a half turn about an axis
+        # orthogonal to a.
+        a_al = a[aligned]
+        axis = np.cross(a_al, [1.0, 0.0, 0.0])
+        degenerate = np.sqrt(_dot(axis, axis)) < 1e-12
+        axis[degenerate] = np.cross(a_al[degenerate], [0.0, 1.0, 0.0])
+        axis /= np.sqrt(_dot(axis, axis))[:, None]
+        flip = 2.0 * axis[:, :, None] * axis[:, None, :] - np.eye(3)
+        R[aligned] = np.where((c[aligned] > 0)[:, None, None], np.eye(3), flip)
+    return R
+
+
+def start_aligned_error(est_start, est_end, gt_start, gt_end):
+    """(translation m, rotation rad) error of the estimated motion from
+    est_start to est_end, composed onto gt_start, against gt_end.
+
+    The composed end pose is read as a pose vector before it is compared,
+    as every estimate is."""
+    predicted_end = _pose(*_compose(gt_start, *_between(est_start, est_end)))
+    return pose_error(predicted_end, gt_end)
 
 
 @dataclass
@@ -240,7 +284,7 @@ class Trajectory:
         return len(self.times)
 
     def pose(self, i: int) -> Pose:
-        return Pose.from_vector(self.poses[i])
+        return Pose(self.poses[i, :3], self.poses[i, 3:])
 
     def arc_length(self) -> np.ndarray:
         """Cumulative translational arc length at each sample (starts at 0)."""
@@ -249,7 +293,11 @@ class Trajectory:
 
 
 def resample_trajectory(traj: Trajectory, timestamps) -> Trajectory:
-    """Linear interpolation of translation; shortest-arc on Euler components.
+    """Linear interpolation of translation and of each Euler angle on its
+    own, after unwrapping that angle along the trajectory; the angles are
+    wrapped again at the end. This is not a rotation interpolation: between
+    knots the three angles move independently, which matches the geodesic
+    only when the rotation between the knots is about a single Euler axis.
 
     Query timestamps must lie within the trajectory's time span.
     """
@@ -269,32 +317,6 @@ def resample_trajectory(traj: Trajectory, timestamps) -> Trajectory:
         unwrapped = np.unwrap(traj.poses[:, k])
         out[:, k] = wrap_angle(np.interp(ts, traj.times, unwrapped))
     return Trajectory(ts, out)
-
-
-def save_trajectory(path, traj: Trajectory, header_lines=()) -> None:
-    """Write the line-delimited `timestamp tx ty tz roll pitch yaw` format."""
-    with open(path, "w") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        for t, p in zip(traj.times, traj.poses):
-            vals = " ".join(repr(float(v)) for v in p)
-            f.write(f"{float(t)!r} {vals}\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    times, poses = [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            vals = [float(x) for x in parts]
-            times.append(vals[0])
-            poses.append(vals[1:])
-    return Trajectory(np.array(times), np.array(poses))
 
 
 def _format_value(v) -> str:

@@ -350,8 +350,7 @@ def emulate_evo_stream(gt: Trajectory, cfg: SimConfig, rng) -> list:
     n = int(round(cfg.duration * cfg.vis_rate))
     ts = np.arange(n + 1) / cfg.vis_rate
     # The ground truth is sampled on [0, duration); clamp the final query.
-    poses = resample_trajectory(gt, np.minimum(ts, gt.times[-1]))
-    poses = Trajectory(ts, poses.poses) if ts[-1] > gt.times[-1] else poses
+    poses = resample_trajectory(gt, np.minimum(ts, gt.times[-1])).poses
 
     drift_dir = rng.normal(size=3)
     drift_dir /= np.linalg.norm(drift_dir)
@@ -362,26 +361,26 @@ def emulate_evo_stream(gt: Trajectory, cfg: SimConfig, rng) -> list:
     t_bias = np.array([cfg.vis_trans_bias_rate / cfg.vis_rate, 0.0, 0.0])
     r_const = np.array([0.0, cfg.vis_rot_bias_rate / cfg.vis_rate, 0.0])
 
-    out = []
-    for k in range(1, len(ts)):
-        delta = relative_pose(poses.pose(k - 1), poses.pose(k))
-        step_len = np.linalg.norm(delta.t)
-        # Drift: dominant component scales the motion itself; a smaller
-        # seeded slowly-varying component pushes along a fixed direction.
-        slow = 0.15 * np.sin(2.0 * np.pi * drift_freq * ts[k] + drift_phase)
-        bias = cfg.vis_drift_rate * (delta.t + step_len * slow * drift_dir) + t_bias
-        # Rotation drifts the same way: a scale-like bias on each rotational
-        # increment, so integrated attitude error grows with rotation traveled.
-        r_bias = cfg.vis_rot_drift_rate * delta.r + r_const
-        t_noise = rng.normal(0.0, cfg.vis_trans_noise_sd, size=3)
-        r_noise = rng.normal(0.0, cfg.vis_rot_noise_sd, size=3)
-        out.append(
-            VisMeasurement(
-                float(ts[k]),
-                Pose(delta.t + bias + t_noise, wrap_angle(delta.r + r_bias + r_noise)),
-            )
-        )
-    return out
+    delta = relative_pose(poses[:-1], poses[1:])
+    dt, dr = delta[:, :3], delta[:, 3:]
+    # Row norms through matmul round as np.linalg.norm of one 3-vector does.
+    step_len = np.sqrt((dt[:, None, :] @ dt[:, :, None])[:, 0, 0])
+    # Drift: dominant component scales the motion itself; a smaller
+    # seeded slowly-varying component pushes along a fixed direction.
+    slow = 0.15 * np.sin(2.0 * np.pi * drift_freq * ts[1:] + drift_phase)
+    bias = cfg.vis_drift_rate * (dt + (step_len * slow)[:, None] * drift_dir) + t_bias
+    # Rotation drifts the same way: a scale-like bias on each rotational
+    # increment, so integrated attitude error grows with rotation traveled.
+    r_bias = cfg.vis_rot_drift_rate * dr + r_const
+    # Per step, three translation draws then three rotation draws.
+    sd = np.array([[cfg.vis_trans_noise_sd], [cfg.vis_rot_noise_sd]])
+    noise = rng.normal(0.0, sd, size=(len(delta), 2, 3))
+    t_out = dt + bias + noise[:, 0]
+    r_out = wrap_angle(dr + r_bias + noise[:, 1])
+    return [
+        VisMeasurement(float(t), Pose(tv, rv))
+        for t, tv, rv in zip(ts[1:], t_out, r_out)
+    ]
 
 
 @dataclass
@@ -454,7 +453,7 @@ def read_dataset(path) -> Dataset:
                 elif kind == "VIS":
                     if len(vals) != 7:
                         raise ValueError("VIS record needs 7 fields")
-                    vis.append(VisMeasurement(vals[0], Pose.from_vector(vals[1:])))
+                    vis.append(VisMeasurement(vals[0], Pose(vals[1:4], vals[4:])))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except ValueError as e:

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,3 +197,19 @@ def test_bad_checkpoint_errors(tmp_path, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# --- scripts ----------------------------------------------------------------
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script", ["run_benchmark.py", "run_magnetic_diagnostics.py"])
+def test_script_help_runs_from_any_directory(script, tmp_path):
+    # Without PYTHONPATH the script must find the package on its own.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

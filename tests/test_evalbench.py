@@ -4,12 +4,14 @@ import pytest
 from capsloc import evalbench as eb
 from capsloc.geometry import (
     Pose,
-    RigidTransform,
     Trajectory,
     apply_relative,
-    compose,
-    pose_to_transform,
-    transform_to_pose,
+    euler_to_matrix,
+    matrix_to_euler,
+    pose_error,
+    relative_pose,
+    resample_trajectory,
+    wrap_angle,
 )
 from capsloc.magloc import MagMeasurement5DoF
 from capsloc.simkit import VisMeasurement
@@ -59,15 +61,10 @@ def test_rigid_transform_invariance():
     noise = rng.normal(0, 1e-3, gt.poses.shape)
     est = Trajectory(gt.times, gt.poses + noise)
 
-    T = pose_to_transform(Pose([0.2, -0.1, 0.3], [0.4, -0.5, 0.6]))
+    T = np.array([0.2, -0.1, 0.3, 0.4, -0.5, 0.6])
 
     def moved(traj):
-        poses = []
-        for k in range(len(traj)):
-            poses.append(
-                transform_to_pose(compose(T, pose_to_transform(traj.pose(k)))).as_vector()
-            )
-        return Trajectory(traj.times, np.array(poses))
+        return Trajectory(traj.times, apply_relative(T, traj.poses))
 
     # Bucket lengths not commensurate with the 1 mm step, so the arc-length
     # crossing never lands exactly on a knot (a knot tie could resolve
@@ -91,16 +88,50 @@ def test_segment_count_matches_crossings():
     assert len(buckets[0.01]) == 51
 
 
+def test_segment_errors_match_per_segment_oracle():
+    # A noisy random walk whose yaw crosses the +/-pi seam, estimated at
+    # other timestamps; the oracle scores one segment at a time with
+    # single-pose toolkit calls, in the order of the pose algebra.
+    rng = np.random.default_rng(11)
+    times = np.arange(300) * 0.02
+    steps = np.concatenate(
+        [rng.normal(0, 1e-3, (300, 3)), rng.normal(0, 0.02, (300, 3))], axis=1
+    )
+    poses = np.cumsum(steps, axis=0) + np.array([0, 0, -0.08, 0.1, -0.2, 3.0])
+    poses[:, 3:] = wrap_angle(poses[:, 3:])
+    gt = Trajectory(times, poses)
+    est_times = times[1:-1:2] + 0.007
+    on_gt = resample_trajectory(gt, est_times).poses
+    est = Trajectory(est_times, on_gt + rng.normal(0, 1e-3, on_gt.shape))
+    arc = Trajectory(est_times, on_gt).arc_length()
+    buckets = (0.005, 0.012, 0.03)
+    got = eb.segment_errors(est, gt, buckets)
+    n = len(est)
+    for L in buckets:
+        expected = []
+        for s in range(n):
+            e = next((e for e in range(s, n) if arc[e] >= arc[s] + L), None)
+            if e is None:
+                continue
+            a, b, g = est.poses[s], est.poses[e], on_gt[s]
+            Ra, Rb, Rg = (euler_to_matrix(wrap_angle(p[3:])) for p in (a, b, g))
+            R_rel = Ra.T @ Rb
+            t_rel = Ra.T @ b[:3] + (-Ra.T) @ a[:3]
+            predicted = np.concatenate([Rg @ t_rel + g[:3], matrix_to_euler(Rg @ R_rel)])
+            expected.append(pose_error(predicted, on_gt[e]))
+        assert len(expected) > 20
+        assert np.array_equal(got[L], np.array(expected))
+
+
 def test_evo_only_baseline_integrates_deltas():
     deltas = [np.array([0.001 * k, 0.0, 0.0, 0.0, 0.0, 0.01]) for k in range(1, 6)]
     vis = [VisMeasurement(0.04 * k, Pose(d[:3], d[3:])) for k, d in enumerate(deltas, 1)]
     start = Pose([0.1, 0.0, -0.08], [0.0, 0.0, 0.0])
     traj = eb.evo_only_baseline(vis, start)
-    pose = start
+    pose = start.as_vector()
     for k, d in enumerate(deltas):
-        pose = apply_relative(pose, Pose(d[:3], d[3:]))
-        assert np.allclose(traj.poses[k][:3], pose.t, atol=1e-12)
-        assert np.allclose(traj.poses[k][3:], pose.r, atol=1e-12)
+        pose = apply_relative(pose, d)
+        assert np.allclose(traj.poses[k], pose, atol=1e-12)
 
 
 def test_magnetic_only_baseline_positions_passthrough():
@@ -116,13 +147,13 @@ def test_magnetic_only_baseline_positions_passthrough():
     for k, m in enumerate(mag):
         assert np.allclose(traj.poses[k][:3], m.position, atol=1e-12)
         # Completed attitude must map the dipole axis onto the heading.
-        R = pose_to_transform(traj.pose(k)).R
+        R = euler_to_matrix(traj.poses[k][3:])
         assert np.allclose(R @ np.array([1.0, 0, 0]), m.heading, atol=1e-10)
 
 
 def test_magnetic_only_hold_initial_identity_when_heading_fixed():
     start = Pose([0, 0, -0.08], [0.3, -0.2, 0.5])
-    R0 = pose_to_transform(start).R
+    R0 = euler_to_matrix(start.r)
     h0 = R0 @ np.array([1.0, 0.0, 0.0])
     mag = [MagMeasurement5DoF(k * 0.02, np.zeros(3), h0, True, 0.0, 1) for k in range(5)]
     traj = eb.magnetic_only_baseline(mag, start)
@@ -134,16 +165,11 @@ def test_magnetic_only_empty_or_bad_rule():
     start = Pose([0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
         eb.magnetic_only_baseline([], start)
-    m = MagMeasurement5DoF(0.0, np.zeros(3), np.array([1.0, 0, 0]), True, 0.0, 1)
-    with pytest.raises(ValueError):
-        eb.magnetic_only_baseline([m], start, rule="interpolate")
 
 
 def test_pooled_rmse_oracle():
     # Pooling two datasets must equal the RMSE over the concatenated segment
     # errors, not the mean of per-dataset RMSEs.
-    from capsloc.geometry import relative_pose
-
     rng = np.random.default_rng(2)
     L = (0.02,)
     sets = []
@@ -152,8 +178,8 @@ def test_pooled_rmse_oracle():
         gt = straight_line_traj(n=n)
         vis = []
         for k in range(1, n):
-            noisy = relative_pose(gt.pose(k - 1), gt.pose(k))
-            noisy = Pose(noisy.t + rng.normal(0, sd, 3), noisy.r + rng.normal(0, sd, 3))
+            noisy = relative_pose(gt.poses[k - 1], gt.poses[k])
+            noisy = Pose(noisy[:3] + rng.normal(0, sd, 3), noisy[3:] + rng.normal(0, sd, 3))
             vis.append(VisMeasurement(gt.times[k], noisy))
         mag = [MagMeasurement5DoF(t, p[:3] + rng.normal(0, sd, 3),
                                   np.array([1.0, 0, 0]), True, 0.0, 1)

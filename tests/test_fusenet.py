@@ -441,12 +441,12 @@ def test_target_integration_reproduces_ground_truth():
     samples = fn.align_streams(mag, ds.vis, gt=ds.gt)
     from capsloc.geometry import resample_trajectory
 
-    pose = Pose(ds.gt.poses[0][:3], ds.gt.poses[0][3:])
+    pose = ds.gt.pose(0).as_vector()
     ts = [s.timestamp for s in samples]
     on_gt = resample_trajectory(ds.gt, np.minimum(ts, ds.gt.times[-1]))
     for s, true_pose in zip(samples, on_gt.poses):
-        pose = apply_relative(pose, Pose(s.target[:3], s.target[3:]))
-        assert np.linalg.norm(pose.t - true_pose[:3]) < 1e-6
+        pose = apply_relative(pose, s.target)
+        assert np.linalg.norm(pose[:3] - true_pose[:3]) < 1e-6
 
 
 # --- checkpoint ------------------------------------------------------------

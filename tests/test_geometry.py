@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,24 +8,19 @@ import hypothesis.strategies as st
 
 from capsloc.geometry import (
     GimbalLockWarning,
-    Pose,
-    RigidTransform,
     Trajectory,
-    compose,
     euler_to_matrix,
     format_config,
     integrate_deltas,
-    inverse,
-    load_trajectory,
     matrix_to_euler,
+    min_rotation_between,
     pose_error,
     parse_config,
-    pose_to_transform,
     relative_pose,
     apply_relative,
     resample_trajectory,
+    rotation_angle,
     rotation_exp,
-    save_trajectory,
     skew,
     wrap_angle,
 )
@@ -33,9 +29,19 @@ angles = st.floats(-np.pi + 1e-6, np.pi - 1e-6)
 safe_pitch = st.floats(-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
 
 
-def random_transform(rng):
-    r = rng.uniform(-np.pi / 2 + 0.1, np.pi / 2 - 0.1, 3)
-    return RigidTransform(euler_to_matrix(r), rng.normal(0, 1, 3))
+def random_poses(rng, *shape):
+    """Pose vectors with every angle within pi/2 - 0.1 of zero."""
+    t = rng.normal(0, 1, shape + (3,))
+    r = rng.uniform(-np.pi / 2 + 0.1, np.pi / 2 - 0.1, shape + (3,))
+    return np.concatenate([t, r], axis=-1)
+
+
+def homogeneous(p):
+    """4x4 matrix of a pose vector."""
+    H = np.eye(4)
+    H[:3, :3] = euler_to_matrix(p[3:])
+    H[:3, 3] = p[:3]
+    return H
 
 
 def test_euler_identity():
@@ -85,86 +91,114 @@ def test_rotation_roundtrip_property(roll, pitch, yaw):
     assert np.allclose(wrap_angle(back - r), 0.0, atol=1e-9)
 
 
-def test_compose_identity_and_inverse():
+def test_gimbal_lock_in_one_row_warns_once_and_zeroes_only_its_roll():
+    rng = np.random.default_rng(8)
+    r = rng.uniform(-1.0, 1.0, (6, 3))
+    r[3] = [0.4, np.pi / 2, 0.7]
+    R = euler_to_matrix(r)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = matrix_to_euler(R)
+    assert [w.category for w in caught] == [GimbalLockWarning]
+    assert out[3, 0] == 0.0 and abs(out[3, 1] - np.pi / 2) < 1e-9
+    others = [0, 1, 2, 4, 5]
+    assert np.all(out[others, 0] != 0.0)
+    assert np.array_equal(out[others], np.array([matrix_to_euler(R[i]) for i in others]))
+
+
+def test_batched_calls_equal_row_calls():
+    rng = np.random.default_rng(9)
+    a = np.concatenate([rng.normal(0, 1, (300, 3)), rng.uniform(-4, 4, (300, 3))], axis=1)
+    b = np.concatenate([rng.normal(0, 1, (300, 3)), rng.uniform(-4, 4, (300, 3))], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GimbalLockWarning)
+        R = euler_to_matrix(a[:, 3:])
+        assert R.shape == (300, 3, 3)
+        rows = range(len(a))
+        assert np.array_equal(R, [euler_to_matrix(a[i, 3:]) for i in rows])
+        assert np.array_equal(matrix_to_euler(R), [matrix_to_euler(R[i]) for i in rows])
+        rel = relative_pose(a, b)
+        assert np.array_equal(rel, [relative_pose(a[i], b[i]) for i in rows])
+        app = apply_relative(a, b)
+        assert np.array_equal(app, [apply_relative(a[i], b[i]) for i in rows])
+        # A single pose broadcasts against a batch.
+        one = [apply_relative(a[0], b[i]) for i in rows]
+        assert np.array_equal(apply_relative(a[0], b), one)
+        err = np.stack(pose_error(a, b), axis=-1)
+        assert np.array_equal(err, [pose_error(a[i], b[i]) for i in rows])
+
+
+def test_apply_relative_identity_and_inverse():
     rng = np.random.default_rng(1)
-    T = random_transform(rng)
-    I = RigidTransform.identity()
-    assert np.allclose(compose(I, T).R, T.R)
-    assert np.allclose(compose(I, T).t, T.t)
-    TI = compose(T, inverse(T))
-    assert np.allclose(TI.R, np.eye(3), atol=1e-12)
-    assert np.allclose(TI.t, 0.0, atol=1e-12)
+    a = random_poses(rng)
+    identity = np.zeros(6)
+    assert np.allclose(apply_relative(identity, a), a, atol=1e-12)
+    assert np.allclose(apply_relative(a, identity), a, atol=1e-12)
+    # relative_pose(a, identity) is a's inverse.
+    assert np.allclose(apply_relative(a, relative_pose(a, identity)), 0.0, atol=1e-12)
+    assert np.allclose(apply_relative(relative_pose(a, identity), a), 0.0, atol=1e-12)
 
 
-def test_compose_matches_homogeneous_product():
+def test_apply_relative_matches_homogeneous_product():
     rng = np.random.default_rng(2)
-    a, b = random_transform(rng), random_transform(rng)
-
-    def hom(T):
-        H = np.eye(4)
-        H[:3, :3] = T.R
-        H[:3, 3] = T.t
-        return H
-
-    H = hom(a) @ hom(b)
-    c = compose(a, b)
-    assert np.allclose(hom(c), H, atol=1e-14)
+    a, b = random_poses(rng), random_poses(rng)
+    H = homogeneous(a) @ homogeneous(b)
+    assert np.allclose(homogeneous(apply_relative(a, b)), H, rtol=0, atol=1e-14)
+    H_rel = np.linalg.inv(homogeneous(a)) @ homogeneous(b)
+    assert np.allclose(homogeneous(relative_pose(a, b)), H_rel, rtol=0, atol=1e-14)
 
 
-def test_compose_associative():
+def test_apply_relative_associative():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b, c = (random_transform(rng) for _ in range(3))
-        lhs = compose(compose(a, b), c)
-        rhs = compose(a, compose(b, c))
-        assert np.allclose(lhs.R, rhs.R, atol=1e-12)
-        assert np.allclose(lhs.t, rhs.t, atol=1e-12)
+    a, b, c = (random_poses(rng, 20) for _ in range(3))
+    lhs = apply_relative(apply_relative(a, b), c)
+    rhs = apply_relative(a, apply_relative(b, c))
+    assert np.allclose(lhs[:, :3], rhs[:, :3], atol=1e-12)
+    assert np.allclose(euler_to_matrix(lhs[:, 3:]), euler_to_matrix(rhs[:, 3:]), atol=1e-12)
 
 
 def test_relative_pose_roundtrip():
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        a = Pose(rng.normal(0, 1, 3), rng.uniform(-1.2, 1.2, 3))
-        b = Pose(rng.normal(0, 1, 3), rng.uniform(-1.2, 1.2, 3))
-        d = relative_pose(a, b)
-        b2 = apply_relative(a, d)
-        assert np.allclose(b2.t, b.t, atol=1e-9)
-        assert np.allclose(wrap_angle(b2.r - b.r), 0.0, atol=1e-9)
+    a = np.concatenate([rng.normal(0, 1, (20, 3)), rng.uniform(-1.2, 1.2, (20, 3))], axis=1)
+    b = np.concatenate([rng.normal(0, 1, (20, 3)), rng.uniform(-1.2, 1.2, (20, 3))], axis=1)
+    b2 = apply_relative(a, relative_pose(a, b))
+    assert np.allclose(b2[:, :3], b[:, :3], atol=1e-9)
+    assert np.allclose(wrap_angle(b2[:, 3:] - b[:, 3:]), 0.0, atol=1e-9)
 
 
 def test_integrate_deltas_matches_composition_loop():
+    # integrate_deltas composes on matrices and reads angles once; the loop
+    # reads angles at every step, so the two agree to rounding only.
     rng = np.random.default_rng(6)
-    start = Pose(rng.normal(0, 1, 3), rng.uniform(-1.0, 1.0, 3))
-    deltas = [Pose(rng.normal(0, 0.1, 3), rng.normal(0, 0.2, 3)) for _ in range(12)]
+    start = np.concatenate([rng.normal(0, 1, 3), rng.uniform(-1.0, 1.0, 3)])
+    deltas = np.concatenate([rng.normal(0, 0.1, (12, 3)), rng.normal(0, 0.2, (12, 3))], axis=1)
     times = np.arange(1, 13) / 25.0
     traj = integrate_deltas(start, times, deltas)
     pose = start
     for k, d in enumerate(deltas):
         pose = apply_relative(pose, d)
         assert traj.times[k] == times[k]
-        assert np.array_equal(traj.poses[k], pose.as_vector())
+        assert np.allclose(traj.poses[k], pose, rtol=0, atol=1e-12)
 
 
 def test_relative_pose_self_is_zero():
-    p = Pose([1, 2, 3], [0.1, 0.2, 0.3])
-    d = relative_pose(p, p)
-    assert np.allclose(d.as_vector(), 0.0, atol=1e-12)
+    p = np.array([1, 2, 3, 0.1, 0.2, 0.3])
+    assert np.allclose(relative_pose(p, p), 0.0, atol=1e-12)
 
 
 def test_relative_pose_from_identity():
-    b = Pose([1, 2, 3], [0.1, 0.2, 0.3])
-    d = relative_pose(Pose.identity(), b)
-    assert np.allclose(d.as_vector(), b.as_vector(), atol=1e-12)
+    b = np.array([1, 2, 3, 0.1, 0.2, 0.3])
+    assert np.allclose(relative_pose(np.zeros(6), b), b, atol=1e-12)
 
 
 def test_pose_error_cases():
-    p = Pose([0, 0, 0], [0, 0, 0])
+    p = np.zeros(6)
     assert pose_error(p, p) == (0.0, 0.0)
-    q = Pose([0.003, 0.004, 0], [0, 0, 0])
+    q = np.array([0.003, 0.004, 0, 0, 0, 0])
     te, re = pose_error(q, p)
     assert abs(te - 0.005) < 1e-15
     assert re == 0.0
-    r = Pose([0, 0, 0], [0, 0, 0.1])
+    r = np.array([0, 0, 0, 0, 0, 0.1])
     te, re = pose_error(r, p)
     assert te == 0.0
     assert abs(re - 0.1) < 1e-12
@@ -172,10 +206,32 @@ def test_pose_error_cases():
 
 def test_pose_error_rotation_symmetric():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = Pose(rng.normal(0, 1, 3), rng.uniform(-1.2, 1.2, 3))
-        b = Pose(rng.normal(0, 1, 3), rng.uniform(-1.2, 1.2, 3))
-        assert abs(pose_error(a, b)[1] - pose_error(b, a)[1]) < 1e-12
+    a = np.concatenate([rng.normal(0, 1, (20, 3)), rng.uniform(-1.2, 1.2, (20, 3))], axis=1)
+    b = np.concatenate([rng.normal(0, 1, (20, 3)), rng.uniform(-1.2, 1.2, (20, 3))], axis=1)
+    assert np.allclose(pose_error(a, b)[1], pose_error(b, a)[1], rtol=0, atol=1e-12)
+
+
+def test_rotation_angle_of_axis_turn():
+    R = euler_to_matrix([[0, 0, 0], [0.3, 0, 0], [0, -0.7, 0], [0, 0, 3.0]])
+    assert np.allclose(rotation_angle(np.eye(3), R), [0.0, 0.3, 0.7, 3.0], rtol=0, atol=1e-7)
+    assert np.array_equal(rotation_angle(R, R), np.zeros(4))
+
+
+def test_min_rotation_between_maps_a_onto_b():
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(8, 3))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b = rng.normal(size=(8, 3))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    b[6], b[7] = a[6], -a[7]  # parallel and antiparallel rows
+    R = min_rotation_between(a, b)
+    assert np.allclose(R @ R.transpose(0, 2, 1), np.eye(3), rtol=0, atol=1e-12)
+    assert np.allclose(np.linalg.det(R), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose((R @ a[:, :, None])[:, :, 0], b, rtol=0, atol=1e-12)
+    assert np.array_equal(R[6], np.eye(3))
+    # Smallest: the turn angle equals the angle between the vectors.
+    angle = np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))
+    assert np.allclose(rotation_angle(np.eye(3), R), angle, rtol=0, atol=1e-7)
 
 
 def test_resample_exact_at_knots_and_midpoint():
@@ -218,16 +274,6 @@ def test_trajectory_validation():
         Trajectory([], np.zeros((0, 6)))
     with pytest.raises(ValueError):
         Trajectory([0.0, 0.0], np.zeros((2, 6)))
-
-
-def test_trajectory_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    traj = Trajectory(np.sort(rng.uniform(0, 10, 8)), rng.normal(0, 1, (8, 6)))
-    path = tmp_path / "traj.txt"
-    save_trajectory(path, traj, header_lines=["demo"])
-    back = load_trajectory(path)
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.poses, traj.poses)
 
 
 def test_skew_is_cross_product():

@@ -177,13 +177,13 @@ def test_evo_zero_noise_integrates_to_gt():
     )
     gt = sk.generate_trajectory(cfg)
     vis = sk.emulate_evo_stream(gt, cfg, np.random.default_rng(0))
-    pose = Pose(gt.poses[0][:3], gt.poses[0][3:])
+    pose = gt.pose(0).as_vector()
     qs = np.minimum([m.timestamp for m in vis], gt.times[-1])
     on_gt = resample_trajectory(gt, qs)
     for m, true_pose in zip(vis, on_gt.poses):
-        pose = apply_relative(pose, m.delta)
-        assert np.linalg.norm(pose.t - true_pose[:3]) < 1e-9
-        assert np.allclose(pose.r, true_pose[3:], atol=1e-9)
+        pose = apply_relative(pose, m.delta.as_vector())
+        assert np.linalg.norm(pose[:3] - true_pose[:3]) < 1e-9
+        assert np.allclose(pose[3:], true_pose[3:], atol=1e-9)
 
 
 def test_evo_count_10s_25hz():
@@ -206,17 +206,17 @@ def test_evo_pure_drift_grows_with_path_length():
     )
     gt = sk.generate_trajectory(cfg)
     vis = sk.emulate_evo_stream(gt, cfg, np.random.default_rng(2))
-    pose = Pose(gt.poses[0][:3], gt.poses[0][3:])
+    pose = gt.pose(0).as_vector()
     errs, lengths = [], []
     qs = np.minimum([m.timestamp for m in vis], gt.times[-1])
     on_gt = resample_trajectory(gt, qs)
     arc = 0.0
     prev = gt.poses[0][:3]
     for m, true_pose in zip(vis, on_gt.poses):
-        pose = apply_relative(pose, m.delta)
+        pose = apply_relative(pose, m.delta.as_vector())
         arc += np.linalg.norm(true_pose[:3] - prev)
         prev = true_pose[:3]
-        errs.append(np.linalg.norm(pose.t - true_pose[:3]))
+        errs.append(np.linalg.norm(pose[:3] - true_pose[:3]))
         lengths.append(arc)
     errs, lengths = np.array(errs), np.array(lengths)
     # Drift error accumulates roughly in proportion to distance traveled.
