@@ -206,7 +206,9 @@ def read_mag_estimates(path):
 def cmd_localize_mag(args) -> int:
     cfg = _load_config(args)
     ds = simkit.read_dataset(args.dataset)
-    ests = magloc.localize_dataset(ds, cfg.inversion_settings())
+    ests = magloc.localize_dataset(
+        ds, cfg.inversion_settings(), diagnostics_path=args.diagnostics
+    )
     _write_mag_estimates(args.out, ests, cfg)
     print(f"wrote {args.out} ({len(ests)} frames)")
     return 0
@@ -308,6 +310,11 @@ def main(argv=None) -> int:
     common(p)
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
+    p.add_argument(
+        "--diagnostics", default=None,
+        help="per-frame text log: iterations, residual, converged, gate "
+        "value and filtered position sd",
+    )
     p.set_defaults(fn=cmd_localize_mag)
 
     p = sub.add_parser("train", help="train the fusion network")

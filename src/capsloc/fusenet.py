@@ -29,7 +29,7 @@ from .geometry import (
     relative_pose,
     resample_trajectory,
 )
-from .magloc import MagMeasurement5DoF, angles_from_heading
+from .magloc import angles_from_heading
 from .neuralcore import (
     Hyperparams,
     LstmState,
@@ -128,11 +128,6 @@ class FusedSample:
     target: np.ndarray = None  # (6,) raw delta pose, training only
 
 
-def _mag_vector(m: MagMeasurement5DoF) -> np.ndarray:
-    theta, phi = angles_from_heading(m.heading)
-    return np.concatenate([m.position, [theta, phi]])
-
-
 def align_streams(mag, vis, gt: Trajectory | None = None, rate_ratio: int = 2):
     """Bucket magnetic measurements by visual inter-frame interval.
 
@@ -151,7 +146,9 @@ def align_streams(mag, vis, gt: Trajectory | None = None, rate_ratio: int = 2):
     kept = np.flatnonzero(hi - lo == rate_ratio)
     if not len(kept):
         raise AlignmentError("streams do not overlap in any complete interval")
-    mag_vectors = np.array([_mag_vector(m) for m in mag])
+    mag_vectors = np.empty((len(mag), MAG_INPUT))  # (x, y, z, theta, phi)
+    mag_vectors[:, :3] = [m.position for m in mag]
+    mag_vectors[:, 3], mag_vectors[:, 4] = angles_from_heading([m.heading for m in mag])
     targets = [None] * len(kept)
     if gt is not None:
         # Ground truth at both ends of every kept interval, resampled once.

@@ -22,6 +22,13 @@ db_z/dphi vanishes, and its column is only rounding noise. Levenberg-
 Marquardt therefore damps every parameter by at least 1e-12 times the
 largest diagonal entry of J^T J, so a vanishing column cannot produce a
 huge phi step.
+
+One kernel (_DipoleEval) evaluates the model once per Levenberg-Marquardt
+trial and builds the Jacobian from that evaluation when an iteration needs
+it. The fit returns its final residual and model evaluation: the outlier
+gate reads that residual and the filter's covariance that Jacobian, so
+nothing evaluates the model again after the fit, except at the carried
+pose of a diverged frame.
 """
 
 from __future__ import annotations
@@ -58,6 +65,11 @@ __all__ = [
 ]
 
 
+def _norm(x) -> float:
+    """Euclidean norm of a 1-D array; rounds as np.linalg.norm does."""
+    return np.sqrt(x @ x)
+
+
 @dataclass
 class MagMeasurement5DoF:
     timestamp: float
@@ -70,7 +82,7 @@ class MagMeasurement5DoF:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         h = np.asarray(self.heading, dtype=float).reshape(3)
-        n = np.linalg.norm(h)
+        n = _norm(h)
         if abs(n - 1.0) > 1e-9:
             raise ValueError("heading must be unit-norm")
         self.heading = h / n
@@ -89,8 +101,12 @@ class InversionSettings:
 
 
 # A streamed frame is gated when its differentiated fit residual exceeds
-# this multiple of the running median.
+# this multiple of the median over the last _GATE_HISTORY frames.
 _OUTLIER_GATE = 5.0
+_GATE_HISTORY = 200
+
+# (64, 3) sensor positions, read by every model evaluation.
+_SENSORS = sensor_positions().reshape(-1, 3)
 
 
 class DivergenceError(RuntimeError):
@@ -106,18 +122,19 @@ def heading_from_angles(theta: float, phi: float) -> np.ndarray:
     return np.array([st * np.cos(phi), st * np.sin(phi), ct])
 
 
-def angles_from_heading(h) -> tuple[float, float]:
+def angles_from_heading(h):
+    """(theta, phi) of unit headings h (..., 3): two arrays of shape ...,
+    or two floats for one heading."""
     h = np.asarray(h, dtype=float)
-    theta = float(np.arccos(np.clip(h[2], -1.0, 1.0)))
-    phi = float(np.arctan2(h[1], h[0]))
+    theta = np.arccos(np.clip(h[..., 2], -1.0, 1.0))
+    phi = np.arctan2(h[..., 1], h[..., 0])
     return theta, phi
 
 
 def subtract_actuator_field(
     reading: HallArrayReading, actuator: ActuatorFieldModel
 ) -> HallArrayReading:
-    pos = sensor_positions().reshape(-1, 3)
-    bz = actuator.field(pos)[:, 2].reshape(SENSOR_GRID_N, SENSOR_GRID_N)
+    bz = actuator.field(_SENSORS)[:, 2].reshape(SENSOR_GRID_N, SENSOR_GRID_N)
     return HallArrayReading(reading.timestamp, reading.values - bz)
 
 
@@ -129,15 +146,65 @@ def directional_second_difference(reading: HallArrayReading) -> np.ndarray:
     """
     v = reading.values if isinstance(reading, HallArrayReading) else np.asarray(reading)
 
-    def second_diff_1d(a, axis):
-        a = np.moveaxis(a, axis, 0)
+    def second_diff_rows(a):
         out = np.empty_like(a)
         out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
         out[0] = a[2] - 2.0 * a[1] + a[0]
         out[-1] = a[-1] - 2.0 * a[-2] + a[-3]
-        return np.moveaxis(out, 0, axis)
+        return out
 
-    return second_diff_1d(v, 0) + second_diff_1d(v, 1)
+    return second_diff_rows(v) + second_diff_rows(v.T).T
+
+
+class _DipoleEval:
+    """The dipole b_z model evaluated once at params (x, y, z, theta, phi).
+
+    Keeps what the Jacobian reads: the moment m, the sines and cosines of
+    its angles, the sensor offsets r = s - p, their squared lengths d2 and
+    lengths d, and m.r. The Jacobian is built from these on first request
+    and kept, so a Levenberg-Marquardt iteration that needs it at an
+    accepted trial does not evaluate the model again."""
+
+    __slots__ = ("params", "bz", "_trig", "_m", "_r", "_d2", "_dist", "_mdotr", "_J")
+
+    def __init__(self, params, moment_magnitude):
+        st, ct = np.sin(params[3]), np.cos(params[3])
+        sp, cp = np.sin(params[4]), np.cos(params[4])
+        M = moment_magnitude
+        m = M * np.array([st * cp, st * sp, ct])  # M heading_from_angles
+        r = _SENSORS - params[:3]
+        d2 = np.sum(r * r, axis=1)
+        dist = np.sqrt(d2)
+        mdotr = r @ m
+        self.bz = MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] / dist**2 - m[2]) / dist**3
+        self.params = params
+        self._trig = (M, st, ct, sp, cp)
+        self._m, self._r, self._d2, self._dist, self._mdotr = m, r, d2, dist, mdotr
+        self._J = None
+
+    def jacobian(self) -> np.ndarray:
+        """(64, 5) derivative of bz with respect to (x, y, z, theta, phi),
+        in closed form.
+
+        With r = s - p, d = |r| and b = C (3 (m.r) r_z / d^5 - m_z / d^3):
+        db/dr = C (3 (m r_z + (m.r) e_z) / d^5 - (15 (m.r) r_z / d^2 - 3 m_z) r / d^5),
+        db/dp = -db/dr, and db/dm (_moment_gain) is chained with dm/dtheta
+        and dm/dphi."""
+        if self._J is None:
+            M, st, ct, sp, cp = self._trig
+            dm = M * np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
+            m, r = self._m, self._r
+            d2 = self._d2[:, None]
+            mdotr = self._mdotr[:, None]
+            scale = MU0_OVER_4PI / (d2 * d2 * self._dist[:, None])  # C / d^5
+            rz = r[:, 2:]
+            db_dr = 3.0 * rz * m - (15.0 * mdotr * rz / d2 - 3.0 * m[2]) * r
+            db_dr[:, 2:] += 3.0 * mdotr
+            J = np.empty((r.shape[0], 5))
+            J[:, :3] = db_dr * -scale
+            J[:, 3:] = _moment_gain(r, d2, scale) @ dm
+            self._J = J
+        return self._J
 
 
 def predict_normal_components(
@@ -145,93 +212,75 @@ def predict_normal_components(
 ) -> np.ndarray:
     """z-component of the dipole field at all 64 sensors for parameters
     (x, y, z, theta, phi). Vectorized closed form, no Pose construction."""
-    p = params[:3]
-    m = dipole.moment_magnitude * heading_from_angles(params[3], params[4])
-    r = sensor_positions().reshape(-1, 3) - p
-    dist = np.linalg.norm(r, axis=1)
-    mdotr = r @ m
-    bz = MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] / dist**2 - m[2]) / dist**3
-    return bz
+    return _DipoleEval(params, dipole.moment_magnitude).bz
 
 
-def _residual(params, target_flat, dipole):
-    return predict_normal_components(params, dipole) - target_flat
-
-
-def _moment_gain(r, d2):
+def _moment_gain(r, d2, scale):
     """db_z/dm = C (3 r_z r - d^2 e_z) / d^5 at sensor offsets r (..., 3)
-    with squared lengths d2 (..., 1); b_z is linear in the moment m."""
+    with squared lengths d2 (..., 1) and scale = C / d^5 (..., 1); b_z is
+    linear in the moment m."""
     G = 3.0 * r[..., 2:] * r
     G[..., 2:] -= d2
-    G *= MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2))
+    G *= scale
     return G
 
 
 def _jacobian(params, dipole):
     """(64, 5) derivative of predict_normal_components with respect to
-    (x, y, z, theta, phi), in closed form.
-
-    With r = s - p, d = |r| and b = C (3 (m.r) r_z / d^5 - m_z / d^3):
-    db/dr = C (3 (m r_z + (m.r) e_z) / d^5 - (15 (m.r) r_z / d^2 - 3 m_z) r / d^5),
-    db/dp = -db/dr, and db/dm (_moment_gain) is chained with dm/dtheta and
-    dm/dphi."""
-    st, ct = np.sin(params[3]), np.cos(params[3])
-    sp, cp = np.sin(params[4]), np.cos(params[4])
-    M = dipole.moment_magnitude
-    m = M * np.array([st * cp, st * sp, ct])
-    dm = M * np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
-    r = sensor_positions().reshape(-1, 3) - params[:3]
-    d2 = np.sum(r * r, axis=1, keepdims=True)
-    mdotr = r @ m[:, None]
-    rz = r[:, 2:]
-    db_dr = 3.0 * rz * m - (15.0 * mdotr * rz / d2 - 3.0 * m[2]) * r
-    db_dr[:, 2:] += 3.0 * mdotr
-    J = np.empty((r.shape[0], 5))
-    J[:, :3] = db_dr * (-MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2)))
-    J[:, 3:] = _moment_gain(r, d2) @ dm
-    return J
+    (x, y, z, theta, phi); see _DipoleEval.jacobian."""
+    return _DipoleEval(params, dipole.moment_magnitude).jacobian()
 
 
 def _levenberg_marquardt(params0, target_flat, dipole, settings):
-    params = params0.copy()
-    r = _residual(params, target_flat, dipole)
+    """Fit params to target_flat from params0.
+
+    Returns (model, residual, cost, iterations, converged): model is the
+    _DipoleEval at the final params (model.params) and residual its
+    bz - target_flat, whose squared norm is cost. Each trial evaluates the
+    model once, and the Jacobian of an iteration is that of the model
+    accepted last."""
+    M = dipole.moment_magnitude
+    model = _DipoleEval(params0.copy(), M)
+    r = model.bz - target_flat
     cost = float(r @ r)
     lam = settings.initial_damping
     iters = 0
     for iters in range(1, settings.max_iterations + 1):
         cost_prev = cost
-        J = _jacobian(params, dipole)
-        g = J.T @ r
+        params = model.params
+        J = model.jacobian()
+        neg_g = -(J.T @ r)
         H = J.T @ J
         # Marquardt scaling, floored: at a heading pole the phi column of J
         # is rounding noise, and an unfloored diagonal would not damp it.
-        dH = np.diag(H)
-        D = np.diag(np.maximum(dH, 1e-12 * dH.max()))
+        dH = H.diagonal()
+        D = np.maximum(dH, 1e-12 * dH.max())
         stepped = False
         for _ in range(25):
+            A = H.copy()
+            A.ravel()[::6] += lam * D  # H + lam diag(D)
             try:
-                delta = np.linalg.solve(H + lam * D, -g)
+                delta = np.linalg.solve(A, neg_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = params + delta
-            r_trial = _residual(trial, target_flat, dipole)
+            trial = _DipoleEval(params + delta, M)
+            r_trial = trial.bz - target_flat
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
-                scale = np.linalg.norm(params) + 1e-12
-                rel_step = np.linalg.norm(delta) / scale
-                params, r, cost = trial, r_trial, cost_trial
+                rel_step = _norm(delta) / (_norm(params) + 1e-12)
+                model, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 10.0, 1e-14)
                 stepped = True
                 break
             lam *= 10.0
         if not stepped:
-            return params, cost, iters, True  # stalled at a minimum
+            return model, r, cost, iters, True  # stalled at a minimum
         if rel_step < settings.convergence_tol:
-            return params, cost, iters, True
+            return model, r, cost, iters, True
         if cost_prev - cost <= 1e-9 * cost_prev:
-            return params, cost, iters, True  # at the noise floor
-    return params, cost, iters, False
+            return model, r, cost, iters, True  # at the noise floor
+    return model, r, cost, iters, False
 
 
 def estimate_pose_5dof(
@@ -243,22 +292,28 @@ def estimate_pose_5dof(
 ) -> MagMeasurement5DoF:
     """Levenberg-Marquardt fit of position + heading to one reading."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
-    return _fit_5dof(target, reading.timestamp, dipole, init, settings)
+    return _fit_5dof(target, reading.timestamp, dipole, init, settings)[0]
 
 
 def _fit_5dof(target, timestamp, dipole, init, settings):
-    """estimate_pose_5dof on an actuator-free, flattened reading."""
+    """estimate_pose_5dof on an actuator-free, flattened reading.
+
+    Returns (estimate, residual, model): the fit's residual vector and
+    _DipoleEval at the parameters of the attempt the estimate is from."""
     theta, phi = angles_from_heading(init.heading)
     params0 = np.concatenate([init.position, [theta, phi]])
 
     best = None
-    rng = np.random.default_rng(0xC0FFEE)
+    rng = None  # restarts only; the same seed each frame
     for attempt in range(settings.restart_count + 1):
         p0 = params0.copy()
         if attempt > 0:
+            if rng is None:
+                rng = np.random.default_rng(0xC0FFEE)
             p0[:3] += rng.normal(0.0, 0.01, size=3)
             p0[3:] += rng.normal(0.0, 0.15, size=2)
-        params, cost, iters, ok = _levenberg_marquardt(p0, target, dipole, settings)
+        model, r, cost, iters, ok = _levenberg_marquardt(p0, target, dipole, settings)
+        params = model.params
         est = MagMeasurement5DoF(
             timestamp,
             params[:3],
@@ -267,12 +322,12 @@ def _fit_5dof(target, timestamp, dipole, init, settings):
             residual=float(np.sqrt(cost)),
             iterations=iters,
         )
-        if best is None or est.residual < best.residual:
-            best = est
+        if best is None or est.residual < best[0].residual:
+            best = (est, r, model)
         if ok:
             return best
     raise DivergenceError(
-        f"no convergence after {settings.restart_count + 1} attempts", best
+        f"no convergence after {settings.restart_count + 1} attempts", best[0]
     )
 
 
@@ -292,11 +347,11 @@ def grid_search_init(
 
 # (theta, phi) of the grid search's 26 headings: the unit vectors towards a
 # cube cell's neighbours, in dx, dy, dz order.
-_GRID_HEADINGS = np.array([
-    angles_from_heading(np.divide(d, np.linalg.norm(d)))
+_GRID_HEADINGS = np.stack(angles_from_heading([
+    np.divide(d, np.linalg.norm(d))
     for d in itertools.product((-1, 0, 1), repeat=3)
     if any(d)
-])
+]), axis=-1)
 
 
 def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_extent):
@@ -312,8 +367,9 @@ def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_ext
     pos = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
     pos = pos[pos[:, 2] <= -0.01]
     m = dipole.moment_magnitude * heading_from_angles(*_GRID_HEADINGS.T).T  # (26, 3)
-    r = sensor_positions().reshape(1, -1, 3) - pos[:, None, :]  # (P, 64, 3)
-    G = _moment_gain(r, np.sum(r * r, axis=2, keepdims=True))
+    r = _SENSORS - pos[:, None, :]  # (P, 64, 3)
+    d2 = np.sum(r * r, axis=2, keepdims=True)
+    G = _moment_gain(r, d2, MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2)))
     diff = np.einsum("psc,hc->phs", G, m)  # (P, 26, 64) b_z of every candidate
     diff -= target
     costs = np.einsum("phs,phs->ph", diff, diff)
@@ -331,12 +387,21 @@ def position_covariance(
 ) -> np.ndarray:
     """(3, 3) position covariance sigma^2 (J^T J)^-1 of one frame's fit.
 
-    J is the residual Jacobian at the estimate and sigma^2 = residual^2 /
-    (64 - 5), the noise variance the fit's own residual implies. Raises
-    numpy.linalg.LinAlgError when J^T J is singular."""
+    J is the residual Jacobian at the estimate, with the heading angles
+    re-derived from est.heading, and sigma^2 = residual^2 / (64 - 5), the
+    noise variance the fit's own residual implies. Raises
+    numpy.linalg.LinAlgError when J^T J is singular.
+
+    localize_stream does not call this: it takes the same formula with the
+    Jacobian Levenberg-Marquardt holds at its own final parameters, which
+    differs from this one in rounding only."""
     params = np.concatenate([est.position, angles_from_heading(est.heading)])
-    J = _jacobian(params, dipole)
-    sigma2 = est.residual**2 / (target_flat.size - params.size)
+    return _fit_covariance(_jacobian(params, dipole), est.residual, target_flat.size)
+
+
+def _fit_covariance(J, residual, n_cells):
+    """sigma^2 (J^T J)^-1 [:3, :3] with sigma^2 = residual^2 / (n_cells - 5)."""
+    sigma2 = residual**2 / (n_cells - J.shape[1])
     return sigma2 * np.linalg.inv(J.T @ J)[:3, :3]
 
 
@@ -391,22 +456,30 @@ def localize_stream(
     gated frame carries the previous fit forward and has converged=False.
     The output position is that of a causal Kalman filter on position
     (see the module docstring): every converged frame's fit updates it
-    with covariance position_covariance; a diverged or gated frame only
+    with covariance sigma^2 (J^T J)^-1, J being the Jacobian
+    Levenberg-Marquardt holds at the fit; a diverged or gated frame only
     advances its prediction. The heading, residual, iterations and
     converged flag are the frame's own; the warm start and the outlier
     gate use the frame's own fit, never the filtered position. On
     noiseless readings the fit's covariance is ~0 and the filter returns
     the fitted positions unchanged.
+
+    With diagnostics_path, one line per frame is written there: timestamp,
+    iterations, residual, converged, the gate value and the filter's
+    per-axis position sd after the frame (nan before the first update).
+    Writing it changes no estimate.
     """
     out = []
     prev = None
-    gate_history = []
+    # The gate's last _GATE_HISTORY values, frame k in slot k % _GATE_HISTORY.
+    gate_history = np.empty(_GATE_HISTORY)
+    n_seen = 0  # frames whose gate value was recorded
+    actuator_bz = actuator.field(_SENSORS)[:, 2]
     track = _PositionTrack()
     diag = open(diagnostics_path, "w") if diagnostics_path else None
     try:
         for reading in readings:
-            subtracted = subtract_actuator_field(reading, actuator).values
-            target = subtracted.ravel()
+            target = reading.values.ravel() - actuator_bz
             if prev is None:
                 init = _grid_search(
                     target, reading.timestamp, dipole,
@@ -415,7 +488,9 @@ def localize_stream(
             else:
                 init = prev
             try:
-                est = _fit_5dof(target, reading.timestamp, dipole, init, settings)
+                est, r, model = _fit_5dof(
+                    target, reading.timestamp, dipole, init, settings
+                )
             except DivergenceError as e:
                 carried = e.best
                 if prev is not None:
@@ -430,18 +505,16 @@ def localize_stream(
                 else:
                     carried.converged = False
                 est = carried
+                params = np.concatenate([est.position, angles_from_heading(est.heading)])
+                r = predict_normal_components(params, dipole) - target
+                model = None
 
             # Outlier gate: second-difference of the fit residual grid vs the
             # running median. Gated frames keep the previous estimate.
-            fit = predict_normal_components(
-                np.concatenate([est.position, angles_from_heading(est.heading)]),
-                dipole,
-            ).reshape(SENSOR_GRID_N, SENSOR_GRID_N)
-            gate_val = float(
-                np.linalg.norm(directional_second_difference(subtracted - fit))
-            )
-            if len(gate_history) >= 10 and prev is not None:
-                med = float(np.median(gate_history))
+            resid_grid = -r.reshape(SENSOR_GRID_N, SENSOR_GRID_N)  # data - fit
+            gate_val = float(_norm(directional_second_difference(resid_grid).ravel()))
+            if n_seen >= 10 and prev is not None:
+                med = float(np.median(gate_history[:n_seen]))
                 if med > 0 and gate_val > _OUTLIER_GATE * med:
                     est = MagMeasurement5DoF(
                         reading.timestamp,
@@ -451,14 +524,13 @@ def localize_stream(
                         residual=est.residual,
                         iterations=est.iterations,
                     )
-            gate_history.append(gate_val)
-            if len(gate_history) > 200:
-                gate_history.pop(0)
+            gate_history[n_seen % _GATE_HISTORY] = gate_val
+            n_seen += 1
 
             track.predict(reading.timestamp)
-            if est.converged:
+            if est.converged:  # so est, r and model are the fit's
                 try:
-                    R = position_covariance(est, target, dipole)
+                    R = _fit_covariance(model.jacobian(), est.residual, target.size)
                     track.update(est.position, R)
                 except np.linalg.LinAlgError:
                     pass  # no usable covariance: prediction only
@@ -467,9 +539,11 @@ def localize_stream(
                 est = replace(est, position=track.x.copy())
             out.append(est)
             if diag is not None:
+                sd = np.full(3, np.nan) if track.P is None else np.sqrt(np.diag(track.P))
                 diag.write(
                     f"{est.timestamp!r} iterations={est.iterations} "
-                    f"residual={est.residual!r} converged={int(est.converged)}\n"
+                    f"residual={est.residual!r} converged={int(est.converged)} "
+                    f"gate={gate_val!r} pos_sd={','.join(repr(float(v)) for v in sd)}\n"
                 )
     finally:
         if diag is not None:
@@ -478,7 +552,9 @@ def localize_stream(
 
 
 def localize_dataset(
-    ds: Dataset, settings: InversionSettings = InversionSettings()
+    ds: Dataset,
+    settings: InversionSettings = InversionSettings(),
+    diagnostics_path=None,
 ) -> list:
     """localize_stream over a simulated dataset's magnetic stream, with the
     actuator field, workspace and dipole of that dataset."""
@@ -489,4 +565,5 @@ def localize_dataset(
         settings,
         workspace_center=ds.config.workspace_center,
         workspace_half_extent=ds.config.workspace_half_extent,
+        diagnostics_path=diagnostics_path,
     )

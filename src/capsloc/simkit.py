@@ -292,24 +292,32 @@ def generate_trajectory(cfg: SimConfig) -> Trajectory:
     return Trajectory(times, poses)
 
 
+def _dipole_fields(t, euler, dipole: DipoleParams, points) -> np.ndarray:
+    """Point-dipole fields (n, q, 3) at points (q, 3) of n capsules at
+    positions t (n, 3) with wrapped Euler angles euler (n, 3), tesla."""
+    m = dipole.moment_magnitude * (
+        euler_to_matrix(euler) @ np.asarray(dipole.moment_axis)
+    )
+    r = points - t[:, None, :]
+    dist = np.linalg.norm(r, axis=-1)
+    if np.any(dist <= EXCLUSION_RADIUS):
+        raise ValueError("query point within 1 mm of the dipole")
+    r /= dist[..., None]  # rhat
+    return (
+        MU0_OVER_4PI * (3.0 * (r @ m[:, :, None]) * r - m[:, None, :])
+        / dist[..., None] ** 3
+    )
+
+
 def dipole_field(capsule_pose: Pose, dipole: DipoleParams, query_point) -> np.ndarray:
     """Point-dipole field at query_point (world), tesla.
 
     B(r) = (mu0 / 4 pi) (3 (m.rhat) rhat - m) / |r|^3
     """
     q = np.asarray(query_point, dtype=float)
-    single = q.ndim == 1
-    q = np.atleast_2d(q)
-    m = dipole.moment_magnitude * (
-        euler_to_matrix(capsule_pose.r) @ np.asarray(dipole.moment_axis)
-    )
-    r = q - capsule_pose.t
-    dist = np.linalg.norm(r, axis=-1)
-    if np.any(dist <= EXCLUSION_RADIUS):
-        raise ValueError("query point within 1 mm of the dipole")
-    rhat = r / dist[:, None]
-    B = MU0_OVER_4PI * (3.0 * (rhat @ m)[:, None] * rhat - m) / dist[:, None] ** 3
-    return B[0] if single else B
+    B = _dipole_fields(capsule_pose.t[None], capsule_pose.r[None], dipole,
+                       np.atleast_2d(q))[0]
+    return B[0] if q.ndim == 1 else B
 
 
 def sample_hall_array(
@@ -329,16 +337,29 @@ def sample_hall_array(
     return HallArrayReading(t, bz.reshape(SENSOR_GRID_N, SENSOR_GRID_N))
 
 
+# Frames per batched field evaluation in simulate_mag_stream: bounds its
+# temporaries to a few hundred kB however long the stream.
+_FIELD_CHUNK = 256
+
+
 def simulate_mag_stream(
     gt: Trajectory, cfg: SimConfig, dipole: DipoleParams, rng
 ) -> list:
-    """Hall readings at k / mag_rate for every ground-truth sample time."""
-    actuator = ActuatorFieldModel.from_config(cfg)
-    return [
-        sample_hall_array(gt.pose(k), dipole, actuator, gt.times[k],
-                          cfg.mag_noise_sd, rng)
-        for k in range(len(gt))
-    ]
+    """Hall readings at k / mag_rate for every ground-truth sample time.
+
+    The fields of all frames are evaluated in batches and the noise drawn in
+    one call; each reading equals sample_hall_array's at that pose."""
+    pos = sensor_positions().reshape(-1, 3)
+    t, euler = gt.poses[:, :3], wrap_angle(gt.poses[:, 3:])  # as Pose wraps
+    bz = np.empty((len(gt), len(pos)))
+    for k in range(0, len(gt), _FIELD_CHUNK):
+        rows = slice(k, k + _FIELD_CHUNK)
+        bz[rows] = _dipole_fields(t[rows], euler[rows], dipole, pos)[..., 2]
+    bz += ActuatorFieldModel.from_config(cfg).field(pos)[:, 2]
+    if cfg.mag_noise_sd > 0:
+        bz += rng.normal(0.0, cfg.mag_noise_sd, size=bz.shape)
+    grids = bz.reshape(-1, SENSOR_GRID_N, SENSOR_GRID_N)
+    return [HallArrayReading(stamp, v) for stamp, v in zip(gt.times, grids)]
 
 
 def emulate_evo_stream(gt: Trajectory, cfg: SimConfig, rng) -> list:

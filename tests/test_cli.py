@@ -147,6 +147,27 @@ def test_localize_train_evaluate_pipeline(tmp_path, capsys):
     assert "fusion" in capsys.readouterr().out
 
 
+def test_localize_mag_diagnostics_leave_estimates_unchanged(tmp_path):
+    cfg = fast_cfg(tmp_path)
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", cfg, "--seed", "12", "--out", str(data)]) == 0
+    ds_path = str(data / "dataset_seed12.txt")
+    plain, logged = tmp_path / "plain.txt", tmp_path / "logged.txt"
+    diag = tmp_path / "diag.txt"
+    assert main(["localize-mag", "--config", cfg, ds_path, "--out", str(plain)]) == 0
+    assert main(["localize-mag", "--config", cfg, ds_path, "--out", str(logged),
+                 "--diagnostics", str(diag)]) == 0
+    assert plain.read_bytes() == logged.read_bytes()
+    lines = diag.read_text().splitlines()
+    assert len(lines) == len(simkit.read_dataset(ds_path).mag)
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split()[1:])
+        assert set(fields) == {"iterations", "residual", "converged", "gate", "pos_sd"}
+        assert float(fields["gate"]) >= 0.0
+        sd = [float(v) for v in fields["pos_sd"].split(",")]
+        assert len(sd) == 3 and all(0.0 <= v < 0.1 for v in sd)
+
+
 def test_align_demo_command(tmp_path, capsys):
     out = str(tmp_path / "align.txt")
     rc = main(["align-demo", "--seed", "2", "--out", out])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,13 @@ def init_from(pose, dipole, dpos=(0, 0, 0), dr=(0, 0, 0)):
 
 def test_heading_angle_roundtrip():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        h = rng.normal(0, 1, 3)
-        h /= np.linalg.norm(h)
+    hs = rng.normal(0, 1, (50, 3))
+    hs /= np.linalg.norm(hs, axis=1, keepdims=True)
+    thetas, phis = ml.angles_from_heading(hs)
+    for h, theta_b, phi_b in zip(hs, thetas, phis):
         theta, phi = ml.angles_from_heading(h)
+        # One call over many headings equals a call per heading.
+        assert theta == theta_b and phi == phi_b
         back = ml.heading_from_angles(theta, phi)
         assert np.allclose(back, h, atol=1e-12)
 
@@ -342,7 +347,8 @@ def test_jacobian_matches_central_differences():
             *rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03),
             theta, rng.uniform(-np.pi, np.pi),
         ])
-        J = ml._jacobian(params, dipole)
+        # The Jacobian Levenberg-Marquardt reads: built from a model evaluation.
+        J = ml._DipoleEval(params, dipole.moment_magnitude).jacobian()
         J_fd = _central_difference_jacobian(params, dipole)
         for col in range(5):
             err = np.linalg.norm(J[:, col] - J_fd[:, col])
@@ -422,3 +428,111 @@ def test_grid_search_matches_loop():
         assert np.array_equal(got.position, params[:3])
         assert np.array_equal(got.heading, ml.heading_from_angles(*params[3:]))
         assert abs(got.residual**2 - cost) <= 1e-12 * cost
+
+
+def _closed_form_bz(params, dipole):
+    """b_z at the 64 sensors, written out as the point-dipole formula."""
+    m = dipole.moment_magnitude * ml.heading_from_angles(params[3], params[4])
+    r = sk.sensor_positions().reshape(-1, 3) - params[:3]
+    dist = np.linalg.norm(r, axis=1)
+    mdotr = r @ m
+    return sk.MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] / dist**2 - m[2]) / dist**3
+
+
+def test_model_kernel_bz_matches_closed_form_bit_for_bit():
+    dipole = sk.DipoleParams()
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        params = np.array([
+            *rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03),
+            rng.uniform(-1.0, 4.0), rng.uniform(-4.0, 4.0),
+        ])
+        model = ml._DipoleEval(params, dipole.moment_magnitude)
+        assert np.array_equal(model.bz, ml.predict_normal_components(params, dipole))
+        assert np.array_equal(model.bz, _closed_form_bz(params, dipole))
+        assert np.array_equal(model.jacobian(), ml._jacobian(params, dipole))
+
+
+def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half_extent):
+    """Reference stream: after each fit, the model and its Jacobian are
+    evaluated again at the fitted pose, with the heading angles re-derived
+    from the unit heading, for the outlier gate and position_covariance.
+    Returns the estimates, each frame's gate value and whether it was gated."""
+    out, gates, gated, history = [], [], [], []
+    prev = None
+    track = ml._PositionTrack()
+    for reading in readings:
+        subtracted = ml.subtract_actuator_field(reading, act).values
+        target = subtracted.ravel()
+        init = prev
+        if prev is None:
+            init = ml.grid_search_init(reading, act, dipole, center, half_extent)
+        try:
+            est = ml.estimate_pose_5dof(reading, act, dipole, init, settings)
+        except ml.DivergenceError as e:
+            est = e.best
+            if prev is not None:
+                est = ml.MagMeasurement5DoF(
+                    reading.timestamp, prev.position, prev.heading,
+                    residual=e.best.residual, iterations=e.best.iterations,
+                )
+            est.converged = False
+        params = np.concatenate([est.position, ml.angles_from_heading(est.heading)])
+        fit = ml.predict_normal_components(params, dipole).reshape(8, 8)
+        gate = float(np.linalg.norm(ml.directional_second_difference(subtracted - fit)))
+        is_gated = False
+        if len(history) >= 10 and prev is not None:
+            med = float(np.median(history))
+            is_gated = med > 0 and gate > ml._OUTLIER_GATE * med
+        if is_gated:
+            est = ml.MagMeasurement5DoF(
+                reading.timestamp, prev.position, prev.heading, converged=False,
+                residual=est.residual, iterations=est.iterations,
+            )
+        history = (history + [gate])[-200:]
+        gates.append(gate)
+        gated.append(is_gated)
+        track.predict(reading.timestamp)
+        if est.converged:
+            try:
+                track.update(est.position, ml.position_covariance(est, target, dipole))
+            except np.linalg.LinAlgError:
+                pass
+        prev = est
+        out.append(est if track.x is None else replace(est, position=track.x.copy()))
+    return out, gates, gated
+
+
+@pytest.mark.parametrize("max_iterations", [60, 8])
+def test_localize_stream_matches_per_frame_gate_and_covariance(max_iterations, tmp_path):
+    # The stream's gate and covariance read the fit's own residual and
+    # Jacobian. At 8 iterations a fifth of the frames diverge, and some
+    # converge only after restarts; frame 40 carries a spike.
+    settings = ml.InversionSettings(max_iterations=max_iterations)
+    cfg = sk.SimConfig(duration=2.0, seed=5)
+    ds = sk.simulate_dataset(cfg)
+    act = sk.ActuatorFieldModel.from_config(cfg)
+    readings = list(ds.mag)
+    spiked = readings[40].values.copy()
+    spiked[3, 4] += 1e-4
+    readings[40] = sk.HallArrayReading(readings[40].timestamp, spiked)
+    ref, ref_gates, ref_gated = _per_frame_gate_and_covariance(
+        readings, act, ds.dipole, settings, cfg.workspace_center, cfg.workspace_half_extent
+    )
+    diag = tmp_path / "diag.txt"
+    got = ml.localize_stream(
+        readings, act, ds.dipole, settings, cfg.workspace_center,
+        cfg.workspace_half_extent, diagnostics_path=diag,
+    )
+    assert ref_gated[40] and sum(ref_gated) < 5
+    assert len(got) == len(ref)
+    for e, r in zip(got, ref):
+        assert np.array_equal(e.heading, r.heading)
+        assert e.residual == r.residual
+        assert e.iterations == r.iterations
+        assert e.converged == r.converged
+        assert np.max(np.abs(e.position - r.position)) <= 1e-15
+    # The diagnostics' gate values are the reference's up to rounding.
+    lines = diag.read_text().splitlines()
+    gates = [float(line.split(" gate=")[1].split()[0]) for line in lines]
+    assert np.allclose(gates, ref_gates, rtol=1e-9, atol=0.0)

@@ -120,6 +120,34 @@ def test_hall_array_noiseless_matches_dipole():
             assert abs(reading.values[i, j] - Bz) < 1e-18
 
 
+def test_mag_stream_matches_per_frame_sampling():
+    # One batched field over all frames equals sample_hall_array frame by
+    # frame, noise included; some Euler angles lie outside (-pi, pi], which
+    # Pose wraps.
+    rng = np.random.default_rng(8)
+    n = 40
+    poses = np.column_stack([
+        rng.uniform(-0.03, 0.03, (n, 2)), rng.uniform(-0.1, -0.05, n),
+        rng.uniform(-7.0, 7.0, (n, 3)),
+    ])
+    gt = Trajectory(np.arange(n) / 50.0, poses)
+    cfg = sk.SimConfig(actuator_uniform=(1e-4, -2e-4, 3e-4),
+                       actuator_gradient=(1e-3, 2e-3, -3e-3))
+    dip = sk.DipoleParams(moment_magnitude=2.5e-3, moment_axis=(0, 1, 0))
+    act = sk.ActuatorFieldModel.from_config(cfg)
+    got = sk.simulate_mag_stream(gt, cfg, dip, np.random.default_rng(3))
+    ref_rng = np.random.default_rng(3)
+    for k, reading in enumerate(got):
+        ref = sk.sample_hall_array(
+            Pose(poses[k, :3], poses[k, 3:]), dip, act, gt.times[k], cfg.mag_noise_sd, ref_rng
+        )
+        assert reading.timestamp == ref.timestamp
+        assert np.array_equal(reading.values, ref.values)
+    poses[17, :3] = sk.sensor_positions()[2, 5] + [0.0, 0.0, -5e-4]
+    with pytest.raises(ValueError):
+        sk.simulate_mag_stream(gt, cfg, dip, np.random.default_rng(3))
+
+
 def test_hall_array_actuator_only():
     pose = Pose([0, 0, -0.08], [0, 0, 0])
     dip = sk.DipoleParams(moment_magnitude=1e-12, moment_axis=(0, 0, 1))
