@@ -23,17 +23,25 @@ Marquardt therefore damps every parameter by at least 1e-12 times the
 largest diagonal entry of J^T J, so a vanishing column cannot produce a
 huge phi step.
 
-One kernel (_DipoleEval) evaluates the model once per Levenberg-Marquardt
-trial and builds the Jacobian from that evaluation when an iteration needs
-it. The fit returns its final residual and model evaluation: the outlier
-gate reads that residual and the filter's covariance that Jacobian, so
+One kernel (_lm_rows) serves every use of the model on the fit's path.
+In one pass per Levenberg-Marquardt trial it fills a (6, 64) array whose
+rows are J^T and the residual, sharing d^2, C / d^5 and m.r between them,
+and returns the array with its Gram matrix [J r]^T [J r]: the normal
+equations J^T J, J^T r and the cost r.r are slices of that one 6 x 6
+product. Its sensor offsets are two (64,) vectors and one scalar, since
+every sensor lies at z = 0. The fit returns its final rows: the outlier
+gate reads their residual and the filter's covariance their J^T J, so
 nothing evaluates the model again after the fit, except at the carried
-pose of a diverged frame.
+pose of a diverged frame. predict_normal_components keeps the closed
+form's own operation order and equals the kernel's b_z up to rounding.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,10 +89,12 @@ class MagMeasurement5DoF:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
+        if not np.isfinite(self.position).all():
+            raise ValueError("position must be finite")
         h = np.asarray(self.heading, dtype=float).reshape(3)
         n = _norm(h)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("heading must be unit-norm")
+        if not abs(n - 1.0) <= 1e-9:  # also false for a non-finite heading
+            raise ValueError("heading must be finite and unit-norm")
         self.heading = h / n
 
 
@@ -96,8 +106,13 @@ class InversionSettings:
     restart_count: int = 3
 
     def __post_init__(self):
-        if self.convergence_tol <= 0 or self.initial_damping <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if self.restart_count < 0:
+            raise ValueError("restart_count must not be negative")
+        for tol in (self.convergence_tol, self.initial_damping):
+            if not (tol > 0 and math.isfinite(tol)):
+                raise ValueError("tolerances must be finite and positive")
 
 
 # A streamed frame is gated when its differentiated fit residual exceeds
@@ -156,55 +171,63 @@ def directional_second_difference(reading: HallArrayReading) -> np.ndarray:
     return second_diff_rows(v) + second_diff_rows(v.T).T
 
 
-class _DipoleEval:
-    """The dipole b_z model evaluated once at params (x, y, z, theta, phi).
+# The sensors' x and y coordinates as two contiguous (64,) vectors. Every
+# sensor lies in the plane z = 0, so each one's offset from the dipole at
+# depth z has the same z component, -z.
+_SX, _SY = (np.ascontiguousarray(c) for c in _SENSORS[:, :2].T)
 
-    Keeps what the Jacobian reads: the moment m, the sines and cosines of
-    its angles, the sensor offsets r = s - p, their squared lengths d2 and
-    lengths d, and m.r. The Jacobian is built from these on first request
-    and kept, so a Levenberg-Marquardt iteration that needs it at an
-    accepted trial does not evaluate the model again."""
 
-    __slots__ = ("params", "bz", "_trig", "_m", "_r", "_d2", "_dist", "_mdotr", "_J")
+def _lm_rows(params, target_flat, moment_magnitude):
+    """The dipole model's Levenberg-Marquardt rows at params (x, y, z,
+    theta, phi), in one pass.
 
-    def __init__(self, params, moment_magnitude):
-        st, ct = np.sin(params[3]), np.cos(params[3])
-        sp, cp = np.sin(params[4]), np.cos(params[4])
-        M = moment_magnitude
-        m = M * np.array([st * cp, st * sp, ct])  # M heading_from_angles
-        r = _SENSORS - params[:3]
-        d2 = np.sum(r * r, axis=1)
-        dist = np.sqrt(d2)
-        mdotr = r @ m
-        self.bz = MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] / dist**2 - m[2]) / dist**3
-        self.params = params
-        self._trig = (M, st, ct, sp, cp)
-        self._m, self._r, self._d2, self._dist, self._mdotr = m, r, d2, dist, mdotr
-        self._J = None
+    Returns (A, W). A (6, 64) holds J^T, the closed-form Jacobian of b_z
+    with respect to the five parameters, as rows 0-4 and the residual
+    r = b_z - target_flat as row 5; W = A A^T, so W[:5, :5] = J^T J,
+    W[:5, 5] = J^T r and W[5, 5] = r.r.
 
-    def jacobian(self) -> np.ndarray:
-        """(64, 5) derivative of bz with respect to (x, y, z, theta, phi),
-        in closed form.
-
-        With r = s - p, d = |r| and b = C (3 (m.r) r_z / d^5 - m_z / d^3):
-        db/dr = C (3 (m r_z + (m.r) e_z) / d^5 - (15 (m.r) r_z / d^2 - 3 m_z) r / d^5),
-        db/dp = -db/dr, and db/dm (_moment_gain) is chained with dm/dtheta
-        and dm/dphi."""
-        if self._J is None:
-            M, st, ct, sp, cp = self._trig
-            dm = M * np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
-            m, r = self._m, self._r
-            d2 = self._d2[:, None]
-            mdotr = self._mdotr[:, None]
-            scale = MU0_OVER_4PI / (d2 * d2 * self._dist[:, None])  # C / d^5
-            rz = r[:, 2:]
-            db_dr = 3.0 * rz * m - (15.0 * mdotr * rz / d2 - 3.0 * m[2]) * r
-            db_dr[:, 2:] += 3.0 * mdotr
-            J = np.empty((r.shape[0], 5))
-            J[:, :3] = db_dr * -scale
-            J[:, 3:] = _moment_gain(r, d2, scale) @ dm
-            self._J = J
-        return self._J
+    With the sensor offset r = s - p = (rx, ry, rz), d = |r|, the moment
+    m = M (st cp, st sp, ct) and w = rx cp + ry sp, v = ry cp - rx sp its
+    offset along and across the moment's azimuth, every row is C / d^5
+    times:
+        b_z:    3 (m.r) rz - m_z d^2
+        d/dp:   q r - 3 rz m - 3 (m.r) e_z,  q = 15 (m.r) rz / d^2 - 3 m_z
+        d/dth:  M (3 rz ct w + st (d^2 - 3 rz^2))
+        d/dph:  3 M rz st v
+    with m.r = M st w + m_z rz."""
+    x, y, z, theta, phi = params.tolist()
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    M = moment_magnitude
+    mz = M * ct
+    rz = -z
+    k = 3.0 * rz * M * st  # 3 rz M st
+    kz = 3.0 * rz * mz  # 3 rz m_z
+    rx = _SX - x
+    ry = _SY - y
+    d2 = rx * rx + ry * ry + rz * rz
+    w = rx * cp + ry * sp
+    v = ry * cp - rx * sp
+    mdotr3 = w * (3.0 * M * st) + kz  # 3 m.r
+    q = mdotr3 * (5.0 * rz) / d2 - 3.0 * mz
+    A = np.empty((6, _SX.size))
+    jx, jy, jz, jth, jph, bz = A  # views: rows 0-4 J^T, row 5 the residual
+    np.multiply(q, rx, out=jx)
+    jx -= k * cp
+    np.multiply(q, ry, out=jy)
+    jy -= k * sp
+    np.multiply(q, rz, out=jz)
+    jz -= mdotr3
+    jz -= kz
+    np.multiply(w, kz, out=jth)
+    jth += d2 * (M * st)
+    jth -= 3.0 * rz * rz * M * st
+    np.multiply(v, k, out=jph)
+    np.multiply(mdotr3, rz, out=bz)
+    bz -= mz * d2
+    A *= MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2))  # C / d^5
+    bz -= target_flat
+    return A, A @ A.T
 
 
 def predict_normal_components(
@@ -212,7 +235,13 @@ def predict_normal_components(
 ) -> np.ndarray:
     """z-component of the dipole field at all 64 sensors for parameters
     (x, y, z, theta, phi). Vectorized closed form, no Pose construction."""
-    return _DipoleEval(params, dipole.moment_magnitude).bz
+    st, ct = np.sin(params[3]), np.cos(params[3])
+    sp, cp = np.sin(params[4]), np.cos(params[4])
+    m = dipole.moment_magnitude * np.array([st * cp, st * sp, ct])
+    r = _SENSORS - params[:3]
+    dist = np.sqrt(np.sum(r * r, axis=1))
+    mdotr = r @ m
+    return MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] / dist**2 - m[2]) / dist**3
 
 
 def _moment_gain(r, d2, scale):
@@ -225,62 +254,51 @@ def _moment_gain(r, d2, scale):
     return G
 
 
-def _jacobian(params, dipole):
-    """(64, 5) derivative of predict_normal_components with respect to
-    (x, y, z, theta, phi); see _DipoleEval.jacobian."""
-    return _DipoleEval(params, dipole.moment_magnitude).jacobian()
-
-
 def _levenberg_marquardt(params0, target_flat, dipole, settings):
     """Fit params to target_flat from params0.
 
-    Returns (model, residual, cost, iterations, converged): model is the
-    _DipoleEval at the final params (model.params) and residual its
-    bz - target_flat, whose squared norm is cost. Each trial evaluates the
-    model once, and the Jacobian of an iteration is that of the model
-    accepted last."""
+    Returns (params, A, W, iterations, converged): A and W are _lm_rows at
+    the final params, so A[5] is the residual and W[5, 5] its squared norm.
+    Each trial evaluates _lm_rows once, and an iteration reads its normal
+    equations from the W of the trial accepted last."""
     M = dipole.moment_magnitude
-    model = _DipoleEval(params0.copy(), M)
-    r = model.bz - target_flat
-    cost = float(r @ r)
+    params = params0.copy()
+    A, W = _lm_rows(params, target_flat, M)
     lam = settings.initial_damping
     iters = 0
     for iters in range(1, settings.max_iterations + 1):
-        cost_prev = cost
-        params = model.params
-        J = model.jacobian()
-        neg_g = -(J.T @ r)
-        H = J.T @ J
+        cost_prev = cost = W[5, 5]
+        neg_g = -W[:5, 5]
+        H = W[:5, :5]
         # Marquardt scaling, floored: at a heading pole the phi column of J
         # is rounding noise, and an unfloored diagonal would not damp it.
         dH = H.diagonal()
         D = np.maximum(dH, 1e-12 * dH.max())
         stepped = False
         for _ in range(25):
-            A = H.copy()
-            A.ravel()[::6] += lam * D  # H + lam diag(D)
+            A_damped = H.copy()
+            A_damped.ravel()[::6] += lam * D  # H + lam diag(D)
             try:
-                delta = np.linalg.solve(A, neg_g)
+                delta = np.linalg.solve(A_damped, neg_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = _DipoleEval(params + delta, M)
-            r_trial = trial.bz - target_flat
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial < cost:
+            trial = params + delta
+            A_trial, W_trial = _lm_rows(trial, target_flat, M)
+            if W_trial[5, 5] < cost:
                 rel_step = _norm(delta) / (_norm(params) + 1e-12)
-                model, r, cost = trial, r_trial, cost_trial
+                params, A, W = trial, A_trial, W_trial
                 lam = max(lam / 10.0, 1e-14)
                 stepped = True
                 break
             lam *= 10.0
         if not stepped:
-            return model, r, cost, iters, True  # stalled at a minimum
+            return params, A, W, iters, True  # stalled at a minimum
         if rel_step < settings.convergence_tol:
-            return model, r, cost, iters, True
-        if cost_prev - cost <= 1e-9 * cost_prev:
-            return model, r, cost, iters, True  # at the noise floor
-    return model, r, cost, iters, False
+            return params, A, W, iters, True
+        if cost_prev - W[5, 5] <= 1e-9 * cost_prev:
+            return params, A, W, iters, True  # at the noise floor
+    return params, A, W, iters, False
 
 
 def estimate_pose_5dof(
@@ -298,8 +316,8 @@ def estimate_pose_5dof(
 def _fit_5dof(target, timestamp, dipole, init, settings):
     """estimate_pose_5dof on an actuator-free, flattened reading.
 
-    Returns (estimate, residual, model): the fit's residual vector and
-    _DipoleEval at the parameters of the attempt the estimate is from."""
+    Returns (estimate, A, W): _lm_rows at the parameters of the attempt
+    the estimate is from, so A[5] is that fit's residual vector."""
     theta, phi = angles_from_heading(init.heading)
     params0 = np.concatenate([init.position, [theta, phi]])
 
@@ -312,18 +330,17 @@ def _fit_5dof(target, timestamp, dipole, init, settings):
                 rng = np.random.default_rng(0xC0FFEE)
             p0[:3] += rng.normal(0.0, 0.01, size=3)
             p0[3:] += rng.normal(0.0, 0.15, size=2)
-        model, r, cost, iters, ok = _levenberg_marquardt(p0, target, dipole, settings)
-        params = model.params
+        params, A, W, iters, ok = _levenberg_marquardt(p0, target, dipole, settings)
         est = MagMeasurement5DoF(
             timestamp,
             params[:3],
             heading_from_angles(params[3], params[4]),
             converged=ok,
-            residual=float(np.sqrt(cost)),
+            residual=float(np.sqrt(W[5, 5])),
             iterations=iters,
         )
         if best is None or est.residual < best[0].residual:
-            best = (est, r, model)
+            best = (est, A, W)
         if ok:
             return best
     raise DivergenceError(
@@ -392,17 +409,20 @@ def position_covariance(
     noise variance the fit's own residual implies. Raises
     numpy.linalg.LinAlgError when J^T J is singular.
 
-    localize_stream does not call this: it takes the same formula with the
-    Jacobian Levenberg-Marquardt holds at its own final parameters, which
-    differs from this one in rounding only."""
+    J^T J is read from the same _lm_rows kernel as the fit's. On a stream,
+    localize_stream reads it from the fit's own last kernel call instead,
+    at Levenberg-Marquardt's final angles, so the two differ in rounding
+    only."""
     params = np.concatenate([est.position, angles_from_heading(est.heading)])
-    return _fit_covariance(_jacobian(params, dipole), est.residual, target_flat.size)
+    _, W = _lm_rows(params, target_flat, dipole.moment_magnitude)
+    return _fit_covariance(W, est.residual, target_flat.size)
 
 
-def _fit_covariance(J, residual, n_cells):
-    """sigma^2 (J^T J)^-1 [:3, :3] with sigma^2 = residual^2 / (n_cells - 5)."""
-    sigma2 = residual**2 / (n_cells - J.shape[1])
-    return sigma2 * np.linalg.inv(J.T @ J)[:3, :3]
+def _fit_covariance(W, residual, n_cells):
+    """sigma^2 (J^T J)^-1 [:3, :3] with J^T J = W[:5, :5] from _lm_rows and
+    sigma^2 = residual^2 / (n_cells - 5)."""
+    sigma2 = residual**2 / (n_cells - 5)
+    return sigma2 * np.linalg.inv(W[:5, :5])[:3, :3]
 
 
 # Process sd of the streaming position filter per second of stream, per
@@ -412,6 +432,27 @@ def _fit_covariance(J, residual, n_cells):
 # moves each axis by 0.55 mm sd per 20 ms frame, and three sd of that step
 # is 0.083 m/s. The sum, 0.128 m/s, is 2.6 mm per frame at 50 Hz.
 _MAX_SPEED = 0.128
+
+
+class _GateWindow:
+    """The outlier gate's last _GATE_HISTORY values, in arrival order and
+    sorted: their median is the middle value, or the mean of the two middle
+    values as np.median takes it, with no sort per frame."""
+
+    def __init__(self):
+        self.ring = deque()
+        self.sorted = []
+
+    def push(self, value: float) -> None:
+        if len(self.ring) == _GATE_HISTORY:
+            del self.sorted[bisect.bisect_left(self.sorted, self.ring.popleft())]
+        self.ring.append(value)
+        bisect.insort(self.sorted, value)
+
+    def median(self) -> float:
+        n = len(self.sorted)
+        h = n // 2
+        return self.sorted[h] if n % 2 else (self.sorted[h - 1] + self.sorted[h]) / 2
 
 
 class _PositionTrack:
@@ -471,9 +512,7 @@ def localize_stream(
     """
     out = []
     prev = None
-    # The gate's last _GATE_HISTORY values, frame k in slot k % _GATE_HISTORY.
-    gate_history = np.empty(_GATE_HISTORY)
-    n_seen = 0  # frames whose gate value was recorded
+    gate_window = _GateWindow()
     actuator_bz = actuator.field(_SENSORS)[:, 2]
     track = _PositionTrack()
     diag = open(diagnostics_path, "w") if diagnostics_path else None
@@ -488,7 +527,7 @@ def localize_stream(
             else:
                 init = prev
             try:
-                est, r, model = _fit_5dof(
+                est, A, W = _fit_5dof(
                     target, reading.timestamp, dipole, init, settings
                 )
             except DivergenceError as e:
@@ -506,15 +545,14 @@ def localize_stream(
                     carried.converged = False
                 est = carried
                 params = np.concatenate([est.position, angles_from_heading(est.heading)])
-                r = predict_normal_components(params, dipole) - target
-                model = None
+                A, W = _lm_rows(params, target, dipole.moment_magnitude)
 
             # Outlier gate: second-difference of the fit residual grid vs the
             # running median. Gated frames keep the previous estimate.
-            resid_grid = -r.reshape(SENSOR_GRID_N, SENSOR_GRID_N)  # data - fit
+            resid_grid = -A[5].reshape(SENSOR_GRID_N, SENSOR_GRID_N)  # data - fit
             gate_val = float(_norm(directional_second_difference(resid_grid).ravel()))
-            if n_seen >= 10 and prev is not None:
-                med = float(np.median(gate_history[:n_seen]))
+            if len(gate_window.sorted) >= 10 and prev is not None:
+                med = gate_window.median()
                 if med > 0 and gate_val > _OUTLIER_GATE * med:
                     est = MagMeasurement5DoF(
                         reading.timestamp,
@@ -524,13 +562,12 @@ def localize_stream(
                         residual=est.residual,
                         iterations=est.iterations,
                     )
-            gate_history[n_seen % _GATE_HISTORY] = gate_val
-            n_seen += 1
+            gate_window.push(gate_val)
 
             track.predict(reading.timestamp)
-            if est.converged:  # so est, r and model are the fit's
+            if est.converged:  # so est and W are the fit's
                 try:
-                    R = _fit_covariance(model.jacobian(), est.residual, target.size)
+                    R = _fit_covariance(W, est.residual, target.size)
                     track.update(est.position, R)
                 except np.linalg.LinAlgError:
                     pass  # no usable covariance: prediction only

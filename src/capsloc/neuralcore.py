@@ -29,12 +29,13 @@ v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
 10x sqrt(v_hat) + eps.
 
 adam_step updates parameters and moments in place, in that formula's
-operation order; through gate views it writes straight into each W.
+operation order, with two scratch arrays per parameter shape kept in the
+AdamState; through gate views it writes straight into each W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -284,6 +285,8 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
+    # Two work arrays per parameter shape, which every adam_step reuses.
+    scratch: dict = field(default_factory=dict)
 
 
 def adam_init(params: dict) -> AdamState:
@@ -312,11 +315,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
     for k, p in params.items():
         g = grads[k]
         m, v = state.m[k], state.v[k]
+        if p.shape not in state.scratch:
+            state.scratch[p.shape] = (np.empty(p.shape), np.empty(p.shape))
+        a, b = state.scratch[p.shape]
         m *= hp.beta1
-        m += (1.0 - hp.beta1) * g
+        m += np.multiply(1.0 - hp.beta1, g, out=a)
         v *= hp.beta2
-        v += (1.0 - hp.beta2) * g * g
-        p -= hp.alpha * (m / m_scale) / np.sqrt(v / v_scale + hp.epsilon)
+        np.multiply(1.0 - hp.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # p -= alpha * (m / m_scale) / sqrt(v / v_scale + eps)
+        np.divide(v, v_scale, out=b)
+        b += hp.epsilon
+        np.sqrt(b, out=b)
+        np.divide(m, m_scale, out=a)
+        np.multiply(hp.alpha, a, out=a)
+        p -= np.divide(a, b, out=a)
     return params, state
 
 

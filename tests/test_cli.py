@@ -203,6 +203,22 @@ def test_bad_config_errors_to_stderr(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_bad_inversion_settings_error_to_stderr(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["simulate", "--config", fast_cfg(tmp_path), "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    for line, message in [
+        ("magloc.restart_count = -1", "restart_count must not be negative"),
+        ("magloc.max_iterations = 0", "max_iterations must be at least 1"),
+        ("magloc.convergence_tol = nan", "tolerances must be finite and positive"),
+    ]:
+        rc = main(["localize-mag", "--config", fast_cfg(tmp_path, line + "\n"),
+                   str(data / "dataset_seed1.txt"), "--out", str(tmp_path / "o.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_bad_checkpoint_errors(tmp_path, capsys):
     cfg = fast_cfg(tmp_path)
     data = tmp_path / "data"

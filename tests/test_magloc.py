@@ -49,6 +49,27 @@ def test_heading_angle_roundtrip():
 def test_measurement_heading_validation():
     with pytest.raises(ValueError):
         ml.MagMeasurement5DoF(0.0, np.zeros(3), np.array([1.0, 1.0, 0.0]), True, 0.0, 0)
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, np.nan, np.nan]):
+        with pytest.raises(ValueError, match="heading"):
+            ml.MagMeasurement5DoF(0.0, np.zeros(3), bad)
+    for bad in ([np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0]):
+        with pytest.raises(ValueError, match="position"):
+            ml.MagMeasurement5DoF(0.0, bad, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iterations": 0},
+    {"restart_count": -1},
+    {"convergence_tol": 0.0},
+    {"convergence_tol": float("nan")},
+    {"initial_damping": -1e-3},
+    {"initial_damping": float("nan")},
+    {"initial_damping": float("inf")},
+])
+def test_inversion_settings_validation(kwargs):
+    with pytest.raises(ValueError):
+        ml.InversionSettings(**kwargs)
+    ml.InversionSettings(max_iterations=1, restart_count=0)  # the smallest valid
 
 
 def test_subtract_actuator_zero_field_identity():
@@ -347,8 +368,8 @@ def test_jacobian_matches_central_differences():
             *rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03),
             theta, rng.uniform(-np.pi, np.pi),
         ])
-        # The Jacobian Levenberg-Marquardt reads: built from a model evaluation.
-        J = ml._DipoleEval(params, dipole.moment_magnitude).jacobian()
+        # The Jacobian Levenberg-Marquardt reads: rows 0-4 of its kernel.
+        J = ml._lm_rows(params, np.zeros(64), dipole.moment_magnitude)[0][:5].T
         J_fd = _central_difference_jacobian(params, dipole)
         for col in range(5):
             err = np.linalg.norm(J[:, col] - J_fd[:, col])
@@ -440,17 +461,44 @@ def _closed_form_bz(params, dipole):
 
 
 def test_model_kernel_bz_matches_closed_form_bit_for_bit():
+    # predict_normal_components is the closed form bit for bit. The LM
+    # kernel shares d^2, C / d^5 and m.r between b_z and the Jacobian, so
+    # its residual row equals predict_normal_components - target only up
+    # to rounding; its W is the Gram matrix of the rows it returns.
     dipole = sk.DipoleParams()
     rng = np.random.default_rng(12)
+    noise = np.random.default_rng(13)
     for _ in range(40):
         params = np.array([
             *rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03),
             rng.uniform(-1.0, 4.0), rng.uniform(-4.0, 4.0),
         ])
-        model = ml._DipoleEval(params, dipole.moment_magnitude)
-        assert np.array_equal(model.bz, ml.predict_normal_components(params, dipole))
-        assert np.array_equal(model.bz, _closed_form_bz(params, dipole))
-        assert np.array_equal(model.jacobian(), ml._jacobian(params, dipole))
+        bz = ml.predict_normal_components(params, dipole)
+        assert np.array_equal(bz, _closed_form_bz(params, dipole))
+        target = bz + noise.normal(0.0, 5e-7, bz.shape)
+        A, W = ml._lm_rows(params, target, dipole.moment_magnitude)
+        assert A.shape == (6, 64)
+        err = np.max(np.abs(A[5] - (bz - target)))
+        assert err <= 1e-15 * np.max(np.abs(bz))
+        assert np.array_equal(W, A @ A.T)
+
+
+def test_gate_window_median_matches_np_median():
+    # Random gate sequences longer than the window, drawn from few distinct
+    # values so that ties are common, and from a continuous spread.
+    rng = np.random.default_rng(31)
+    n = ml._GATE_HISTORY
+    for k in range(12):
+        length = int(rng.integers(n + 1, 3 * n))
+        if k % 2:
+            values = rng.integers(0, 7, length) * 0.1
+        else:
+            values = rng.lognormal(0.0, 1.0, length)
+        window = ml._GateWindow()
+        for i, value in enumerate(values.tolist()):
+            window.push(value)
+            assert len(window.sorted) == min(i + 1, n)
+            assert window.median() == float(np.median(values[max(0, i + 1 - n):i + 1]))
 
 
 def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half_extent):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,32 @@ def test_adam_in_place_matches_formula():
             assert np.array_equal(state.v[k], ref_v[k]), (k, t)
     assert np.shares_memory(params["view"], base)
     assert np.array_equal(base[3:40:2, 5:30], ref["view"])
+
+
+def test_adam_reuses_scratch_without_per_step_temporaries():
+    # Two parameters of one shape share the scratch pair; the update stays
+    # the formula's bit for bit, and a step allocates no full-size array.
+    hp = nc.Hyperparams()
+    rng = np.random.default_rng(28)
+    params = {k: rng.normal(0, 1, (300, 200)) for k in ("a", "b")}
+    params["c"] = rng.normal(0, 1, 7)
+    ref = {k: (p.copy(), np.zeros(p.shape), np.zeros(p.shape)) for k, p in params.items()}
+    state = nc.adam_init(params)
+    for t in range(1, 6):
+        grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
+        tracemalloc.start()
+        nc.adam_step(params, grads, state, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        if t > 1:  # the first step allocates the scratch arrays
+            assert peak < params["a"].nbytes // 4, peak
+        assert sorted(state.scratch) == [(7,), (300, 200)]
+        for k in params:
+            p, m, v = ref[k]
+            ref[k] = adam_formula(p, grads[k], m, v, t, hp)
+            assert np.array_equal(params[k], ref[k][0]), (k, t)
+            assert np.array_equal(state.m[k], ref[k][1]), (k, t)
+            assert np.array_equal(state.v[k], ref[k][2]), (k, t)
 
 
 def test_adam_scalar_hand_case():
