@@ -4,7 +4,8 @@ Config files are flat `key = value` text with `#` comments and section
 prefixes (sim., train., eval., align., magloc.). Unknown keys are rejected.
 The sim.* keys are the scalar fields of simkit.SimConfig and
 simkit.DipoleParams, with their types and defaults, except seed (set by
-the top-level seed key) and slow_speed_cap.
+the top-level seed key) and slow_speed_cap. The magloc.* keys are the
+fields of magloc.InversionSettings, with their types and defaults.
 Every output file starts with a header echoing the effective configuration.
 """
 
@@ -45,10 +46,8 @@ KNOWN_KEYS = {
     "train.learning_rate": (float, 0.001),
     "train.dropout_rate": (float, 0.25),
     "eval.bucket_lengths": (str, "0.05,0.1,0.2,0.4,0.8"),
-    "magloc.max_iterations": (int, 60),
-    "magloc.convergence_tol": (float, 1e-12),
-    "magloc.initial_damping": (float, 1e-3),
-    "magloc.restart_count": (int, 3),
+    **{f"magloc.{f.name}": (type(f.default), f.default)
+       for f in fields(magloc.InversionSettings)},
     "align.noise_sd": (float, 0.0),
 }
 
@@ -97,24 +96,22 @@ class RunConfig:
     def header_lines(self):
         return [f"config {k}={self.values[k]}" for k in sorted(self.values)]
 
-    def _sim_values(self, cls) -> dict:
-        """Field name -> value for the fields of cls that have a sim.* key."""
+    def _section_values(self, section, cls) -> dict:
+        """Field name -> value for the fields of cls that have a section.* key."""
         v = self.values
-        return {f.name: v[f"sim.{f.name}"] for f in fields(cls) if f"sim.{f.name}" in v}
+        keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
+        return {name: v[key] for name, key in keys.items() if key in v}
 
     def sim_config(self, seed) -> simkit.SimConfig:
-        return simkit.SimConfig(seed=seed, **self._sim_values(simkit.SimConfig))
+        sim = self._section_values("sim", simkit.SimConfig)
+        return simkit.SimConfig(seed=seed, **sim)
 
     def dipole(self) -> simkit.DipoleParams:
-        return simkit.DipoleParams(**self._sim_values(simkit.DipoleParams))
+        return simkit.DipoleParams(**self._section_values("sim", simkit.DipoleParams))
 
     def inversion_settings(self) -> magloc.InversionSettings:
-        v = self.values
         return magloc.InversionSettings(
-            max_iterations=v["magloc.max_iterations"],
-            convergence_tol=v["magloc.convergence_tol"],
-            initial_damping=v["magloc.initial_damping"],
-            restart_count=v["magloc.restart_count"],
+            **self._section_values("magloc", magloc.InversionSettings)
         )
 
     def training_config(self) -> fusenet.TrainingConfig:
@@ -216,6 +213,8 @@ def cmd_localize_mag(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    # Checked before the datasets are localized.
+    train_cfg, hp = cfg.training_config(), cfg.hyperparams()
     sample_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
@@ -224,7 +223,7 @@ def cmd_train(args) -> int:
             ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio
         )
         sample_sets.append(samples)
-    ckpt, log = fusenet.train(sample_sets, cfg.training_config(), cfg.hyperparams())
+    ckpt, log = fusenet.train(sample_sets, train_cfg, hp)
     fusenet.save_checkpoint(args.out, ckpt)
     fusenet.write_training_log(args.out + ".log", log)
     print(f"wrote {args.out} (beta={ckpt.beta_loss:.3g}, {len(log)} epochs)")

@@ -63,13 +63,14 @@ __all__ = [
     "predict_trajectory",
     "save_checkpoint",
     "load_checkpoint",
+    "write_training_log",
 ]
 
 MAG_INPUT = 5
 VIS_INPUT = 6
 OUT_DIM = 6
 
-CHECKPOINT_VERSION = "capsloc-checkpoint v1"
+CHECKPOINT_VERSION = "capsloc-checkpoint v2"
 
 
 class AlignmentError(ValueError):
@@ -90,24 +91,38 @@ class FusionNetwork:
         return self.mag_lstm.hidden_size
 
     def params(self) -> dict:
-        d = {}
-        d.update(self.mag_lstm.as_dict("mag."))
-        d.update(self.vis_lstm.as_dict("vis."))
-        d.update(self.core_lstm.as_dict("core."))
-        d["head.W"] = self.head_W
-        d["head.b"] = self.head_b
-        return d
+        """The network's own arrays (shapes: _param_shapes); updating one in
+        place updates the network."""
+        return {
+            "mag.W": self.mag_lstm.W,
+            "vis.W": self.vis_lstm.W,
+            "core.W": self.core_lstm.W,
+            "head.W": self.head_W,
+            "head.b": self.head_b,
+        }
 
     @staticmethod
     def from_params(params: dict, rate_ratio: int) -> "FusionNetwork":
         return FusionNetwork(
-            LstmWeights.from_dict(params, "mag."),
-            LstmWeights.from_dict(params, "vis."),
-            LstmWeights.from_dict(params, "core."),
+            LstmWeights(params["mag.W"]),
+            LstmWeights(params["vis.W"]),
+            LstmWeights(params["core.W"]),
             params["head.W"],
             params["head.b"],
             rate_ratio,
         )
+
+
+def _param_shapes(hidden_size: int) -> dict:
+    """The shape of each FusionNetwork.params() array, in its key order."""
+    H = hidden_size
+    return {
+        "mag.W": (4 * H, MAG_INPUT + H),
+        "vis.W": (4 * H, VIS_INPUT + H),
+        "core.W": (4 * H, 3 * H),
+        "head.W": (OUT_DIM, H),
+        "head.b": (OUT_DIM,),
+    }
 
 
 def init_network(hidden_size: int, rate_ratio: int, rng) -> FusionNetwork:
@@ -221,21 +236,21 @@ def forward(
     r = net.rate_ratio
     if initial_states is None:
         initial_states = {k: LstmState.zeros(hs) for k in ("mag", "vis", "core")}
-    mag_states, mag_cache = lstm_sequence_forward(
+    mag_final, mag_cache = lstm_sequence_forward(
         np.concatenate([s.mag_inputs for s in samples]),
         initial_states["mag"], net.mag_lstm,
     )
-    vis_states, vis_cache = lstm_sequence_forward(
+    vis_final, vis_cache = lstm_sequence_forward(
         [s.vis_input for s in samples], initial_states["vis"], net.vis_lstm
     )
     # The core sees the magnetic state after every rate_ratio-th input.
     z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=1)
     z, mask = dropout(z, dropout_rate, rng, training)
-    core_states, core_cache = lstm_sequence_forward(
+    core_final, core_cache = lstm_sequence_forward(
         z, initial_states["core"], net.core_lstm
     )
     outputs = linear_forward(core_cache.h[1:], net.head_W, net.head_b)
-    final = {"mag": mag_states[-1], "vis": vis_states[-1], "core": core_states[-1]}
+    final = {"mag": mag_final, "vis": vis_final, "core": core_final}
     return outputs, (mag_cache, vis_cache, core_cache, mask), final
 
 
@@ -248,16 +263,14 @@ def backward(net: FusionNetwork, caches, dy_list):
     hs = net.hidden_size
     r = net.rate_ratio
     dW_head, db_head, dh_core = linear_backward(core_cache.h[1:], net.head_W, dy_list)
-    core_g, _, dz = lstm_backward(core_cache, net.core_lstm, dh_core)
+    dW_core, _, dz = lstm_backward(core_cache, net.core_lstm, dh_core)
     dz *= mask
-    vis_g, _, _ = lstm_backward(vis_cache, net.vis_lstm, dz[:, hs:])
+    dW_vis, _, _ = lstm_backward(vis_cache, net.vis_lstm, dz[:, hs:])
     dh_mag = np.zeros((len(mag_cache.x), hs))
     dh_mag[r - 1 :: r] = dz[:, :hs]
-    mag_g, _, _ = lstm_backward(mag_cache, net.mag_lstm, dh_mag)
-    grads = {}
-    for lstm, g in (("mag.", mag_g), ("vis.", vis_g), ("core.", core_g)):
-        grads.update({lstm + k: v for k, v in g.items()})
-    return {**grads, "head.W": dW_head, "head.b": db_head}
+    dW_mag, _, _ = lstm_backward(mag_cache, net.mag_lstm, dh_mag)
+    return {"mag.W": dW_mag, "vis.W": dW_vis, "core.W": dW_core,
+            "head.W": dW_head, "head.b": db_head}
 
 
 @dataclass(frozen=True)
@@ -274,6 +287,10 @@ class TrainingConfig:
             raise ValueError("window_length must be >= 2")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not (0.0 <= self.validation_fraction < 1.0):
+            raise ValueError("validation_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -309,17 +326,11 @@ def _window_pass(net, window, beta, hp, rng, training=True):
     return loss, trans, rot, grads
 
 
-def _window_loss_and_grads(net, window, beta, hp, rng, training=True):
-    loss, _, _, grads = _window_pass(net, window, beta, hp, rng, training)
-    return loss, grads
-
-
 def _eval_loss(net, windows, beta, hp):
     total = 0.0
     count = 0
     for w in windows:
-        loss, _ = _window_loss_and_grads(net, w, beta, hp, None, training=False)
-        total += loss
+        total += _window_pass(net, w, beta, hp, None, training=False)[0]
         count += len(w)
     return total / max(count, 1)
 
@@ -384,6 +395,11 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     else:
         train_sets = datasets[: len(datasets) - n_val]
         val_sets = datasets[len(datasets) - n_val:]
+        if not train_sets:
+            raise ValueError(
+                f"validation_fraction {cfg.validation_fraction} of "
+                f"{len(datasets)} datasets leaves none to train on"
+            )
 
     stats = compute_norm_stats([s for ds in train_sets for s in ds])
     train_norm = [[stats.normalize_sample(s) for s in ds] for ds in train_sets]
@@ -526,8 +542,15 @@ def load_checkpoint(path) -> Checkpoint:
                 stats_arrays[name] = np.array([float(v) for v in vals.split()])
             elif kind == "W":
                 name, dims, vals = rest.split(" ", 2)
+                if name in params:
+                    raise ValueError(f"repeated W record {name!r}")
                 shape = tuple(int(d) for d in dims.split("x"))
-                params[name] = np.array([float(v) for v in vals.split()]).reshape(shape)
+                values = np.array([float(v) for v in vals.split()])
+                if values.size != np.prod(shape):
+                    raise ValueError(
+                        f"W record {name!r} holds {values.size} values for shape {dims}"
+                    )
+                params[name] = values.reshape(shape)
             else:
                 raise ValueError(f"unknown checkpoint record {kind!r}")
     if hp is None or meta_kv is None:
@@ -538,6 +561,17 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("rate_ratio", "beta_loss"):
         if key not in meta_kv:
             raise ValueError(f"corrupt checkpoint: missing META key {key!r}")
+    shapes = _param_shapes(hp.hidden_size)
+    for name, arr in params.items():
+        if name not in shapes:
+            raise ValueError(f"unknown W record {name!r}")
+        if arr.shape != shapes[name]:
+            raise ValueError(
+                f"W record {name!r} has shape {arr.shape}, expected {shapes[name]}"
+            )
+    for name in shapes:
+        if name not in params:
+            raise ValueError(f"corrupt checkpoint: missing W record {name!r}")
     stats = NormStats(**stats_arrays)
     return Checkpoint(
         params, int(meta_kv["rate_ratio"]), hp, stats, float(meta_kv["beta_loss"])

@@ -9,12 +9,13 @@ LSTM cell with no bias terms:
     o = sigmoid(W_ox x + W_oh h_prev)
     h = o * tanh(c)
 
-The eight matrices are views into one stacked W (4H, X + H): row blocks
-i, f, g, o, columns [x | h]. Over T steps, lstm_sequence_forward takes all
-input projections in one GEMM, then one (4H, H) gemv per step;
-lstm_backward does one (H, 4H) gemv per step, then the weight gradient as
-one GEMM dA^T [X | H_prev] and the input gradients as dA W_x, where dA
-holds the (T, 4H) pre-activation gradients.
+An LSTM's weights are one stacked W (4H, X + H): row blocks i, f, g, o,
+columns [x | h], so W_gh above is W[2H:3H, X:]. Parameters, gradients, Adam
+moments and checkpoints all hold W whole. Over T steps,
+lstm_sequence_forward takes all input projections in one GEMM, then one
+(4H, H) gemv per step; lstm_backward does one (H, 4H) gemv per step, then
+the weight gradient dW as one GEMM dA^T [X | H_prev] and the input
+gradients as dA W_x, where dA holds the (T, 4H) pre-activation gradients.
 
 Adam variant with epsilon inside the square root of the bias-corrected
 second moment:
@@ -29,19 +30,18 @@ v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
 10x sqrt(v_hat) + eps.
 
 adam_step updates parameters and moments in place, in that formula's
-operation order, with two scratch arrays per parameter shape kept in the
-AdamState; through gate views it writes straight into each W.
+operation order, a block of rows at a time through two work arrays of
+_ADAM_BLOCK elements kept in the AdamState.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "GATES",
     "LstmWeights",
     "LstmState",
     "LstmCache",
@@ -49,7 +49,6 @@ __all__ = [
     "Hyperparams",
     "sigmoid",
     "init_lstm_weights",
-    "lstm_cell_forward",
     "lstm_sequence_forward",
     "lstm_backward",
     "linear_forward",
@@ -62,37 +61,27 @@ __all__ = [
     "finite_difference_gradient",
 ]
 
-GATES = ("ix", "ih", "fx", "fh", "gx", "gh", "ox", "oh")
-
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gate_views(W, input_size: int) -> dict:
-    """The eight gate blocks of a stacked (4H, X + H) matrix, keyed W_ix..W_oh."""
-    blocks = W.reshape(4, -1, W.shape[1])  # gates i, f, g, o; a view of W
-    cols = {"x": slice(None, input_size), "h": slice(input_size, None)}
-    return {f"W_{g}": blocks["ifgo".index(g[0]), :, cols[g[1]]] for g in GATES}
-
-
+@dataclass(eq=False)
 class LstmWeights:
-    """One LSTM's weights, stacked in W of shape (4H, X + H). W_ix..W_oh are
-    writable views into W: *x are (hidden, input), *h are (hidden, hidden).
-    The constructor copies the eight blocks into a new W."""
+    """One LSTM's weights: W of shape (4H, X + H), row blocks the gates
+    i, f, g, o, columns [x | h]. A float array given as W is kept, not
+    copied, so writing into it (as adam_step does) updates the LSTM."""
 
-    def __init__(self, W_ix, W_ih, W_fx, W_fh, W_gx, W_gh, W_ox, W_oh):
-        h, n = np.shape(W_ix)
-        self.W = np.empty((4 * h, n + h))
-        views = _gate_views(self.W, n)  # in GATES order, as the arguments
-        for (name, view), block in zip(
-            views.items(), (W_ix, W_ih, W_fx, W_fh, W_gx, W_gh, W_ox, W_oh)
-        ):
-            if np.shape(block) != view.shape:
-                shape = np.shape(block)
-                raise ValueError(f"{name} has shape {shape}, expected {view.shape}")
-            view[...] = block
-        self.__dict__.update(views)
+    W: np.ndarray
+
+    def __post_init__(self):
+        self.W = np.asarray(self.W, dtype=float)
+        rows, cols = self.W.shape if self.W.ndim == 2 else (0, 0)
+        if rows == 0 or rows % 4 or cols <= rows // 4:
+            raise ValueError(
+                f"LSTM weights have shape {self.W.shape}, expected (4H, X + H) "
+                "with H, X >= 1"
+            )
 
     @property
     def hidden_size(self) -> int:
@@ -101,13 +90,6 @@ class LstmWeights:
     @property
     def input_size(self) -> int:
         return self.W.shape[1] - self.hidden_size
-
-    def as_dict(self, prefix: str = "") -> dict:
-        return {f"{prefix}W_{g}": getattr(self, f"W_{g}") for g in GATES}
-
-    @staticmethod
-    def from_dict(d: dict, prefix: str = "") -> "LstmWeights":
-        return LstmWeights(*(d[f"{prefix}W_{g}"] for g in GATES))
 
 
 @dataclass
@@ -136,21 +118,21 @@ class LstmCache(NamedTuple):
 
 
 def init_lstm_weights(input_size: int, hidden_size: int, rng) -> LstmWeights:
-    """Uniform +/- 1/sqrt(fan_in) per matrix, seeded."""
-
-    def mk(cols):
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(hidden_size, cols))
-
-    return LstmWeights(
-        *(mk(input_size) if g.endswith("x") else mk(hidden_size) for g in GATES)
-    )
+    """Uniform +/- 1/sqrt(fan_in) per gate block, seeded: the x and then the
+    h block of gates i, f, g, o, drawn in that order."""
+    W = np.empty((4 * hidden_size, input_size + hidden_size))
+    for rows in np.split(W, 4):
+        for block in (rows[:, :input_size], rows[:, input_size:]):
+            bound = 1.0 / np.sqrt(block.shape[1])
+            block[...] = rng.uniform(-bound, bound, size=block.shape)
+    return LstmWeights(W)
 
 
 def lstm_sequence_forward(xs, init: LstmState, w: LstmWeights):
     """Run the LSTM from init over a nonempty (T, input) sequence.
 
-    Returns (the LstmState after each step, the LstmCache for lstm_backward)."""
+    Returns (the LstmState after the last step, the LstmCache for
+    lstm_backward); the cache holds every step's h and c."""
     x = np.asarray(xs, dtype=float)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("expected a nonempty (steps, input) sequence")
@@ -173,21 +155,14 @@ def lstm_sequence_forward(xs, init: LstmState, w: LstmWeights):
         np.multiply(a[H : 2 * H], c[t], out=c[t + 1])
         c[t + 1] += a[:H] * g
         np.multiply(a[3 * H :], np.tanh(c[t + 1]), out=h[t + 1])
-    states = [LstmState(ht, ct) for ht, ct in zip(h[1:], c[1:])]
-    return states, LstmCache(x, h, c, gates)
-
-
-def lstm_cell_forward(x, prev: LstmState, w: LstmWeights):
-    """One LSTM step (the one-step lstm_sequence_forward): (state, cache)."""
-    states, cache = lstm_sequence_forward(np.reshape(x, (1, -1)), prev, w)
-    return states[0], cache
+    return LstmState(h[T], c[T]), LstmCache(x, h, c, gates)
 
 
 def lstm_backward(cache: LstmCache, w: LstmWeights, dh_list):
     """Full BPTT over a sequence forward pass; dh_list holds the upstream
-    gradient on every step's h, (T, H), zeros allowed. Returns (weight
-    gradients keyed W_ix..W_oh, views into one stacked (4H, X + H) array;
-    the gradient on the initial state; the (T, X) input gradients)."""
+    gradient on every step's h, (T, H), zeros allowed. Returns (the
+    (4H, X + H) gradient on w.W; the gradient on the initial state; the
+    (T, X) input gradients)."""
     x, h, c, gates = cache
     T, n = x.shape
     H = w.hidden_size
@@ -212,7 +187,7 @@ def lstm_backward(cache: LstmCache, w: LstmWeights, dh_list):
         dc = dc * f[t]
         dh_next = W_h_T @ d_pre[t]
     dW = d_pre.T @ np.concatenate([x, h[:-1]], axis=1)
-    return _gate_views(dW, n), LstmState(dh_next, dc), d_pre @ w.W[:, :n]
+    return dW, LstmState(dh_next, dc), d_pre @ w.W[:, :n]
 
 
 def linear_forward(x, W, b):
@@ -278,6 +253,18 @@ class Hyperparams:
             raise ValueError("beta1, beta2 must be in (0, 1)")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.hidden_size < 1:
+            raise ValueError("hidden_size must be >= 1")
+        if not (0.0 <= self.dropout_rate < 1.0):
+            raise ValueError("dropout_rate must be in [0, 1)")
+
+
+# adam_step updates each parameter in blocks of whole rows of about this
+# many elements, so that its two work arrays stay small whatever the
+# model's size. At H = 200 the core LSTM's W holds 480k elements; work
+# arrays the size of each W raised the peak memory of H = 200 training by
+# 8 MiB. A block's operands also stay in cache across the update's passes.
+_ADAM_BLOCK = 1 << 15
 
 
 @dataclass
@@ -285,8 +272,8 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
-    # Two work arrays per parameter shape, which every adam_step reuses.
-    scratch: dict = field(default_factory=dict)
+    # Two flat work arrays, which every adam_step reuses.
+    scratch: tuple = ()
 
 
 def adam_init(params: dict) -> AdamState:
@@ -313,29 +300,39 @@ def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
     m_scale = 1.0 - hp.beta1**state.t
     v_scale = 1.0 - hp.beta2**state.t
     for k, p in params.items():
-        g = grads[k]
-        m, v = state.m[k], state.v[k]
-        if p.shape not in state.scratch:
-            state.scratch[p.shape] = (np.empty(p.shape), np.empty(p.shape))
-        a, b = state.scratch[p.shape]
-        m *= hp.beta1
-        m += np.multiply(1.0 - hp.beta1, g, out=a)
-        v *= hp.beta2
-        np.multiply(1.0 - hp.beta2, g, out=a)
-        v += np.multiply(a, g, out=a)
-        # p -= alpha * (m / m_scale) / sqrt(v / v_scale + eps)
-        np.divide(v, v_scale, out=b)
-        b += hp.epsilon
-        np.sqrt(b, out=b)
-        np.divide(m, m_scale, out=a)
-        np.multiply(hp.alpha, a, out=a)
-        p -= np.divide(a, b, out=a)
+        row = int(np.prod(p.shape[1:]))
+        rows = max(1, _ADAM_BLOCK // row)
+        size = min(rows, len(p)) * row
+        if not state.scratch or state.scratch[0].size < size:
+            state.scratch = (np.empty(size), np.empty(size))
+        for r in range(0, len(p), rows):
+            block = slice(r, r + rows)
+            _adam_update(p[block], grads[k][block], state.m[k][block],
+                         state.v[k][block], state.scratch, hp, m_scale, v_scale)
     return params, state
+
+
+def _adam_update(p, g, m, v, scratch, hp, m_scale, v_scale):
+    """adam_step on one block of rows, in place."""
+    a, b = (s[: p.size].reshape(p.shape) for s in scratch)
+    m *= hp.beta1
+    m += np.multiply(1.0 - hp.beta1, g, out=a)
+    v *= hp.beta2
+    np.multiply(1.0 - hp.beta2, g, out=a)
+    v += np.multiply(a, g, out=a)
+    # p -= alpha * (m / m_scale) / sqrt(v / v_scale + eps)
+    np.divide(v, v_scale, out=b)
+    b += hp.epsilon
+    np.sqrt(b, out=b)
+    np.divide(m, m_scale, out=a)
+    np.multiply(hp.alpha, a, out=a)
+    p -= np.divide(a, b, out=a)
 
 
 def finite_difference_gradient(loss_fn, params: dict, step: float = 1e-6) -> dict:
     """Central differences of loss_fn(params) per parameter component, each
-    perturbed in place: a view (an LstmWeights gate block) perturbs its W."""
+    perturbed in place and restored: loss_fn sees the perturbation through
+    any object that holds the same array, such as an LstmWeights' W."""
     grads = {}
     for k, p in params.items():
         g = np.zeros(p.shape)

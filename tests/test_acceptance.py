@@ -47,7 +47,7 @@ def _rel_err(analytic, fd):
     return worst
 
 
-def test_criterion_1_gradient_suite(verdict):
+def test_criterion_1_gradient_suite(verdict, gate_blocks):
     t0 = time.monotonic()
     worst = {"cell": 0.0, "bptt": 0.0, "linear": 0.0, "loss": 0.0, "net": 0.0}
 
@@ -63,13 +63,16 @@ def test_criterion_1_gradient_suite(verdict):
         grads, _, _ = nc.lstm_backward(caches, w, [target])
 
         def cell_loss(params):
-            states, _ = nc.lstm_sequence_forward(
-                [x], init, nc.LstmWeights(**params)
+            final, _ = nc.lstm_sequence_forward(
+                [x], init, nc.LstmWeights(params["W"])
             )
-            return float(np.dot(target, states[0].h))
+            return float(np.dot(target, final.h))
 
-        fd = nc.finite_difference_gradient(cell_loss, w.as_dict())
-        worst["cell"] = max(worst["cell"], _rel_err(grads, fd))
+        fd = nc.finite_difference_gradient(cell_loss, {"W": w.W})
+        worst["cell"] = max(
+            worst["cell"],
+            _rel_err(gate_blocks({"W": grads}, {"W": 3}), gate_blocks(fd, {"W": 3})),
+        )
 
         # Sequence BPTT.
         xs = [rng.normal(0, 1, 3) for _ in range(5)]
@@ -78,13 +81,16 @@ def test_criterion_1_gradient_suite(verdict):
         grads, _, _ = nc.lstm_backward(caches, w, targets)
 
         def seq_loss(params):
-            states, _ = nc.lstm_sequence_forward(
-                xs, init, nc.LstmWeights(**params)
+            _, cache = nc.lstm_sequence_forward(
+                xs, init, nc.LstmWeights(params["W"])
             )
-            return sum(float(np.dot(d, s.h)) for d, s in zip(targets, states))
+            return sum(float(np.dot(d, h)) for d, h in zip(targets, cache.h[1:]))
 
-        fd = nc.finite_difference_gradient(seq_loss, w.as_dict())
-        worst["bptt"] = max(worst["bptt"], _rel_err(grads, fd))
+        fd = nc.finite_difference_gradient(seq_loss, {"W": w.W})
+        worst["bptt"] = max(
+            worst["bptt"],
+            _rel_err(gate_blocks({"W": grads}, {"W": 3}), gate_blocks(fd, {"W": 3})),
+        )
 
         # Linear head.
         W = rng.normal(0, 0.5, (4, 7))
@@ -124,19 +130,20 @@ def test_criterion_1_gradient_suite(verdict):
             )
             for k in range(3)
         ]
-        _, grads = fn._window_loss_and_grads(net, window, 2.5, hp, None)
+        _, _, _, grads = fn._window_pass(net, window, 2.5, hp, None)
 
         def net_loss(params):
             n2 = fn.FusionNetwork.from_params(params, 2)
-            loss, _ = fn._window_loss_and_grads(
-                n2, window, 2.5, hp, None, training=False
-            )
-            return loss
+            return fn._window_pass(n2, window, 2.5, hp, None, training=False)[0]
 
         # A slightly larger step keeps float64 cancellation error in the
         # central differences below the 1e-5 relative budget.
         fd = nc.finite_difference_gradient(net_loss, net.params(), step=1e-5)
-        worst["net"] = max(worst["net"], _rel_err(grads, fd))
+        inputs = {"mag.W": 5, "vis.W": 6, "core.W": 8}
+        worst["net"] = max(
+            worst["net"],
+            _rel_err(gate_blocks(grads, inputs), gate_blocks(fd, inputs)),
+        )
 
     elapsed = time.monotonic() - t0
     ok = (
@@ -194,14 +201,18 @@ def _naive_cell(x, h_prev, c_prev, w):
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    hidden = w.W_ix.shape[0]
+    hidden, n = w.hidden_size, w.input_size
+    # Gate row blocks i, f, g, o of W, each split into its x and h columns.
+    (W_ix, W_ih), (W_fx, W_fh), (W_gx, W_gh), (W_ox, W_oh) = (
+        (rows[:, :n], rows[:, n:]) for rows in np.split(w.W, 4)
+    )
     h = np.empty(hidden)
     c = np.empty(hidden)
     for k in range(hidden):
-        i = sig(np.dot(w.W_ix[k], x) + np.dot(w.W_ih[k], h_prev))
-        f = sig(np.dot(w.W_fx[k], x) + np.dot(w.W_fh[k], h_prev))
-        g = np.tanh(np.dot(w.W_gx[k], x) + np.dot(w.W_gh[k], h_prev))
-        o = sig(np.dot(w.W_ox[k], x) + np.dot(w.W_oh[k], h_prev))
+        i = sig(np.dot(W_ix[k], x) + np.dot(W_ih[k], h_prev))
+        f = sig(np.dot(W_fx[k], x) + np.dot(W_fh[k], h_prev))
+        g = np.tanh(np.dot(W_gx[k], x) + np.dot(W_gh[k], h_prev))
+        o = sig(np.dot(W_ox[k], x) + np.dot(W_oh[k], h_prev))
         c[k] = f * c_prev[k] + i * g
         h[k] = o * np.tanh(c[k])
     return h, c
@@ -210,10 +221,9 @@ def _naive_cell(x, h_prev, c_prev, w):
 def test_criterion_3_lstm_fidelity(verdict):
     # Zero weights, carried cell state 2.0: gates sit at 0.5, so
     # c' = 0.5 * 2 = 1 and h' = 0.5 * tanh(1) = 0.380797.
-    w0 = nc.init_lstm_weights(1, 1, np.random.default_rng(0))
-    w0 = nc.LstmWeights(**{k: np.zeros_like(v) for k, v in w0.as_dict().items()})
-    state, _ = nc.lstm_cell_forward(
-        np.array([7.0]), nc.LstmState(h=np.zeros(1), c=np.array([2.0])), w0
+    w0 = nc.LstmWeights(np.zeros((4, 2)))
+    state, _ = nc.lstm_sequence_forward(
+        [[7.0]], nc.LstmState(h=np.zeros(1), c=np.array([2.0])), w0
     )
     hand_err = abs(state.h[0] - 0.380797)
 
@@ -223,7 +233,7 @@ def test_criterion_3_lstm_fidelity(verdict):
         w = nc.init_lstm_weights(4, 6, rng)
         x = rng.normal(0, 1, 4)
         prev = nc.LstmState(h=rng.normal(0, 1, 6), c=rng.normal(0, 1, 6))
-        got, _ = nc.lstm_cell_forward(x, prev, w)
+        got, _ = nc.lstm_sequence_forward([x], prev, w)
         h_ref, c_ref = _naive_cell(x, prev.h, prev.c, w)
         worst = max(
             worst,

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from capsloc import cli, fusenet, simkit
+from capsloc import cli, fusenet, magloc, simkit
 from capsloc.cli import RunConfig, main, read_mag_estimates
 
 
@@ -76,6 +76,17 @@ def test_seed_flag_overrides_config(tmp_path):
 
     cfg = cli._load_config(A())
     assert cfg["seed"] == 99
+
+
+def test_magloc_keys_are_the_inversion_settings_fields():
+    cfg = RunConfig({"magloc.restart_count": "5"})
+    assert cfg.inversion_settings() == magloc.InversionSettings(restart_count=5)
+    assert [l for l in cfg.header_lines() if l.startswith("config magloc.")] == [
+        "config magloc.convergence_tol=1e-12",
+        "config magloc.initial_damping=0.001",
+        "config magloc.max_iterations=60",
+        "config magloc.restart_count=5",
+    ]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -217,6 +228,21 @@ def test_bad_inversion_settings_error_to_stderr(tmp_path, capsys):
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o.txt").exists()
+
+
+def test_bad_training_config_errors_to_stderr(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["simulate", "--config", fast_cfg(tmp_path), "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    for line, message in [
+        ("train.hidden_size = 0", "hidden_size must be >= 1"),
+        ("train.validation_fraction = 1.0", "validation_fraction must be in [0, 1)"),
+    ]:
+        rc = main(["train", "--config", fast_cfg(tmp_path, line + "\n"),
+                   str(data / "dataset_seed1.txt"), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_bad_checkpoint_errors(tmp_path, capsys):

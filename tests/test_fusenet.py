@@ -47,6 +47,11 @@ def toy_samples(n, rng, rate_ratio=2):
     ]
 
 
+def cell(x, prev, w):
+    """One LSTM step: the one-step sequence's final state."""
+    return nc.lstm_sequence_forward([x], prev, w)[0]
+
+
 def zero_network(hidden=4, rate_ratio=2):
     net = fn.init_network(hidden, rate_ratio, np.random.default_rng(0))
     params = {k: np.zeros_like(v) for k, v in net.params().items()}
@@ -157,10 +162,10 @@ def test_forward_matches_step_by_step_oracle():
     core_s = nc.LstmState.zeros(3)
     for k, s in enumerate(samples):
         for r in range(2):
-            mag_s, _ = nc.lstm_cell_forward(s.mag_inputs[r], mag_s, net.mag_lstm)
-        vis_s, _ = nc.lstm_cell_forward(s.vis_input, vis_s, net.vis_lstm)
+            mag_s = cell(s.mag_inputs[r], mag_s, net.mag_lstm)
+        vis_s = cell(s.vis_input, vis_s, net.vis_lstm)
         z = np.concatenate([mag_s.h, vis_s.h])
-        core_s, _ = nc.lstm_cell_forward(z, core_s, net.core_lstm)
+        core_s = cell(z, core_s, net.core_lstm)
         y = net.head_W @ core_s.h + net.head_b
         assert np.allclose(outputs[k], y, atol=1e-12)
 
@@ -176,7 +181,7 @@ def test_forward_statefulness_chunking():
     assert np.array_equal(whole, chunked)
 
 
-def test_sequence_kernel_matches_per_cell_loop():
+def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     # H = 7: the magnetic (5) and visual (6) inputs are narrower than H and
     # the core's (14) wider. Three magnetic inputs per step, dropout on.
     H, r, rate = 7, 3, 0.25
@@ -192,11 +197,11 @@ def test_sequence_kernel_matches_per_cell_loop():
     mag_s, vis_s, core_s = (nc.LstmState.zeros(H) for _ in range(3))
     for k, s in enumerate(samples):
         for x in s.mag_inputs:
-            mag_s, _ = nc.lstm_cell_forward(x, mag_s, net.mag_lstm)
-        vis_s, _ = nc.lstm_cell_forward(s.vis_input, vis_s, net.vis_lstm)
+            mag_s = cell(x, mag_s, net.mag_lstm)
+        vis_s = cell(s.vis_input, vis_s, net.vis_lstm)
         keep = (mask_rng.random(2 * H) >= rate) / (1.0 - rate)
         z = np.concatenate([mag_s.h, vis_s.h]) * keep
-        core_s, _ = nc.lstm_cell_forward(z, core_s, net.core_lstm)
+        core_s = cell(z, core_s, net.core_lstm)
         assert np.allclose(outputs[k], net.head_W @ core_s.h + net.head_b,
                            rtol=0, atol=1e-12)
     for name, s in (("mag", mag_s), ("vis", vis_s), ("core", core_s)):
@@ -214,6 +219,8 @@ def test_sequence_kernel_matches_per_cell_loop():
     grads = fn.backward(net, caches, nc.pose_loss(outputs, targets, 2.5)[1])
     fd = nc.finite_difference_gradient(loss_fn, net.params(), step=1e-5)
     assert list(grads) == list(fd)
+    inputs = {"mag.W": 5, "vis.W": 6, "core.W": 2 * H}
+    fd, grads = gate_blocks(fd, inputs), gate_blocks(grads, inputs)
     for k in fd:
         denom = max(np.max(np.abs(fd[k])), 1e-8)
         assert np.max(np.abs(grads[k] - fd[k])) / denom < 1e-5, k
@@ -232,20 +239,21 @@ def test_forward_shape_asymmetry_contract():
 # --- gradients -------------------------------------------------------------
 
 
-def test_end_to_end_gradient_check():
+def test_end_to_end_gradient_check(gate_blocks):
     rng = np.random.default_rng(8)
     hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0)
     net = fn.init_network(4, 2, rng)
     window = toy_samples(3, rng)
 
-    _, grads = fn._window_loss_and_grads(net, window, 2.5, hp, None, training=True)
+    _, _, _, grads = fn._window_pass(net, window, 2.5, hp, None, training=True)
 
     def loss_fn(params):
         n2 = fn.FusionNetwork.from_params(params, 2)
-        loss, _ = fn._window_loss_and_grads(n2, window, 2.5, hp, None, training=False)
-        return loss
+        return fn._window_pass(n2, window, 2.5, hp, None, training=False)[0]
 
     fd = nc.finite_difference_gradient(loss_fn, net.params())
+    inputs = {"mag.W": 5, "vis.W": 6, "core.W": 8}
+    fd, grads = gate_blocks(fd, inputs), gate_blocks(grads, inputs)
     for k in fd:
         denom = max(np.max(np.abs(fd[k])), 1e-6)
         assert np.max(np.abs(grads[k] - fd[k])) / denom < 1e-4, k
@@ -371,6 +379,22 @@ def test_train_deterministic():
         assert np.array_equal(a_ckpt.params[k], b_ckpt.params[k])
 
 
+@pytest.mark.parametrize("field, value", [("max_epochs", 0), ("validation_fraction", 1.0),
+                                          ("validation_fraction", -0.25)])
+def test_training_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        fn.TrainingConfig(**{field: value})
+
+
+def test_train_rejects_split_without_training_datasets():
+    # Two datasets at validation_fraction 0.75: round(1.5) = 2 validate.
+    cfg = fn.TrainingConfig(max_epochs=1, window_length=8, validation_fraction=0.75)
+    hp = nc.Hyperparams(hidden_size=4)
+    sets = [constant_delta_dataset(n=32)] * 2
+    with pytest.raises(ValueError, match="leaves none to train on"):
+        fn.train(sets, cfg, hp)
+
+
 def test_train_refits_head_bias_to_zero_mean_residual():
     # The returned head bias is refit so that, in inference mode, the mean
     # per-step residual over the training windows is zero.
@@ -491,10 +515,12 @@ def test_checkpoint_unknown_version(tmp_path):
     ckpt = trained_tiny_checkpoint()
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, ckpt)
-    text = path.read_text().replace("v1", "v999")
-    path.write_text(text)
-    with pytest.raises(ValueError, match="version"):
-        fn.load_checkpoint(path)
+    text = path.read_text()
+    # v1 held each LSTM as eight gate blocks; no reader for it is kept.
+    for version in ("capsloc-checkpoint v999", "capsloc-checkpoint v1"):
+        path.write_text(text.replace(fn.CHECKPOINT_VERSION, version))
+        with pytest.raises(ValueError, match="version"):
+            fn.load_checkpoint(path)
 
 
 def test_checkpoint_corrupt_file(tmp_path):
@@ -537,4 +563,47 @@ def test_checkpoint_missing_stat_record_is_named(tmp_path):
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     _drop_lines(path, "STAT vis_sd ")
     with pytest.raises(ValueError, match="missing STAT record 'vis_sd'"):
+        fn.load_checkpoint(path)
+
+
+def test_checkpoint_holds_one_w_record_per_param(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    names = [l.split()[1] for l in path.read_text().splitlines() if l.startswith("W ")]
+    assert names == ["core.W", "head.W", "head.b", "mag.W", "vis.W"]
+
+
+def test_checkpoint_missing_w_record_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    _drop_lines(path, "W vis.W ")
+    with pytest.raises(ValueError, match="missing W record 'vis.W'"):
+        fn.load_checkpoint(path)
+
+
+def test_checkpoint_repeated_w_record_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    text = path.read_text()
+    line = next(l for l in text.splitlines() if l.startswith("W head.b "))
+    path.write_text(text + line + "\n")
+    with pytest.raises(ValueError, match="repeated W record 'head.b'"):
+        fn.load_checkpoint(path)
+
+
+def test_checkpoint_unknown_w_record_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    with open(path, "a") as f:
+        f.write("W mag.W_ix 4x5 " + " ".join(["0.0"] * 20) + "\n")
+    with pytest.raises(ValueError, match="unknown W record 'mag.W_ix'"):
+        fn.load_checkpoint(path)
+
+
+def test_checkpoint_wrong_shape_w_record_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    text = path.read_text()
+    path.write_text(text.replace("W head.b 6 ", "W head.b 2x3 "))
+    with pytest.raises(ValueError, match=r"'head.b' has shape \(2, 3\), expected \(6,\)"):
         fn.load_checkpoint(path)

@@ -1,5 +1,6 @@
 """Static checks: every name a capsloc module imports is used in that module,
-and every module-level private name is read somewhere in the package."""
+every module-level private name is read somewhere in the package, and every
+name a module lists in __all__ is defined in it."""
 
 import ast
 import pathlib
@@ -51,6 +52,24 @@ def unread_private_names(sources: dict) -> list:
     return sorted((m, n) for m, n in defined if n not in read)
 
 
+def undefined_exports(source: str) -> list:
+    """Names in the module's __all__ that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
 def test_scan_flags_unused_names():
     source = (
         "import os\nfrom dataclasses import dataclass, field\n"
@@ -75,3 +94,16 @@ def test_private_scan_flags_unread_names():
 def test_package_has_no_unread_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_export_scan_flags_undefined_names():
+    source = (
+        "import os\nfrom a import b as c\n__all__ = ['os', 'c', 'f', 'K', 'gone']\n"
+        "def f():\n    pass\nK: int = 1\n"
+    )
+    assert undefined_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_exports_only_defined_names(path):
+    assert undefined_exports(path.read_text()) == []

@@ -11,28 +11,34 @@ def sigmoid(z):
 
 
 def make_weights(rng, hidden, inp, scale=0.5):
-    w = nc.init_lstm_weights(inp, hidden, rng)
-    d = {k: scale * v for k, v in w.as_dict().items()}
-    return nc.LstmWeights(**d)
+    return nc.LstmWeights(scale * nc.init_lstm_weights(inp, hidden, rng).W)
 
 
 def zero_weights(hidden, inp):
-    w = nc.init_lstm_weights(inp, hidden, np.random.default_rng(0))
-    return nc.LstmWeights(**{k: np.zeros_like(v) for k, v in w.as_dict().items()})
+    return nc.LstmWeights(np.zeros((4 * hidden, inp + hidden)))
+
+
+def cell(x, prev, w):
+    """One LSTM step: the one-step sequence's final state."""
+    return nc.lstm_sequence_forward([x], prev, w)[0]
 
 
 def scalar_cell_oracle(x, h_prev, c_prev, w):
     """Naive loop re-implementation of the cell equations."""
-    hidden = w.W_ix.shape[0]
+    hidden, n = w.hidden_size, w.input_size
+    # Gate row blocks of W, each split into its x and h column blocks.
+    (W_ix, W_ih), (W_fx, W_fh), (W_gx, W_gh), (W_ox, W_oh) = (
+        (rows[:, :n], rows[:, n:]) for rows in np.split(w.W, 4)
+    )
     i = np.empty(hidden)
     f = np.empty(hidden)
     g = np.empty(hidden)
     o = np.empty(hidden)
     for k in range(hidden):
-        i[k] = sigmoid(np.dot(w.W_ix[k], x) + np.dot(w.W_ih[k], h_prev))
-        f[k] = sigmoid(np.dot(w.W_fx[k], x) + np.dot(w.W_fh[k], h_prev))
-        g[k] = np.tanh(np.dot(w.W_gx[k], x) + np.dot(w.W_gh[k], h_prev))
-        o[k] = sigmoid(np.dot(w.W_ox[k], x) + np.dot(w.W_oh[k], h_prev))
+        i[k] = sigmoid(np.dot(W_ix[k], x) + np.dot(W_ih[k], h_prev))
+        f[k] = sigmoid(np.dot(W_fx[k], x) + np.dot(W_fh[k], h_prev))
+        g[k] = np.tanh(np.dot(W_gx[k], x) + np.dot(W_gh[k], h_prev))
+        o[k] = sigmoid(np.dot(W_ox[k], x) + np.dot(W_oh[k], h_prev))
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
@@ -40,7 +46,7 @@ def scalar_cell_oracle(x, h_prev, c_prev, w):
 
 def test_cell_zero_weights_zero_state():
     w = zero_weights(4, 3)
-    state, _ = nc.lstm_cell_forward(np.ones(3), nc.LstmState.zeros(4), w)
+    state = cell(np.ones(3), nc.LstmState.zeros(4), w)
     assert np.array_equal(state.h, np.zeros(4))
     assert np.array_equal(state.c, np.zeros(4))
 
@@ -48,7 +54,7 @@ def test_cell_zero_weights_zero_state():
 def test_cell_zero_weights_carried_cell():
     w = zero_weights(1, 1)
     prev = nc.LstmState(h=np.zeros(1), c=np.array([2.0]))
-    state, _ = nc.lstm_cell_forward(np.array([7.0]), prev, w)
+    state = cell(np.array([7.0]), prev, w)
     assert abs(state.c[0] - 1.0) < 1e-15
     assert abs(state.h[0] - 0.5 * np.tanh(1.0)) < 1e-15
     assert abs(state.h[0] - 0.380797) < 5e-7
@@ -59,7 +65,7 @@ def test_cell_matches_scalar_oracle():
     w = make_weights(rng, 6, 4)
     x = rng.normal(0, 1, 4)
     prev = nc.LstmState(h=rng.normal(0, 1, 6), c=rng.normal(0, 1, 6))
-    state, _ = nc.lstm_cell_forward(x, prev, w)
+    state = cell(x, prev, w)
     h_ref, c_ref = scalar_cell_oracle(x, prev.h, prev.c, w)
     assert np.allclose(state.h, h_ref, atol=1e-12)
     assert np.allclose(state.c, c_ref, atol=1e-12)
@@ -68,18 +74,18 @@ def test_cell_matches_scalar_oracle():
 def test_cell_dimension_mismatch():
     w = zero_weights(4, 3)
     with pytest.raises(ValueError):
-        nc.lstm_cell_forward(np.ones(5), nc.LstmState.zeros(4), w)
+        cell(np.ones(5), nc.LstmState.zeros(4), w)
 
 
-def test_sequence_length_one_equals_cell():
+def test_sequence_final_state_is_last_cached_step():
     rng = np.random.default_rng(12)
     w = make_weights(rng, 5, 3)
-    x = rng.normal(0, 1, 3)
+    xs = rng.normal(0, 1, (4, 3))
     init = nc.LstmState(h=rng.normal(0, 1, 5), c=rng.normal(0, 1, 5))
-    states, _ = nc.lstm_sequence_forward([x], init, w)
-    single, _ = nc.lstm_cell_forward(x, init, w)
-    assert np.array_equal(states[0].h, single.h)
-    assert np.array_equal(states[0].c, single.c)
+    final, cache = nc.lstm_sequence_forward(xs, init, w)
+    assert np.array_equal(cache.h[0], init.h) and np.array_equal(cache.c[0], init.c)
+    assert np.array_equal(final.h, cache.h[-1])
+    assert np.array_equal(final.c, cache.c[-1])
 
 
 def test_sequence_split_chaining():
@@ -87,13 +93,11 @@ def test_sequence_split_chaining():
     w = make_weights(rng, 5, 3)
     xs = [rng.normal(0, 1, 3) for _ in range(7)]
     init = nc.LstmState.zeros(5)
-    full, _ = nc.lstm_sequence_forward(xs, init, w)
-    first, _ = nc.lstm_sequence_forward(xs[:3], init, w)
-    second, _ = nc.lstm_sequence_forward(xs[3:], first[-1], w)
-    chained = first + second
-    for a, b in zip(full, chained):
-        assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.c, b.c)
+    _, full = nc.lstm_sequence_forward(xs, init, w)
+    mid, first = nc.lstm_sequence_forward(xs[:3], init, w)
+    _, second = nc.lstm_sequence_forward(xs[3:], mid, w)
+    assert np.array_equal(full.h, np.vstack([first.h, second.h[1:]]))
+    assert np.array_equal(full.c, np.vstack([first.c, second.c[1:]]))
 
 
 def test_cell_state_bound():
@@ -102,15 +106,8 @@ def test_cell_state_bound():
     state = nc.LstmState(h=rng.normal(0, 1, 6), c=rng.normal(0, 1, 6))
     c0 = np.abs(state.c)
     for t in range(1, 20):
-        state, _ = nc.lstm_cell_forward(rng.normal(0, 2, 3), state, w)
+        state = cell(rng.normal(0, 2, 3), state, w)
         assert np.all(np.abs(state.c) <= c0 + t + 1e-12)
-
-
-def _run_loss(xs, init, w, dh_targets):
-    states, caches = nc.lstm_sequence_forward(xs, init, w)
-    # Loss = sum of dot(target_k, h_k) so the upstream gradients are the targets.
-    loss = sum(float(np.dot(d, s.h)) for d, s in zip(dh_targets, states))
-    return loss, caches
 
 
 def test_backward_zero_upstream():
@@ -119,7 +116,7 @@ def test_backward_zero_upstream():
     xs = [rng.normal(0, 1, 3) for _ in range(3)]
     _, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(4), w)
     grads, dinit, dxs = nc.lstm_backward(caches, w, [np.zeros(4)] * 3)
-    assert all(np.array_equal(v, 0 * v) for v in grads.values())
+    assert grads.shape == w.W.shape and np.array_equal(grads, 0 * grads)
     assert all(np.array_equal(dx, np.zeros(3)) for dx in dxs)
     assert np.array_equal(dinit.h, np.zeros(4))
     assert np.array_equal(dinit.c, np.zeros(4))
@@ -133,9 +130,9 @@ def test_backward_scalar_two_steps_hand_derived():
     #   dL/da = dL/dc2 * [0.5 (1-tanh(a x2)^2) x2 + 0.5 * 0.5 (1-tanh(a x1)^2) x1]
     a, x1, x2 = 0.7, 0.3, -0.5
     w = zero_weights(1, 1)
-    w = nc.LstmWeights(**{**w.as_dict(), "W_gx": np.array([[a]])})
+    w.W[2, 0] = a  # W_gx: the g row block, the x column block
     xs = [np.array([x1]), np.array([x2])]
-    states, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1), w)
+    final, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1), w)
     grads, _, _ = nc.lstm_backward(caches, w, [np.zeros(1), np.ones(1)])
 
     c1 = 0.5 * np.tanh(a * x1)
@@ -145,12 +142,12 @@ def test_backward_scalar_two_steps_hand_derived():
         0.5 * (1 - np.tanh(a * x2) ** 2) * x2
         + 0.5 * 0.5 * (1 - np.tanh(a * x1) ** 2) * x1
     )
-    assert abs(states[1].h[0] - 0.5 * np.tanh(c2)) < 1e-15
-    assert abs(grads["W_gx"][0, 0] - expected) < 1e-12
+    assert abs(final.h[0] - 0.5 * np.tanh(c2)) < 1e-15
+    assert abs(grads[2, 0] - expected) < 1e-12
 
 
 @pytest.mark.parametrize("trial", range(5))
-def test_backward_matches_finite_differences(trial):
+def test_backward_matches_finite_differences(trial, gate_blocks):
     rng = np.random.default_rng(100 + trial)
     hidden, inp, T = 8, 3, 5
     w = make_weights(rng, hidden, inp)
@@ -162,11 +159,12 @@ def test_backward_matches_finite_differences(trial):
     grads, _, _ = nc.lstm_backward(caches, w, targets)
 
     def loss_fn(params):
-        w2 = nc.LstmWeights(**params)
-        states, _ = nc.lstm_sequence_forward(xs, init, w2)
-        return sum(float(np.dot(d, s.h)) for d, s in zip(targets, states))
+        _, cache = nc.lstm_sequence_forward(xs, init, nc.LstmWeights(params["W"]))
+        return float(np.sum(np.array(targets) * cache.h[1:]))
 
-    fd = nc.finite_difference_gradient(loss_fn, w.as_dict())
+    fd = nc.finite_difference_gradient(loss_fn, {"W": w.W})
+    assert grads.shape == w.W.shape
+    fd, grads = gate_blocks(fd, {"W": inp}), gate_blocks({"W": grads}, {"W": inp})
     for k in fd:
         denom = max(np.max(np.abs(fd[k])), 1e-8)
         assert np.max(np.abs(grads[k] - fd[k])) / denom < 1e-5
@@ -186,8 +184,8 @@ def test_backward_input_and_state_gradients_fd():
     def loss_of(inputs_flat):
         xs2 = [inputs_flat[f"x{k}"] for k in range(T)]
         init2 = nc.LstmState(h=inputs_flat["h0"], c=inputs_flat["c0"])
-        states, _ = nc.lstm_sequence_forward(xs2, init2, w)
-        return sum(float(np.dot(d, s.h)) for d, s in zip(targets, states))
+        _, cache = nc.lstm_sequence_forward(xs2, init2, w)
+        return float(np.sum(np.array(targets) * cache.h[1:]))
 
     params = {f"x{k}": xs[k] for k in range(T)}
     params["h0"] = init.h
@@ -336,8 +334,10 @@ def test_adam_in_place_matches_formula():
 
 
 def test_adam_reuses_scratch_without_per_step_temporaries():
-    # Two parameters of one shape share the scratch pair; the update stays
-    # the formula's bit for bit, and a step allocates no full-size array.
+    # Every parameter shares one scratch pair, smaller than the (300, 200)
+    # parameters, which are updated a block of rows at a time; the update
+    # stays the formula's bit for bit, and a step allocates no full-size
+    # array.
     hp = nc.Hyperparams()
     rng = np.random.default_rng(28)
     params = {k: rng.normal(0, 1, (300, 200)) for k in ("a", "b")}
@@ -352,7 +352,8 @@ def test_adam_reuses_scratch_without_per_step_temporaries():
         tracemalloc.stop()
         if t > 1:  # the first step allocates the scratch arrays
             assert peak < params["a"].nbytes // 4, peak
-        assert sorted(state.scratch) == [(7,), (300, 200)]
+        assert len(state.scratch) == 2
+        assert all(s.size < params["a"].size for s in state.scratch)
         for k in params:
             p, m, v = ref[k]
             ref[k] = adam_formula(p, grads[k], m, v, t, hp)
@@ -412,7 +413,36 @@ def test_fd_gradient_quadratic_and_linear():
 def test_init_weights_range_and_determinism():
     w1 = nc.init_lstm_weights(16, 8, np.random.default_rng(5))
     w2 = nc.init_lstm_weights(16, 8, np.random.default_rng(5))
-    for k, v in w1.as_dict().items():
-        assert np.array_equal(v, w2.as_dict()[k])
-        bound = 1.0 / np.sqrt(v.shape[1])
-        assert np.max(np.abs(v)) <= bound
+    assert w1.W.shape == (32, 24)
+    assert np.array_equal(w1.W, w2.W)
+    assert np.max(np.abs(w1.W[:, :16])) <= 1.0 / np.sqrt(16)
+    assert np.max(np.abs(w1.W[:, 16:])) <= 1.0 / np.sqrt(8)
+
+
+@pytest.mark.parametrize("inp, hidden", [(5, 4), (6, 16), (32, 16)])
+def test_init_weights_match_per_block_draws(inp, hidden):
+    # The eight (hidden, fan_in) blocks drawn one after another in the order
+    # ix, ih, fx, fh, gx, gh, ox, oh, then stacked: the same numbers, bit
+    # for bit, so every seeded network keeps its initial weights.
+    rng = np.random.default_rng(9)
+    blocks = [
+        rng.uniform(-1 / np.sqrt(cols), 1 / np.sqrt(cols), size=(hidden, cols))
+        for _ in "ifgo"
+        for cols in (inp, hidden)
+    ]
+    expected = np.block([blocks[2 * k : 2 * k + 2] for k in range(4)])
+    w = nc.init_lstm_weights(inp, hidden, np.random.default_rng(9))
+    assert np.array_equal(w.W, expected)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (6, 4), (8, 2), (8,)])
+def test_lstm_weights_reject_malformed_shapes(shape):
+    with pytest.raises(ValueError, match="expected \\(4H, X \\+ H\\)"):
+        nc.LstmWeights(np.zeros(shape))
+
+
+@pytest.mark.parametrize("field, value", [("hidden_size", 0), ("dropout_rate", 1.0),
+                                          ("dropout_rate", -0.1)])
+def test_hyperparams_reject_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        nc.Hyperparams(**{field: value})
