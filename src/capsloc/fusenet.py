@@ -8,10 +8,10 @@ when training) feed the core LSTM, whose hidden state a linear head maps to
 a 6-DoF delta. All LSTM states persist across fused steps, which is what
 lets the network carry sensor history across the asynchronous streams.
 
-forward runs each LSTM over all N steps in turn: magnetic (N * rate_ratio
-inputs), visual, one dropout draw on the (N, 2H) concatenation (the same
-RNG stream, so the same masks), core, then the head as one GEMM. Neither
-branch LSTM reads the core's state, so this is the per-step math reordered.
+forward runs each LSTM over all T steps in turn, B windows at once:
+magnetic (T * rate_ratio inputs), visual, one dropout draw on the
+(T, B, 2H) concatenation, core, then the head as one GEMM. Neither branch
+LSTM reads the core's state, so this is the per-step math reordered.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .neuralcore import (
 
 __all__ = [
     "FusionNetwork",
-    "FusedSample",
+    "FusedSet",
     "NormStats",
     "TrainingConfig",
     "Checkpoint",
@@ -136,19 +136,44 @@ def init_network(hidden_size: int, rate_ratio: int, rng) -> FusionNetwork:
 
 
 @dataclass
-class FusedSample:
-    timestamp: float
-    mag_inputs: np.ndarray  # (rate_ratio, 5) raw (unnormalized)
-    vis_input: np.ndarray  # (6,) raw
-    target: np.ndarray = None  # (6,) raw delta pose, training only
+class FusedSet:
+    """N fused steps as arrays: times (N,), magnetic inputs (N, rate_ratio, 5),
+    visual (N, 6) and target (N, 6) deltas, or no targets. B windows of T
+    steps hold (B, T, ·) arrays. len() and indexing act on the leading axis."""
+
+    times: np.ndarray
+    mag: np.ndarray
+    vis: np.ndarray
+    target: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def map(self, fn) -> "FusedSet":
+        """fn applied to each array; a None target stays None."""
+        return FusedSet(*(None if a is None else fn(a) for a in vars(self).values()))
+
+    def __getitem__(self, k) -> "FusedSet":
+        return self.map(lambda a: a[k])
+
+    def windows(self, T: int) -> "FusedSet":
+        """The first len // T * T steps as a batch of (len // T, T, ·) windows."""
+        B = len(self) // T
+        return self.map(lambda a: a[: B * T].reshape(B, T, *a.shape[1:]))
+
+    @staticmethod
+    def concat(sets) -> "FusedSet":
+        """The sets joined along their leading axis."""
+        parts = zip(*(vars(s).values() for s in sets))
+        return FusedSet(*(None if p[0] is None else np.concatenate(p) for p in parts))
 
 
 def align_streams(mag, vis, gt: Trajectory | None = None, rate_ratio: int = 2):
     """Bucket magnetic measurements by visual inter-frame interval.
 
-    One FusedSample per visual measurement whose preceding interval contains
-    exactly rate_ratio magnetic samples (timestamps in (t_prev, t_k]); other
-    visual frames are dropped. No interpolation anywhere."""
+    One FusedSet step (raw units) per visual measurement whose preceding
+    interval contains exactly rate_ratio magnetic samples (timestamps in
+    (t_prev, t_k]); other visual frames are dropped. No interpolation."""
     if not mag or not vis:
         raise AlignmentError("both streams must be nonempty")
     mag_ts = np.array([m.timestamp for m in mag])
@@ -164,18 +189,16 @@ def align_streams(mag, vis, gt: Trajectory | None = None, rate_ratio: int = 2):
     mag_vectors = np.empty((len(mag), MAG_INPUT))  # (x, y, z, theta, phi)
     mag_vectors[:, :3] = [m.position for m in mag]
     mag_vectors[:, 3], mag_vectors[:, 4] = angles_from_heading([m.heading for m in mag])
-    targets = [None] * len(kept)
+    targets = None
     if gt is not None:
         # Ground truth at both ends of every kept interval, resampled once.
         starts = np.maximum(prev_ts[kept], gt.times[0])
         knots, at = np.unique(np.concatenate([starts, vis_ts[kept]]), return_inverse=True)
         poses = resample_trajectory(gt, knots).poses[at.reshape(2, -1)]
         targets = relative_pose(poses[0], poses[1])
-    return [
-        FusedSample(vis[k].timestamp, mag_vectors[lo[k]:hi[k]],
-                    vis[k].delta.as_vector(), target)
-        for k, target in zip(kept, targets)
-    ]
+    vis_vectors = np.array([vis[k].delta.as_vector() for k in kept])
+    mag_inputs = mag_vectors[lo[kept, None] + np.arange(rate_ratio)]
+    return FusedSet(vis_ts[kept], mag_inputs, vis_vectors, targets)
 
 
 @dataclass
@@ -189,85 +212,80 @@ class NormStats:
     target_mean: np.ndarray
     target_sd: np.ndarray
 
-    def normalize_sample(self, s: FusedSample) -> FusedSample:
-        target = None
-        if s.target is not None:
-            target = (s.target - self.target_mean) / self.target_sd
-        return FusedSample(
-            s.timestamp,
-            (s.mag_inputs - self.mag_mean) / self.mag_sd,
-            (s.vis_input - self.vis_mean) / self.vis_sd,
-            target,
-        )
+    def normalize(self, s: FusedSet) -> FusedSet:
+        target = s.target
+        if target is not None:
+            target = (target - self.target_mean) / self.target_sd
+        return FusedSet(s.times, (s.mag - self.mag_mean) / self.mag_sd,
+                        (s.vis - self.vis_mean) / self.vis_sd, target)
 
     def denormalize_output(self, y: np.ndarray) -> np.ndarray:
         return y * self.target_sd + self.target_mean
 
 
-def compute_norm_stats(samples) -> NormStats:
-    mags = np.concatenate([s.mag_inputs for s in samples], axis=0)
-    viss = np.stack([s.vis_input for s in samples])
-    tgts = np.stack([s.target for s in samples if s.target is not None])
-
-    def stats(a):
-        mean = a.mean(axis=0)
-        sd = np.maximum(a.std(axis=0), 1e-8)
-        return mean, sd
-
-    mm, ms = stats(mags)
-    vm, vs = stats(viss)
-    tm, ts = stats(tgts)
-    return NormStats(mm, ms, vm, vs, tm, ts)
+def compute_norm_stats(samples: FusedSet) -> NormStats:
+    """Per-channel means and sds (floored at 1e-8) of a FusedSet with
+    targets; each of a step's magnetic inputs counts."""
+    stats = []
+    for a in (samples.mag.reshape(-1, MAG_INPUT), samples.vis, samples.target):
+        stats += [a.mean(axis=0), np.maximum(a.std(axis=0), 1e-8)]
+    return NormStats(*stats)
 
 
 def forward(
     net: FusionNetwork,
-    samples,
+    samples: FusedSet,
     initial_states=None,
     training: bool = False,
     rng=None,
     dropout_rate: float = 0.0,
 ):
-    """Run the fusion network over a nonempty list of normalized fused samples.
-
-    Returns (outputs (N, 6), caches, final_states). States persist across
-    steps; feeding a window in chunks with carried states is equivalent."""
+    """Run the fusion network over a normalized FusedSet, one sequence or B
+    windows with a state each. Returns (outputs (N, 6) or (B, T, 6), caches,
+    final_states). States start at zero unless given and persist across
+    steps; chunks of a sequence with carried states give the same outputs."""
     hs = net.hidden_size
     r = net.rate_ratio
+    *batch, T = samples.vis.shape[:-1]  # batch is [] or [B]
     if initial_states is None:
-        initial_states = {k: LstmState.zeros(hs) for k in ("mag", "vis", "core")}
+        initial_states = {k: LstmState.zeros(*batch, hs) for k in ("mag", "vis", "core")}
+    # The LSTMs run time-major, on (steps, [B,] input) arrays.
     mag_final, mag_cache = lstm_sequence_forward(
-        np.concatenate([s.mag_inputs for s in samples]),
+        np.moveaxis(samples.mag.reshape(*batch, T * r, MAG_INPUT), -2, 0),
         initial_states["mag"], net.mag_lstm,
     )
     vis_final, vis_cache = lstm_sequence_forward(
-        [s.vis_input for s in samples], initial_states["vis"], net.vis_lstm
+        np.moveaxis(samples.vis, -2, 0), initial_states["vis"], net.vis_lstm
     )
     # The core sees the magnetic state after every rate_ratio-th input.
-    z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=1)
+    z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=-1)
     z, mask = dropout(z, dropout_rate, rng, training)
     core_final, core_cache = lstm_sequence_forward(
         z, initial_states["core"], net.core_lstm
     )
-    outputs = linear_forward(core_cache.h[1:], net.head_W, net.head_b)
+    y = linear_forward(core_cache.h[1:].reshape(-1, hs), net.head_W, net.head_b)
+    outputs = np.moveaxis(y.reshape(T, *batch, OUT_DIM), 0, -2)
     final = {"mag": mag_final, "vis": vis_final, "core": core_final}
     return outputs, (mag_cache, vis_cache, core_cache, mask), final
 
 
-def backward(net: FusionNetwork, caches, dy_list):
+def backward(net: FusionNetwork, caches, dy):
     """BPTT through the full fusion network.
 
-    dy_list holds the upstream gradient on each step's 6-vector output.
-    Returns a dict of parameter gradients matching net.params()."""
+    dy, shaped as forward's outputs, holds the upstream gradient on each
+    step's output. Returns parameter gradients (summed over windows) keyed
+    as net.params()."""
     mag_cache, vis_cache, core_cache, mask = caches
     hs = net.hidden_size
     r = net.rate_ratio
-    dW_head, db_head, dh_core = linear_backward(core_cache.h[1:], net.head_W, dy_list)
-    dW_core, _, dz = lstm_backward(core_cache, net.core_lstm, dh_core)
+    h = core_cache.h[1:]
+    dy = np.moveaxis(np.asarray(dy, dtype=float), -2, 0).reshape(-1, OUT_DIM)
+    dW_head, db_head, dh = linear_backward(h.reshape(-1, hs), net.head_W, dy)
+    dW_core, _, dz = lstm_backward(core_cache, net.core_lstm, dh.reshape(h.shape))
     dz *= mask
-    dW_vis, _, _ = lstm_backward(vis_cache, net.vis_lstm, dz[:, hs:])
-    dh_mag = np.zeros((len(mag_cache.x), hs))
-    dh_mag[r - 1 :: r] = dz[:, :hs]
+    dW_vis, _, _ = lstm_backward(vis_cache, net.vis_lstm, dz[..., hs:])
+    dh_mag = np.zeros(mag_cache.h[1:].shape)
+    dh_mag[r - 1 :: r] = dz[..., :hs]
     dW_mag, _, _ = lstm_backward(mag_cache, net.mag_lstm, dh_mag)
     return {"mag.W": dW_mag, "vis.W": dW_vis, "core.W": dW_core,
             "head.W": dW_head, "head.b": db_head}
@@ -306,43 +324,31 @@ class Checkpoint:
         return FusionNetwork.from_params(self.params, self.rate_ratio)
 
 
-def _windows(samples, window_length):
-    return [
-        samples[k : k + window_length]
-        for k in range(0, len(samples) - window_length + 1, window_length)
-    ]
-
-
 def _window_pass(net, window, beta, hp, rng, training=True):
-    """Forward (and, when training, backward) over one window: (loss,
+    """Forward (and, when training, backward) over a batch of windows: (loss,
     per-step translational and rotational residual norms, gradients)."""
     outputs, caches, _ = forward(
         net, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
     )
-    targets = np.array([s.target for s in window])
-    loss, dys = pose_loss(outputs, targets, beta)
-    trans, rot = pose_residual_norms(outputs, targets)
+    loss, dys = pose_loss(outputs, window.target, beta)
+    trans, rot = pose_residual_norms(outputs, window.target)
     grads = backward(net, caches, dys) if training else None
     return loss, trans, rot, grads
 
 
 def _eval_loss(net, windows, beta, hp):
-    total = 0.0
-    count = 0
-    for w in windows:
-        total += _window_pass(net, w, beta, hp, None, training=False)[0]
-        count += len(w)
-    return total / max(count, 1)
+    loss = _window_pass(net, windows, beta, hp, None, training=False)[0]
+    return loss / windows.times.size
 
 
-def calibrate_beta(net: FusionNetwork, val_samples, stats: NormStats,
+def calibrate_beta(net: FusionNetwork, val_samples: FusedSet, stats: NormStats,
                    clamp=(1.0, 1000.0)):
     """beta = mean translational / mean rotational residual norm over the
-    validation set (raw units); clamped. Returns (beta, flagged)."""
+    validation set as one sequence (raw units); clamped. Returns (beta, flagged)."""
     outputs, _, _ = forward(net, val_samples, training=False)
     trans, rot = pose_residual_norms(
         stats.denormalize_output(outputs),
-        stats.denormalize_output(np.array([s.target for s in val_samples])),
+        stats.denormalize_output(val_samples.target),
     )
     mean_trans = float(np.mean(trans))
     mean_rot = float(np.mean(rot))
@@ -352,24 +358,22 @@ def calibrate_beta(net: FusionNetwork, val_samples, stats: NormStats,
     return float(min(max(beta, clamp[0]), clamp[1])), False
 
 
-def _refit_head_bias(params: dict, rate_ratio: int, windows) -> dict:
+def _refit_head_bias(params: dict, windows: FusedSet) -> dict:
     """params with head.b shifted so that the network's mean residual over
-    the windows (inference mode, states reset per window) is zero.
+    the batch of windows (inference mode, states reset per window) is zero.
 
     The head is linear, so this is the least-squares constant offset; as
     predict_trajectory integrates the outputs, a constant offset is what
     turns into drift."""
-    net = FusionNetwork.from_params(params, rate_ratio)
-    residuals = np.concatenate(
-        [forward(net, w)[0] - np.array([s.target for s in w]) for w in windows]
-    )
+    net = FusionNetwork.from_params(params, windows.mag.shape[-2])
+    residuals = forward(net, windows)[0] - windows.target
     refit = dict(params)
-    refit["head.b"] = params["head.b"] - np.mean(residuals, axis=0)
+    refit["head.b"] = params["head.b"] - np.mean(residuals.reshape(-1, OUT_DIM), axis=0)
     return refit
 
 
 def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
-    """Train on per-trajectory sample lists; held-out trajectories validate.
+    """Train on per-trajectory FusedSets; held-out trajectories validate.
 
     The parameters of the epoch with the lowest validation loss are kept.
     Their head bias is then refit in closed form (_refit_head_bias over
@@ -378,20 +382,21 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     sees but that integrates into drift over a trajectory. The log holds
     the losses before the refit.
 
-    datasets: list of lists of FusedSample (raw units, targets present).
-    Returns (Checkpoint, log) where log is a list of per-epoch dicts."""
+    datasets: list of FusedSet (raw units, targets present). Adam steps on
+    one window at a time. Returns (Checkpoint, log), a list of epoch dicts."""
     if not datasets:
         raise ValueError("need at least one training dataset")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF05E]))
+    T = cfg.window_length
 
     n_val = max(1, int(round(len(datasets) * cfg.validation_fraction)))
     if len(datasets) == 1:
         # Single trajectory: fall back to a window-level split.
         all_raw = datasets[0]
-        cut = max(cfg.window_length, int(len(all_raw) * 0.75))
+        cut = max(T, int(len(all_raw) * 0.75))
         train_sets, val_sets = [all_raw[:cut]], [all_raw[cut:]]
-        if len(val_sets[0]) < 2:
-            val_sets = [all_raw[-cfg.window_length:]]
+        if len(val_sets[0]) < T:
+            val_sets = [all_raw[-T:]]
     else:
         train_sets = datasets[: len(datasets) - n_val]
         val_sets = datasets[len(datasets) - n_val:]
@@ -401,17 +406,14 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 f"{len(datasets)} datasets leaves none to train on"
             )
 
-    stats = compute_norm_stats([s for ds in train_sets for s in ds])
-    train_norm = [[stats.normalize_sample(s) for s in ds] for ds in train_sets]
-    val_norm = [[stats.normalize_sample(s) for s in ds] for ds in val_sets]
-
-    train_windows = [w for ds in train_norm for w in _windows(ds, cfg.window_length)]
-    val_windows = [w for ds in val_norm for w in _windows(ds, cfg.window_length)]
-    if not train_windows or not val_windows:
+    stats = compute_norm_stats(FusedSet.concat(train_sets))
+    train_windows = stats.normalize(FusedSet.concat(ds.windows(T) for ds in train_sets))
+    val_windows = stats.normalize(FusedSet.concat(ds.windows(T) for ds in val_sets))
+    if not len(train_windows) or not len(val_windows):
         raise ValueError("not enough samples for the configured window length")
-    val_flat = [s for w in val_windows for s in w]
+    val_flat = val_windows.map(lambda a: a.reshape(-1, *a.shape[2:]))
 
-    net = init_network(hp.hidden_size, datasets[0][0].mag_inputs.shape[0], rng)
+    net = init_network(hp.hidden_size, datasets[0].mag.shape[1], rng)
     params = net.params()  # views into net, which adam_step updates in place
     adam = adam_init(params)
     beta = 1.0
@@ -427,14 +429,11 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             beta, _ = calibrate_beta(net, val_flat, stats)
         order = rng.permutation(len(train_windows))
         train_loss = train_trans = train_rot = grad_norm = 0.0
-        n_steps = 0
         for wi in order:
-            window = train_windows[wi]
+            window = train_windows[wi : wi + 1]  # a batch of one
             loss, trans, rot, grads = _window_pass(net, window, beta, hp, rng)
             if not np.isfinite(loss):
-                best_params = _refit_head_bias(
-                    best_params, net.rate_ratio, train_windows
-                )
+                best_params = _refit_head_bias(best_params, train_windows)
                 ckpt = Checkpoint(best_params, net.rate_ratio, hp, stats, best_beta)
                 log.append({"epoch": epoch, "aborted": "non-finite loss"})
                 return ckpt, log
@@ -443,7 +442,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             train_loss += loss
             train_trans += trans.sum()
             train_rot += rot.sum()
-            n_steps += len(window)
+        n_steps = len(order) * T
         val_loss = _eval_loss(net, val_windows, beta, hp)
         log.append(
             {
@@ -467,7 +466,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             if epoch > cfg.warmup_epochs and bad_epochs >= cfg.early_stop_patience:
                 break
 
-    best_params = _refit_head_bias(best_params, net.rate_ratio, train_windows)
+    best_params = _refit_head_bias(best_params, train_windows)
     hp_final = replace(hp, beta_loss=best_beta)
     return Checkpoint(best_params, net.rate_ratio, hp_final, stats, best_beta), log
 
@@ -495,12 +494,9 @@ def predict_trajectory(
     """align_streams -> inference forward -> de-normalize -> integrate."""
     net = ckpt.network()
     samples = align_streams(mag, vis, gt=None, rate_ratio=ckpt.rate_ratio)
-    normed = [ckpt.stats.normalize_sample(s) for s in samples]
-    outputs, _, _ = forward(net, normed, training=False)
+    outputs, _, _ = forward(net, ckpt.stats.normalize(samples), training=False)
     deltas = ckpt.stats.denormalize_output(outputs)
-    return integrate_deltas(
-        initial_pose.as_vector(), [s.timestamp for s in samples], deltas
-    )
+    return integrate_deltas(initial_pose.as_vector(), samples.times, deltas)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -517,7 +513,18 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             f.write(f"W {name} {dims} {vals}\n")
 
 
+# The fields each checkpoint record kind needs after its kind word.
+_RECORD_FIELDS = {
+    "HP": ("key=value",),
+    "META": ("key=value",),
+    "STAT": ("name", "values"),
+    "W": ("name", "shape", "values"),
+}
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a save_checkpoint file. A malformed record raises ValueError
+    naming its line and kind."""
     hp = meta_kv = None
     stat_names = [fld.name for fld in fields(NormStats)]
     stats_arrays = {}
@@ -526,33 +533,47 @@ def load_checkpoint(path) -> Checkpoint:
         first = f.readline().strip()
         if first != f"# {CHECKPOINT_VERSION}":
             raise ValueError(f"unsupported checkpoint version: {first!r}")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            kind, rest = line.split(" ", 1)
-            if kind == "HP":
-                (hp,) = parse_config(rest, Hyperparams)
-            elif kind == "META":
-                meta_kv = dict(tok.split("=") for tok in rest.split())
-            elif kind == "STAT":
-                name, vals = rest.split(" ", 1)
-                if name not in stat_names:
-                    raise ValueError(f"unknown STAT record {name!r}")
-                stats_arrays[name] = np.array([float(v) for v in vals.split()])
-            elif kind == "W":
-                name, dims, vals = rest.split(" ", 2)
-                if name in params:
-                    raise ValueError(f"repeated W record {name!r}")
-                shape = tuple(int(d) for d in dims.split("x"))
-                values = np.array([float(v) for v in vals.split()])
-                if values.size != np.prod(shape):
-                    raise ValueError(
-                        f"W record {name!r} holds {values.size} values for shape {dims}"
-                    )
-                params[name] = values.reshape(shape)
-            else:
-                raise ValueError(f"unknown checkpoint record {kind!r}")
+            kind, *words = line.split()
+            try:
+                if kind not in _RECORD_FIELDS:
+                    raise ValueError(f"unknown checkpoint record {kind!r}")
+                need = _RECORD_FIELDS[kind]
+                if len(words) < len(need):
+                    raise ValueError(f"expected fields: {' '.join(need)}")
+                if kind == "HP":
+                    (hp,) = parse_config(" ".join(words), Hyperparams)
+                elif kind == "META":
+                    meta_kv = {}
+                    for tok in words:
+                        key, eq, val = tok.partition("=")
+                        if not eq:
+                            raise ValueError(f"{tok!r} is not key=value")
+                        meta_kv[key] = val
+                    for key, parse in (("rate_ratio", int), ("beta_loss", float)):
+                        if key in meta_kv:
+                            meta_kv[key] = parse(meta_kv[key])
+                elif kind == "STAT":
+                    name = words[0]
+                    if name not in stat_names:
+                        raise ValueError(f"unknown STAT record {name!r}")
+                    stats_arrays[name] = np.array([float(v) for v in words[1:]])
+                else:
+                    name, dims = words[:2]
+                    if name in params:
+                        raise ValueError(f"repeated W record {name!r}")
+                    shape = tuple(int(d) for d in dims.split("x"))
+                    values = np.array([float(v) for v in words[2:]])
+                    if values.size != np.prod(shape):
+                        raise ValueError(f"W record {name!r} holds {values.size} "
+                                         f"values for shape {dims}")
+                    params[name] = values.reshape(shape)
+            except ValueError as err:
+                msg = f"checkpoint line {lineno}, {kind} record: {err}"
+                raise ValueError(msg) from None
     if hp is None or meta_kv is None:
         raise ValueError("corrupt checkpoint: missing HP/META records")
     for name in stat_names:
@@ -573,6 +594,4 @@ def load_checkpoint(path) -> Checkpoint:
         if name not in params:
             raise ValueError(f"corrupt checkpoint: missing W record {name!r}")
     stats = NormStats(**stats_arrays)
-    return Checkpoint(
-        params, int(meta_kv["rate_ratio"]), hp, stats, float(meta_kv["beta_loss"])
-    )
+    return Checkpoint(params, meta_kv["rate_ratio"], hp, stats, meta_kv["beta_loss"])

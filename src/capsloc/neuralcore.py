@@ -11,11 +11,11 @@ LSTM cell with no bias terms:
 
 An LSTM's weights are one stacked W (4H, X + H): row blocks i, f, g, o,
 columns [x | h], so W_gh above is W[2H:3H, X:]. Parameters, gradients, Adam
-moments and checkpoints all hold W whole. Over T steps,
+moments and checkpoints all hold W whole. The sequence kernels run a (T, X)
+sequence as a batch of one, or B sequences as a time-major (T, B, X) batch:
 lstm_sequence_forward takes all input projections in one GEMM, then one
-(4H, H) gemv per step; lstm_backward does one (H, 4H) gemv per step, then
-the weight gradient dW as one GEMM dA^T [X | H_prev] and the input
-gradients as dA W_x, where dA holds the (T, 4H) pre-activation gradients.
+h[t] W_h^T product per step; lstm_backward does one dA[t] W_h product per
+step, then dW as one GEMM dA^T [X | H_prev] and the input gradients dA W_x.
 
 Adam variant with epsilon inside the square root of the bias-corrected
 second moment:
@@ -94,22 +94,22 @@ class LstmWeights:
 
 @dataclass
 class LstmState:
-    h: np.ndarray
+    h: np.ndarray  # (H,), or (B, H) for a batch
     c: np.ndarray
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float).reshape(-1)
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
-        if self.h.shape != self.c.shape:
-            raise ValueError("h and c must have equal length")
+        self.h = np.asarray(self.h, dtype=float)
+        self.c = np.asarray(self.c, dtype=float)
+        if self.h.ndim not in (1, 2) or self.h.shape != self.c.shape:
+            raise ValueError("h and c must have equal (H,) or (B, H) shapes")
 
     @staticmethod
-    def zeros(hidden_size: int) -> "LstmState":
-        return LstmState(np.zeros(hidden_size), np.zeros(hidden_size))
+    def zeros(*shape) -> "LstmState":
+        return LstmState(np.zeros(shape), np.zeros(shape))
 
 
 class LstmCache(NamedTuple):
-    """What lstm_backward needs of a forward pass over T steps."""
+    """What lstm_backward needs of a forward pass; a batch adds a B axis after T."""
 
     x: np.ndarray  # (T, X) inputs
     h: np.ndarray  # (T + 1, H) hidden states; h[0] is the initial one
@@ -129,65 +129,68 @@ def init_lstm_weights(input_size: int, hidden_size: int, rng) -> LstmWeights:
 
 
 def lstm_sequence_forward(xs, init: LstmState, w: LstmWeights):
-    """Run the LSTM from init over a nonempty (T, input) sequence.
-
-    Returns (the LstmState after the last step, the LstmCache for
-    lstm_backward); the cache holds every step's h and c."""
+    """Run the LSTM from init over a nonempty (T, X) sequence with (H,) states
+    or a (T, B, X) batch with (B, H) states. Returns (the LstmState after the
+    last step, the LstmCache for lstm_backward, holding every step's h and c)."""
     x = np.asarray(xs, dtype=float)
-    if x.ndim != 2 or len(x) == 0:
-        raise ValueError("expected a nonempty (steps, input) sequence")
-    T, n = x.shape
+    if x.ndim not in (2, 3) or x.size == 0:
+        raise ValueError("expected a nonempty (steps, [batch,] input) sequence")
+    T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
     H = w.hidden_size
     if n != w.input_size:
         raise ValueError(f"input size {n} != weights {w.input_size}")
-    if init.h.shape[0] != H:
-        raise ValueError("state size mismatch")
-    h, c = np.empty((2, T + 1, H))
+    if init.h.shape != x.shape[1:-1] + (H,):
+        raise ValueError("state shape mismatch")
+    h, c = np.empty((2, T + 1, B, H))
     h[0], c[0] = init.h, init.c
-    W_h = w.W[:, n:]
-    gates = x @ w.W[:, :n].T  # the input projections of every step
+    W_h_T = w.W[:, n:].T
+    gates = (x.reshape(T * B, n) @ w.W[:, :n].T).reshape(T, B, 4 * H)
     for t in range(T):
         a = gates[t]
-        a += W_h @ h[t]
-        g = np.tanh(a[2 * H : 3 * H])
+        a += h[t] @ W_h_T
+        g = np.tanh(a[:, 2 * H : 3 * H])
         a[:] = sigmoid(a)
-        a[2 * H : 3 * H] = g
-        np.multiply(a[H : 2 * H], c[t], out=c[t + 1])
-        c[t + 1] += a[:H] * g
-        np.multiply(a[3 * H :], np.tanh(c[t + 1]), out=h[t + 1])
+        a[:, 2 * H : 3 * H] = g
+        np.multiply(a[:, H : 2 * H], c[t], out=c[t + 1])
+        c[t + 1] += a[:, :H] * g
+        np.multiply(a[:, 3 * H :], np.tanh(c[t + 1]), out=h[t + 1])
+    h, c, gates = (a.reshape(len(a), *x.shape[1:-1], -1) for a in (h, c, gates))
     return LstmState(h[T], c[T]), LstmCache(x, h, c, gates)
 
 
 def lstm_backward(cache: LstmCache, w: LstmWeights, dh_list):
-    """Full BPTT over a sequence forward pass; dh_list holds the upstream
-    gradient on every step's h, (T, H), zeros allowed. Returns (the
-    (4H, X + H) gradient on w.W; the gradient on the initial state; the
-    (T, X) input gradients)."""
+    """Full BPTT over a forward pass; dh_list holds the upstream gradient on
+    every step's h, shaped as the cache's h[1:], zeros allowed. Returns (the
+    (4H, X + H) gradient on w.W, summed over a batch; the gradient on the
+    initial state; the input gradients)."""
     x, h, c, gates = cache
-    T, n = x.shape
+    T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
     H = w.hidden_size
     dh_up = np.asarray(dh_list, dtype=float)
-    if dh_up.shape != (T, H):
+    if dh_up.shape != h[1:].shape:
         raise ValueError("dh_list must hold one hidden-size gradient per step")
-    i, f, g, o = (gates[:, k * H : (k + 1) * H] for k in range(4))
+    h, c, gates, dh_up = (a.reshape(len(a), B, -1) for a in (h, c, gates, dh_up))
+    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     tc = np.tanh(c[1:])
     dc_per_dh = o * (1.0 - tc * tc)
     # Pre-activation gradient of each gate per unit of the total gradient on
     # its step's c (gates i, f, g) or h (gate o).
     per_unit = gates * (1.0 - gates)
-    per_unit[:, 2 * H : 3 * H] = 1.0 - g * g
-    per_unit *= np.concatenate([g, c[:-1], i, tc], axis=1)
-    d_pre = np.empty((T, 4 * H))
-    W_h_T = w.W[:, n:].T
-    dh_next, dc = np.zeros((2, H))
+    per_unit[..., 2 * H : 3 * H] = 1.0 - g * g
+    per_unit *= np.concatenate([g, c[:-1], i, tc], axis=-1)
+    d_pre = np.empty((T, B, 4 * H))
+    W_h = w.W[:, n:]
+    dh_next, dc = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_up[t] + dh_next
         dc = dc + dh * dc_per_dh[t]
-        np.multiply(per_unit[t], np.concatenate([dc, dc, dc, dh]), out=d_pre[t])
+        np.multiply(per_unit[t], np.concatenate([dc, dc, dc, dh], 1), out=d_pre[t])
         dc = dc * f[t]
-        dh_next = W_h_T @ d_pre[t]
-    dW = d_pre.T @ np.concatenate([x, h[:-1]], axis=1)
-    return dW, LstmState(dh_next, dc), d_pre @ w.W[:, :n]
+        dh_next = d_pre[t] @ W_h
+    d_pre = d_pre.reshape(T * B, 4 * H)
+    dW = d_pre.T @ np.concatenate([x.reshape(T * B, n), h[:-1].reshape(T * B, H)], 1)
+    dinit = LstmState(dh_next.reshape(cache.h[0].shape), dc.reshape(cache.h[0].shape))
+    return dW, dinit, (d_pre @ w.W[:, :n]).reshape(x.shape)
 
 
 def linear_forward(x, W, b):
@@ -226,7 +229,7 @@ def pose_residual_norms(pred, target):
 
 def pose_loss(pred, target, beta_loss: float):
     """Weighted pose loss: ||t_err||_2 + beta * ||r_err||_2 (unsquared norms),
-    summed over the rows of (T, 6) poses; a (6,) pose is one row.
+    summed over the 6-vector rows of (..., 6) poses; a (6,) pose is one row.
 
     Returns (loss, gradient wrt pred). The zero subgradient is returned for
     an exactly-zero residual block."""

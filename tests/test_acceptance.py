@@ -121,15 +121,13 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         # Full fusion network (tiny instance: hidden 4, window 3).
         hp = Hyperparams(hidden_size=4, dropout_rate=0.0)
         net = fn.init_network(4, 2, rng)
-        window = [
-            fn.FusedSample(
-                (k + 1) / 25.0,
-                rng.normal(0, 1, (2, 5)),
-                rng.normal(0, 1, 6),
-                rng.normal(0, 1, 6),
-            )
+        steps = [
+            (rng.normal(0, 1, (2, 5)), rng.normal(0, 1, 6), rng.normal(0, 1, 6))
             for k in range(3)
         ]
+        window = fn.FusedSet(
+            np.arange(1, 4) / 25.0, *(np.array(a) for a in zip(*steps))
+        )
         _, _, _, grads = fn._window_pass(net, window, 2.5, hp, None)
 
         def net_loss(params):
@@ -519,8 +517,8 @@ def test_criterion_8_asynchrony_contract(verdict):
                 for m in ds.mag
             ]
             samples = fn.align_streams(mag, ds.vis, ds.gt, rate_ratio=cfg.rate_ratio)
-            contract_ok = contract_ok and all(
-                s.mag_inputs.shape == (cfg.rate_ratio, 5) for s in samples
+            contract_ok = contract_ok and (
+                samples.mag.shape == (len(samples), cfg.rate_ratio, 5)
             )
 
     # Training and inference on a real asymmetric dataset, end to end:
@@ -656,13 +654,10 @@ def test_criterion_10_training_smoke(verdict):
     drop_ok = drop >= 0.90 and len(losses) <= 50
 
     # Early stopping fires within patience+1 epochs of validation increase.
-    constant = [
-        fn.FusedSample(
-            (k + 1) / 25.0, np.zeros((2, 5)), np.zeros(6),
-            np.array([1e-3, 0, 0, 0, 0, 2e-3]),
-        )
-        for k in range(64)
-    ]
+    constant = fn.FusedSet(
+        np.arange(1, 65) / 25.0, np.zeros((64, 2, 5)), np.zeros((64, 6)),
+        np.tile([1e-3, 0, 0, 0, 0, 2e-3], (64, 1)),
+    )
     pcfg = fn.TrainingConfig(
         max_epochs=50, window_length=8, early_stop_patience=3,
         warmup_epochs=0, seed=1,
@@ -683,13 +678,10 @@ def test_criterion_10_training_smoke(verdict):
     stats = fn.NormStats(
         np.zeros(5), np.ones(5), np.zeros(6), np.ones(6), np.zeros(6), np.ones(6)
     )
-    val = [
-        fn.FusedSample(
-            (k + 1) / 25.0, np.zeros((2, 5)), np.zeros(6),
-            np.array([0.01, 0, 0, 1e-4, 0, 0]),
-        )
-        for k in range(10)
-    ]
+    val = fn.FusedSet(
+        np.arange(1, 11) / 25.0, np.zeros((10, 2, 5)), np.zeros((10, 6)),
+        np.tile([0.01, 0, 0, 1e-4, 0, 0], (10, 1)),
+    )
     beta, flagged = fn.calibrate_beta(zero, val, stats)
     beta_ok = abs(beta - 100.0) < 1e-9 and not flagged
 

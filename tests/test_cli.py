@@ -8,6 +8,7 @@ import pytest
 
 from capsloc import cli, fusenet, magloc, simkit
 from capsloc.cli import RunConfig, main, read_mag_estimates
+from capsloc.neuralcore import Hyperparams
 
 
 # --- config parsing ---------------------------------------------------------
@@ -255,6 +256,28 @@ def test_bad_checkpoint_errors(tmp_path, capsys):
                "--checkpoint", str(bogus), "--out", str(tmp_path / "r.txt")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_line_errors_to_stderr(tmp_path, capsys):
+    cfg = fast_cfg(tmp_path)
+    data = tmp_path / "data"
+    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(data)])
+    net = fusenet.init_network(4, 2, np.random.default_rng(0))
+    ones = np.ones(6)
+    stats = fusenet.NormStats(np.zeros(5), np.ones(5), 0 * ones, ones, 0 * ones, ones)
+    ckpt = fusenet.Checkpoint(net.params(), 2, Hyperparams(hidden_size=4), stats, 1.0)
+    path = tmp_path / "model.ckpt"
+    fusenet.save_checkpoint(path, ckpt)
+    lines = path.read_text().splitlines()
+    lines[1] = "HP"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", cfg, str(data / "dataset_seed1.txt"),
+               "--checkpoint", str(path), "--out", str(tmp_path / "r.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint line 2, HP record: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits():

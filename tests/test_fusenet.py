@@ -35,16 +35,17 @@ def identity_stats():
     )
 
 
+def fused_set(steps):
+    """A FusedSet at 25 Hz from per-step (mag, vis, target) arrays."""
+    mag, vis, target = (np.array(a) for a in zip(*steps))
+    return fn.FusedSet(np.arange(1, len(mag) + 1) / 25.0, mag, vis, target)
+
+
 def toy_samples(n, rng, rate_ratio=2):
-    return [
-        fn.FusedSample(
-            (k + 1) / 25.0,
-            rng.normal(0, 1, (rate_ratio, 5)),
-            rng.normal(0, 1, 6),
-            rng.normal(0, 1, 6),
-        )
+    return fused_set(
+        (rng.normal(0, 1, (rate_ratio, 5)), rng.normal(0, 1, 6), rng.normal(0, 1, 6))
         for k in range(n)
-    ]
+    )
 
 
 def cell(x, prev, w):
@@ -66,8 +67,7 @@ def test_align_counting_100_mag_50_vis():
     assert len(mag) == 100
     samples = fn.align_streams(mag, vis)
     assert 49 <= len(samples) <= 50
-    for s in samples:
-        assert s.mag_inputs.shape == (2, 5)
+    assert samples.mag.shape == (len(samples), 2, 5)
 
 
 def test_align_missing_interval_drops_sample():
@@ -82,7 +82,7 @@ def test_align_missing_interval_drops_sample():
 def test_align_no_gt_targets_absent():
     mag, vis = make_streams(n_vis=20)
     samples = fn.align_streams(mag, vis)
-    assert all(s.target is None for s in samples)
+    assert samples.target is None
 
 
 def test_align_with_gt_targets_are_relative_poses():
@@ -94,8 +94,7 @@ def test_align_with_gt_targets_are_relative_poses():
     mag = [mag_meas(m.timestamp) for m in ds.mag]
     samples = fn.align_streams(mag, ds.vis, gt=ds.gt)
     # With noise and drift off, targets equal the visual deltas exactly.
-    for s in samples[1:]:
-        assert np.allclose(s.target, s.vis_input, atol=1e-9)
+    assert np.allclose(samples.target[1:], samples.vis[1:], atol=1e-9)
 
 
 def test_align_empty_stream_errors():
@@ -119,8 +118,28 @@ def test_rate_contract_on_simulated_datasets():
         ds = sk.simulate_dataset(cfg)
         mag = [mag_meas(m.timestamp) for m in ds.mag]
         samples = fn.align_streams(mag, ds.vis, gt=ds.gt, rate_ratio=cfg.rate_ratio)
-        assert all(s.mag_inputs.shape[0] == cfg.rate_ratio for s in samples)
+        assert samples.mag.shape[1] == cfg.rate_ratio
         assert len(samples) >= len(ds.vis) - 1
+
+
+def test_align_gathers_each_interval_in_order():
+    mag, vis = make_streams(n_vis=20)
+    samples = fn.align_streams(mag, vis)
+    positions = np.array([m.position for m in mag])
+    for k, t in enumerate(samples.times):
+        inside = [j for j, m in enumerate(mag) if t - 0.04 + 1e-9 <= m.timestamp < t + 1e-9]
+        assert np.array_equal(samples.mag[k, :, :3], positions[inside])
+
+
+def test_fused_set_windows_and_slices():
+    samples = toy_samples(11, np.random.default_rng(14))
+    windows = samples.windows(4)
+    assert len(windows) == 2 and windows.mag.shape == (2, 4, 2, 5)
+    assert np.array_equal(windows.vis[1], samples.vis[4:8])
+    assert np.array_equal(windows[1:].target[0], samples[4:8].target)
+    joined = fn.FusedSet.concat([samples[:3], samples[3:]])
+    assert all(np.array_equal(getattr(joined, f), getattr(samples, f))
+               for f in ("times", "mag", "vis", "target"))
 
 
 # --- forward ---------------------------------------------------------------
@@ -160,10 +179,10 @@ def test_forward_matches_step_by_step_oracle():
     mag_s = nc.LstmState.zeros(3)
     vis_s = nc.LstmState.zeros(3)
     core_s = nc.LstmState.zeros(3)
-    for k, s in enumerate(samples):
+    for k in range(len(samples)):
         for r in range(2):
-            mag_s = cell(s.mag_inputs[r], mag_s, net.mag_lstm)
-        vis_s = cell(s.vis_input, vis_s, net.vis_lstm)
+            mag_s = cell(samples.mag[k, r], mag_s, net.mag_lstm)
+        vis_s = cell(samples.vis[k], vis_s, net.vis_lstm)
         z = np.concatenate([mag_s.h, vis_s.h])
         core_s = cell(z, core_s, net.core_lstm)
         y = net.head_W @ core_s.h + net.head_b
@@ -195,10 +214,10 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
 
     mask_rng = np.random.default_rng(41)
     mag_s, vis_s, core_s = (nc.LstmState.zeros(H) for _ in range(3))
-    for k, s in enumerate(samples):
-        for x in s.mag_inputs:
+    for k in range(len(samples)):
+        for x in samples.mag[k]:
             mag_s = cell(x, mag_s, net.mag_lstm)
-        vis_s = cell(s.vis_input, vis_s, net.vis_lstm)
+        vis_s = cell(samples.vis[k], vis_s, net.vis_lstm)
         keep = (mask_rng.random(2 * H) >= rate) / (1.0 - rate)
         z = np.concatenate([mag_s.h, vis_s.h]) * keep
         core_s = cell(z, core_s, net.core_lstm)
@@ -208,7 +227,7 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
         assert np.allclose(states[name].h, s.h, rtol=0, atol=1e-12)
         assert np.allclose(states[name].c, s.c, rtol=0, atol=1e-12)
 
-    targets = np.array([s.target for s in samples])
+    targets = samples.target
 
     def loss_fn(params):
         n2 = fn.FusionNetwork.from_params(params, r)
@@ -224,6 +243,43 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     for k in fd:
         denom = max(np.max(np.abs(fd[k])), 1e-8)
         assert np.max(np.abs(grads[k] - fd[k])) / denom < 1e-5, k
+
+
+# A batch's GEMMs may sum in another order than one window's products, so
+# batched results match per-window ones to this relative bound.
+BATCH_RTOL = 1e-12
+
+
+def test_batched_forward_matches_per_window_forward():
+    rng = np.random.default_rng(42)
+    net = fn.init_network(5, 2, rng)
+    windows = toy_samples(24, rng).windows(8)
+    outputs, _, states = fn.forward(net, windows)
+    assert outputs.shape == (3, 8, 6) and states["core"].h.shape == (3, 5)
+    for b in range(3):
+        one, _, one_states = fn.forward(net, windows[b])
+        assert np.allclose(outputs[b], one, rtol=BATCH_RTOL, atol=0)
+        assert np.allclose(states["core"].c[b], one_states["core"].c,
+                           rtol=BATCH_RTOL, atol=0)
+
+
+def test_eval_loss_and_head_bias_refit_match_per_window_loops():
+    rng = np.random.default_rng(43)
+    hp = nc.Hyperparams(hidden_size=5, dropout_rate=0.25)
+    net = fn.init_network(5, 2, rng)
+    windows = toy_samples(40, rng).windows(8)
+    per_window = [fn._window_pass(net, windows[b], 2.5, hp, None, training=False)[0]
+                  for b in range(len(windows))]
+    loss = fn._eval_loss(net, windows, 2.5, hp)
+    assert np.isclose(loss, sum(per_window) / 40, rtol=BATCH_RTOL, atol=0)
+
+    refit = fn._refit_head_bias(net.params(), windows)
+    residuals = [fn.forward(net, windows[b])[0] - windows.target[b]
+                 for b in range(len(windows))]
+    expected = net.head_b - np.mean(np.concatenate(residuals), axis=0)
+    assert np.allclose(refit["head.b"], expected, rtol=BATCH_RTOL, atol=1e-15)
+    for k in ("mag.W", "vis.W", "core.W", "head.W"):
+        assert refit[k] is net.params()[k]
 
 
 def test_forward_shape_asymmetry_contract():
@@ -265,14 +321,12 @@ def test_end_to_end_gradient_check(gate_blocks):
 def test_normalization_roundtrip():
     rng = np.random.default_rng(9)
     samples = toy_samples(40, rng)
-    for s in samples:
-        s.mag_inputs *= 0.01
-        s.vis_input *= 1e-3
-        s.target *= 1e-3
+    samples.mag *= 0.01
+    samples.vis *= 1e-3
+    samples.target *= 1e-3
     stats = fn.compute_norm_stats(samples)
-    for s in samples[:5]:
-        n = stats.normalize_sample(s)
-        assert np.allclose(stats.denormalize_output(n.target), s.target, atol=1e-12)
+    n = stats.normalize(samples[:5])
+    assert np.allclose(stats.denormalize_output(n.target), samples.target[:5], atol=1e-12)
     y = rng.normal(0, 1, 6)
     renorm = (stats.denormalize_output(y) - stats.target_mean) / stats.target_sd
     assert np.allclose(renorm, y, atol=1e-12)
@@ -281,8 +335,7 @@ def test_normalization_roundtrip():
 def test_norm_stats_floor_on_constant_channel():
     rng = np.random.default_rng(10)
     samples = toy_samples(20, rng)
-    for s in samples:
-        s.target[2] = 0.5  # constant channel
+    samples.target[:, 2] = 0.5  # constant channel
     stats = fn.compute_norm_stats(samples)
     assert stats.target_sd[2] >= 1e-8
 
@@ -297,8 +350,7 @@ def beta_case(trans_norm, rot_norm):
     t = np.zeros(6)
     t[0] = trans_norm
     t[5] = rot_norm
-    samples = [fn.FusedSample(0.04, np.zeros((2, 5)), np.zeros(6), t.copy())
-               for _ in range(4)]
+    samples = fused_set((np.zeros((2, 5)), np.zeros(6), t.copy()) for _ in range(4))
     return fn.calibrate_beta(net, samples, stats)
 
 
@@ -332,17 +384,11 @@ def test_calibrate_beta_clamp_lower():
 def constant_delta_dataset(n=200, rate_ratio=2):
     delta = np.array([1e-3, -5e-4, 2e-4, 1e-3, -2e-3, 5e-4])
     rng = np.random.default_rng(11)
-    samples = []
-    for k in range(n):
-        samples.append(
-            fn.FusedSample(
-                (k + 1) / 25.0,
-                rng.normal(0, 1.0, (rate_ratio, 5)) * 0.01,
-                delta + rng.normal(0, 1e-5, 6),
-                delta.copy(),
-            )
-        )
-    return samples
+    return fused_set(
+        (rng.normal(0, 1.0, (rate_ratio, 5)) * 0.01, delta + rng.normal(0, 1e-5, 6),
+         delta.copy())
+        for k in range(n)
+    )
 
 
 def test_train_constant_sequence_loss_drops_90pct():
@@ -407,14 +453,24 @@ def test_train_refits_head_bias_to_zero_mean_residual():
     net = ckpt.network()
     residuals = []
     for ds in datasets[:3]:  # validation_fraction 0.25 holds out the last set
-        normed = [ckpt.stats.normalize_sample(s) for s in ds]
+        normed = ckpt.stats.normalize(ds)
         for k in range(0, len(normed) - cfg.window_length + 1, cfg.window_length):
             window = normed[k : k + cfg.window_length]
             outputs, _, _ = fn.forward(net, window)
-            residuals.extend(outputs - np.array([s.target for s in window]))
+            residuals.extend(outputs - window.target)
     residuals = np.array(residuals)
     assert np.all(np.std(residuals, axis=0) > 0.1)
     assert np.max(np.abs(residuals.mean(axis=0))) < 1e-12
+
+
+def test_train_single_dataset_short_tail_validates_on_last_window():
+    # 40 samples hold two 16-step windows. The 75% cut leaves a 10-sample
+    # tail, too short for a window, so the last 16 samples validate.
+    cfg = fn.TrainingConfig(max_epochs=2, window_length=16, warmup_epochs=0)
+    hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0)
+    _, log = fn.train([constant_delta_dataset(n=40)], cfg, hp)
+    assert [r["epoch"] for r in log] == [1, 2]
+    assert all(np.isfinite(r["val_loss"]) for r in log)
 
 
 def test_training_log_format(tmp_path):
@@ -466,10 +522,9 @@ def test_target_integration_reproduces_ground_truth():
     from capsloc.geometry import resample_trajectory
 
     pose = ds.gt.pose(0).as_vector()
-    ts = [s.timestamp for s in samples]
-    on_gt = resample_trajectory(ds.gt, np.minimum(ts, ds.gt.times[-1]))
-    for s, true_pose in zip(samples, on_gt.poses):
-        pose = apply_relative(pose, s.target)
+    on_gt = resample_trajectory(ds.gt, np.minimum(samples.times, ds.gt.times[-1]))
+    for target, true_pose in zip(samples.target, on_gt.poses):
+        pose = apply_relative(pose, target)
         assert np.linalg.norm(pose[:3] - true_pose[:3]) < 1e-6
 
 
@@ -606,4 +661,24 @@ def test_checkpoint_wrong_shape_w_record_is_named(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("W head.b 6 ", "W head.b 2x3 "))
     with pytest.raises(ValueError, match=r"'head.b' has shape \(2, 3\), expected \(6,\)"):
+        fn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("prefix, replacement, kind", [
+    ("HP ", "HP", "HP"),
+    ("STAT vis_sd ", "STAT", "STAT"),
+    ("W head.b ", "W", "W"),
+    ("STAT vis_sd ", "STAT vis_sd", "STAT"),
+    ("W head.b ", "W head.b 6", "W"),
+    ("META ", "META rate_ratio beta_loss=1.0", "META"),
+    ("META ", "META rate_ratio=two beta_loss=1.0", "META"),
+])
+def test_checkpoint_malformed_record_names_line_and_kind(tmp_path, prefix, replacement, kind):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    lines = path.read_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    lines[k] = replacement
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^checkpoint line {k + 1}, {kind} record: "):
         fn.load_checkpoint(path)

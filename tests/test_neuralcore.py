@@ -197,6 +197,60 @@ def test_backward_input_and_state_gradients_fd():
     assert np.allclose(dinit.c, fd["c0"], atol=1e-6)
 
 
+# A batch's GEMMs may sum in another order than a single sequence's
+# products, so batch results match per-sequence ones to this relative bound.
+BATCH_RTOL = 1e-12
+
+
+def test_sequence_is_a_batch_of_one_bit_for_bit():
+    rng = np.random.default_rng(201)
+    w = make_weights(rng, 16, 5)
+    xs = rng.normal(0, 1, (9, 5))
+    init = nc.LstmState(h=rng.normal(0, 0.5, 16), c=rng.normal(0, 0.5, 16))
+    dh = rng.normal(0, 1, (9, 16))
+    final, cache = nc.lstm_sequence_forward(xs, init, w)
+    final_b, cache_b = nc.lstm_sequence_forward(
+        xs[:, None], nc.LstmState(init.h[None], init.c[None]), w
+    )
+    assert cache.h.shape == (10, 16) and cache_b.h.shape == (10, 1, 16)
+    for a, b in zip(cache, cache_b):
+        assert np.array_equal(a, b.reshape(a.shape))
+    assert np.array_equal(final.h, final_b.h[0]) and np.array_equal(final.c, final_b.c[0])
+    dW, dinit, dx = nc.lstm_backward(cache, w, dh)
+    dW_b, dinit_b, dx_b = nc.lstm_backward(cache_b, w, dh[:, None])
+    assert np.array_equal(dW, dW_b)
+    assert np.array_equal(dinit.h, dinit_b.h[0]) and np.array_equal(dinit.c, dinit_b.c[0])
+    assert np.array_equal(dx, dx_b[:, 0])
+
+
+def test_batch_matches_per_sequence_calls():
+    rng = np.random.default_rng(202)
+    B, T, hidden, inp = 3, 7, 16, 5
+    w = make_weights(rng, hidden, inp)
+    xs = rng.normal(0, 1, (T, B, inp))
+    init = nc.LstmState(h=rng.normal(0, 0.5, (B, hidden)), c=rng.normal(0, 0.5, (B, hidden)))
+    dh = rng.normal(0, 1, (T, B, hidden))
+    final, cache = nc.lstm_sequence_forward(xs, init, w)
+    dW, dinit, dx = nc.lstm_backward(cache, w, dh)
+    dW_sum = np.zeros_like(dW)
+    for b in range(B):
+        one = nc.LstmState(init.h[b], init.c[b])
+        final_1, cache_1 = nc.lstm_sequence_forward(xs[:, b], one, w)
+        dW_1, dinit_1, dx_1 = nc.lstm_backward(cache_1, w, dh[:, b])
+        dW_sum += dW_1
+        for got, want in ((cache.h[:, b], cache_1.h), (cache.c[:, b], cache_1.c),
+                          (final.h[b], final_1.h), (dinit.h[b], dinit_1.h),
+                          (dinit.c[b], dinit_1.c), (dx[:, b], dx_1)):
+            assert np.allclose(got, want, rtol=BATCH_RTOL, atol=0)
+    assert np.allclose(dW, dW_sum, rtol=BATCH_RTOL, atol=1e-15 * np.abs(dW).max())
+
+
+def test_batch_state_shape_must_match_inputs():
+    w = zero_weights(4, 3)
+    with pytest.raises(ValueError, match="state shape"):
+        nc.lstm_sequence_forward(np.ones((2, 5, 3)), nc.LstmState.zeros(4), w)
+
+
 def test_linear_identity_and_bias():
     x = np.array([1.0, 2.0, 3.0])
     y = nc.linear_forward(x, np.eye(3), np.zeros(3))
