@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import evalbench, evoalign, fusenet, magloc, simkit
-from .geometry import RigidTransform, rotation_angle, rotation_exp
+from .geometry import rotation_angle, rotation_exp
 from .neuralcore import Hyperparams
 
 __all__ = ["RunConfig", "main"]
@@ -179,27 +179,6 @@ def _write_mag_estimates(path, ests, cfg):
             )
 
 
-def read_mag_estimates(path):
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = line.split()
-            out.append(
-                magloc.MagMeasurement5DoF(
-                    float(vals[0]),
-                    np.array([float(v) for v in vals[1:4]]),
-                    np.array([float(v) for v in vals[4:7]]),
-                    converged=bool(int(vals[7])),
-                    residual=float(vals[8]),
-                    iterations=int(vals[9]),
-                )
-            )
-    return out
-
-
 def cmd_localize_mag(args) -> int:
     cfg = _load_config(args)
     ds = simkit.read_dataset(args.dataset)
@@ -257,23 +236,20 @@ def cmd_evaluate(args) -> int:
 def cmd_align_demo(args) -> int:
     cfg = _load_config(args)
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0xA11]))
-    true_T = RigidTransform(
-        rotation_exp(rng.normal(0, 0.01, 3)), rng.normal(0, 0.002, 3)
-    )
+    true_R = rotation_exp(rng.normal(0, 0.01, 3))
+    true_t = rng.normal(0, 0.002, 3)
     # Points in a box in front of frame 0, seen from both frames, optionally
-    # noisy; frame 1 sits at true_T in frame 0's coordinates.
+    # noisy; frame 1 sits at (true_R, true_t) in frame 0's coordinates.
     pts = rng.uniform((-0.1, -0.1, 0.4), (0.1, 0.1, 0.6), (40, 3))
-    noise = cfg["align.noise_sd"]
-    to_frame1 = RigidTransform(true_T.R.T, -true_T.R.T @ true_T.t)
-    pairs = [
-        (0, 1, p + rng.normal(0, noise, 3),
-         to_frame1.apply(p) + rng.normal(0, noise, 3))
-        for p in pts
-    ]
-    state, info = evoalign.minimize_alignment([], evoalign.CorrespondenceSet(pairs))
-    est = state.transforms[1]
-    t_err = float(np.linalg.norm(est.t - true_T.t))
-    r_err = float(rotation_angle(true_T.R, est.R))
+    # Per point: frame 0's noise, then frame 1's.
+    noise = rng.normal(0, cfg["align.noise_sd"], (len(pts), 2, 3))
+    in_frame1 = (pts - true_t) @ true_R
+    pairs = zip(pts + noise[:, 0], in_frame1 + noise[:, 1])
+    state, info = evoalign.minimize_alignment(
+        evoalign.CorrespondenceSet([(0, 1, p0, p1) for p0, p1 in pairs])
+    )
+    t_err = float(np.linalg.norm(state.t[1] - true_t))
+    r_err = float(rotation_angle(true_R, state.R[1]))
     print(f"recovered transform error: trans={t_err:.3e} m rot={r_err:.3e} rad")
     print(f"final energy: {info['final_energy']:.3e}")
     if args.out:

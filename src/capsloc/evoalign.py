@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, rotation_exp, skew
+from .geometry import rotation_exp, skew
 
 __all__ = [
     "CorrespondenceSet",
@@ -36,20 +36,29 @@ class DegenerateInputError(ValueError):
     """Too few / collinear correspondences for the sparse stage."""
 
 
-@dataclass
 class CorrespondenceSet:
     """Pairs (i, j, P_i, P_j): the same scene point seen in frames i and j,
-    expressed in each frame's camera coordinates."""
+    expressed in each frame's camera coordinates. Held as (m,) frame
+    indices i, j and (m, 3) points p_i, p_j."""
 
-    pairs: list  # of (int, int, np.ndarray(3,), np.ndarray(3,))
+    def __init__(self, pairs):
+        i, j, p_i, p_j = zip(*pairs) if pairs else ((), (), (), ())
+        self.i = np.asarray(i, dtype=int)
+        self.j = np.asarray(j, dtype=int)
+        self.p_i = np.asarray(p_i, dtype=float).reshape(-1, 3)
+        self.p_j = np.asarray(p_j, dtype=float).reshape(-1, 3)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.i)
 
 
 @dataclass
 class AlignmentState:
-    transforms: list  # of RigidTransform, frame 0 fixed to identity
+    """Per-frame rigid transforms p -> R[k] p + t[k]; frame 0 is the
+    identity."""
+
+    R: np.ndarray  # (n, 3, 3)
+    t: np.ndarray  # (n, 3)
 
 
 # Solver settings of minimize_alignment.
@@ -58,27 +67,33 @@ _CONVERGENCE_TOL = 1e-12  # increment norm
 _INITIAL_DAMPING = 1e-6
 
 
+def _residuals(state: AlignmentState, corr: CorrespondenceSet) -> np.ndarray:
+    """(m, 3) differences tau_i P_i - tau_j P_j."""
+    q_i = (state.R[corr.i] @ corr.p_i[:, :, None])[:, :, 0] + state.t[corr.i]
+    q_j = (state.R[corr.j] @ corr.p_j[:, :, None])[:, :, 0] + state.t[corr.j]
+    return q_i - q_j
+
+
 def e_sparse(state: AlignmentState, corr: CorrespondenceSet) -> float:
     """Sum of squared distances between transformed corresponding points."""
-    total = 0.0
-    for i, j, pi, pj in corr.pairs:
-        d = state.transforms[i].apply(pi) - state.transforms[j].apply(pj)
-        total += float(d @ d)
-    return total
+    d = _residuals(state, corr)
+    return float(np.sum(d * d))
 
 
-def _check_correspondences(corr: CorrespondenceSet, n_frames: int):
-    counts = {}
-    for i, j, pi, pj in corr.pairs:
-        if not (0 <= i < n_frames and 0 <= j < n_frames):
-            raise DegenerateInputError("correspondence frame index out of window")
-        counts.setdefault((min(i, j), max(i, j)), []).append(pi)
-    for (i, j), pts in counts.items():
-        if len(pts) < 3:
+def _check_correspondences(corr: CorrespondenceSet):
+    if np.any(corr.i < 0) or np.any(corr.j < 0):
+        raise DegenerateInputError("correspondence frame index out of window")
+    frame_pairs, which, counts = np.unique(
+        np.sort(np.stack([corr.i, corr.j], axis=1), axis=1),
+        axis=0, return_inverse=True, return_counts=True,
+    )
+    which = which.reshape(-1)
+    for k, (i, j) in enumerate(frame_pairs):
+        if counts[k] < 3:
             raise DegenerateInputError(
-                f"pair ({i},{j}) has {len(pts)} correspondences, need >= 3"
+                f"pair ({i},{j}) has {counts[k]} correspondences, need >= 3"
             )
-        P = np.asarray(pts)
+        P = corr.p_i[which == k]
         if np.linalg.matrix_rank(P - P.mean(axis=0), tol=1e-12) < 2:
             raise DegenerateInputError(f"pair ({i},{j}) correspondences are collinear")
 
@@ -86,37 +101,27 @@ def _check_correspondences(corr: CorrespondenceSet, n_frames: int):
 def _sparse_residual_jacobian(state: AlignmentState, corr: CorrespondenceSet):
     """Stacked sparse residuals and analytic Jacobian wrt per-frame
     (dt, axis-angle) increments applied by right multiplication."""
-    n_free = len(state.transforms) - 1
-    m = len(corr.pairs)
-    r = np.zeros(3 * m)
-    J = np.zeros((3 * m, 6 * n_free))
-    for k, (i, j, pi, pj) in enumerate(corr.pairs):
-        Ti, Tj = state.transforms[i], state.transforms[j]
-        qi = Ti.apply(pi)
-        qj = Tj.apply(pj)
-        r[3 * k : 3 * k + 3] = qi - qj
-        # Right perturbation: T (I + [dw]x, dt) p = T p + R dt - R [p]x dw.
-        # += so i == j correspondences accumulate both contributions.
-        if i > 0:
-            col = 6 * (i - 1)
-            J[3 * k : 3 * k + 3, col : col + 3] += Ti.R
-            J[3 * k : 3 * k + 3, col + 3 : col + 6] += -Ti.R @ skew(pi)
-        if j > 0:
-            col = 6 * (j - 1)
-            J[3 * k : 3 * k + 3, col : col + 3] += -Tj.R
-            J[3 * k : 3 * k + 3, col + 3 : col + 6] += Tj.R @ skew(pj)
-    return r, J
+    n_frames = len(state.R)
+    m = len(corr)
+    R_i, R_j = state.R[corr.i], state.R[corr.j]
+    # Right perturbation: T (I + [dw]x, dt) p = T p + R dt - R [p]x dw.
+    blocks_i = np.concatenate([R_i, -R_i @ skew(corr.p_i)], axis=-1)
+    blocks_j = np.concatenate([-R_j, R_j @ skew(corr.p_j)], axis=-1)
+    # Scattered with np.add.at so i == j correspondences accumulate both
+    # contributions; the columns of the fixed frame 0 are dropped.
+    J = np.zeros((m, 3, n_frames, 6))
+    rows = np.arange(m)
+    np.add.at(J, (rows, slice(None), corr.i), blocks_i)
+    np.add.at(J, (rows, slice(None), corr.j), blocks_j)
+    r = _residuals(state, corr).reshape(-1)
+    return r, J[:, :, 1:].reshape(3 * m, 6 * (n_frames - 1))
 
 
 def _apply_increment(state: AlignmentState, delta) -> AlignmentState:
-    new = [state.transforms[0]]
-    for idx in range(1, len(state.transforms)):
-        d = delta[6 * (idx - 1) : 6 * idx]
-        T = state.transforms[idx]
-        R_new = T.R @ rotation_exp(d[3:])
-        t_new = T.t + T.R @ d[:3]
-        new.append(RigidTransform(R_new, t_new))
-    return AlignmentState(new)
+    d = np.vstack([np.zeros(6), delta.reshape(-1, 6)])  # frame 0 stays
+    R = state.R @ rotation_exp(d[:, 3:])
+    t = state.t + (state.R @ d[:, :3, None])[:, :, 0]
+    return AlignmentState(R, t)
 
 
 def _lm_minimize(state, corr):
@@ -153,22 +158,21 @@ def _lm_minimize(state, corr):
     return state, energy, trace, False
 
 
-def minimize_alignment(frames, corr: CorrespondenceSet):
+def minimize_alignment(corr: CorrespondenceSet):
     """Sparse alignment of a window; returns (AlignmentState, info dict).
 
-    The window has max(len(frames), 1 + largest frame index in corr)
-    frames; only its size is read from frames. info holds final_energy,
-    energy_trace (the energy after each accepted step, starting from the
-    identity) and converged.
+    The window has 1 + the largest frame index in corr frames. info holds
+    final_energy, energy_trace (the energy after each accepted step,
+    starting from the identity) and converged.
     """
-    n_frames = max(
-        len(frames), 1 + max((max(i, j) for i, j, _, _ in corr.pairs), default=0)
-    )
+    n_frames = 1 + int(max(corr.i.max(initial=0), corr.j.max(initial=0)))
     if n_frames < 2:
         raise DegenerateInputError("need at least 2 frames")
-    _check_correspondences(corr, n_frames)
+    _check_correspondences(corr)
 
-    state = AlignmentState([RigidTransform.identity() for _ in range(n_frames)])
+    state = AlignmentState(
+        np.tile(np.eye(3), (n_frames, 1, 1)), np.zeros((n_frames, 3))
+    )
     state, energy, trace, converged = _lm_minimize(state, corr)
     info = {
         "final_energy": energy,

@@ -72,6 +72,11 @@ OUT_DIM = 6
 
 CHECKPOINT_VERSION = "capsloc-checkpoint v2"
 
+_BETA_CLAMP = (1.0, 1000.0)  # calibrate_beta's range
+# Windows per batched inference pass: a forward keeps the caches of every
+# window it runs, about 1.4 MiB per 32-step window at H = 200.
+_INFERENCE_CHUNK = 16
+
 
 class AlignmentError(ValueError):
     """Streams do not overlap / no complete fused interval exists."""
@@ -336,15 +341,22 @@ def _window_pass(net, window, beta, hp, rng, training=True):
     return loss, trans, rot, grads
 
 
+def _chunks(windows: FusedSet):
+    """Consecutive batches of at most _INFERENCE_CHUNK windows."""
+    for k in range(0, len(windows), _INFERENCE_CHUNK):
+        yield windows[k : k + _INFERENCE_CHUNK]
+
+
 def _eval_loss(net, windows, beta, hp):
-    loss = _window_pass(net, windows, beta, hp, None, training=False)[0]
+    loss = sum(_window_pass(net, chunk, beta, hp, None, training=False)[0]
+               for chunk in _chunks(windows))
     return loss / windows.times.size
 
 
-def calibrate_beta(net: FusionNetwork, val_samples: FusedSet, stats: NormStats,
-                   clamp=(1.0, 1000.0)):
+def calibrate_beta(net: FusionNetwork, val_samples: FusedSet, stats: NormStats):
     """beta = mean translational / mean rotational residual norm over the
-    validation set as one sequence (raw units); clamped. Returns (beta, flagged)."""
+    validation set as one sequence (raw units); clamped to _BETA_CLAMP.
+    Returns (beta, flagged)."""
     outputs, _, _ = forward(net, val_samples, training=False)
     trans, rot = pose_residual_norms(
         stats.denormalize_output(outputs),
@@ -352,21 +364,23 @@ def calibrate_beta(net: FusionNetwork, val_samples: FusedSet, stats: NormStats,
     )
     mean_trans = float(np.mean(trans))
     mean_rot = float(np.mean(rot))
+    lo, hi = _BETA_CLAMP
     if mean_rot == 0.0:
-        return clamp[1], True
-    beta = mean_trans / mean_rot
-    return float(min(max(beta, clamp[0]), clamp[1])), False
+        return hi, True
+    return float(min(max(mean_trans / mean_rot, lo), hi)), False
 
 
 def _refit_head_bias(params: dict, windows: FusedSet) -> dict:
     """params with head.b shifted so that the network's mean residual over
-    the batch of windows (inference mode, states reset per window) is zero.
+    the windows (inference mode, states reset per window) is zero.
 
     The head is linear, so this is the least-squares constant offset; as
     predict_trajectory integrates the outputs, a constant offset is what
     turns into drift."""
     net = FusionNetwork.from_params(params, windows.mag.shape[-2])
-    residuals = forward(net, windows)[0] - windows.target
+    residuals = np.concatenate(
+        [forward(net, chunk)[0] - chunk.target for chunk in _chunks(windows)]
+    )
     refit = dict(params)
     refit["head.b"] = params["head.b"] - np.mean(residuals.reshape(-1, OUT_DIM), axis=0)
     return refit
@@ -433,15 +447,15 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             window = train_windows[wi : wi + 1]  # a batch of one
             loss, trans, rot, grads = _window_pass(net, window, beta, hp, rng)
             if not np.isfinite(loss):
-                best_params = _refit_head_bias(best_params, train_windows)
-                ckpt = Checkpoint(best_params, net.rate_ratio, hp, stats, best_beta)
-                log.append({"epoch": epoch, "aborted": "non-finite loss"})
-                return ckpt, log
+                break
             grad_norm += np.sqrt(sum(np.sum(g * g) for g in grads.values()))
             adam_step(params, grads, adam, hp)
             train_loss += loss
             train_trans += trans.sum()
             train_rot += rot.sum()
+        if not np.isfinite(loss):
+            log.append({"epoch": epoch, "aborted": "non-finite loss"})
+            break
         n_steps = len(order) * T
         val_loss = _eval_loss(net, val_windows, beta, hp)
         log.append(

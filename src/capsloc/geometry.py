@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "GimbalLockWarning",
     "Pose",
-    "RigidTransform",
     "Trajectory",
     "wrap_angle",
     "skew",
@@ -79,28 +78,6 @@ class Pose:
         return np.concatenate([self.t, self.r])
 
 
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation matrix + translation; applies as p -> R p + t."""
-
-    R: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float).reshape(3, 3)
-        t = np.asarray(self.t, dtype=float).reshape(3)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "t", t)
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    def apply(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return p @ self.R.T + self.t
-
-
 def skew(v) -> np.ndarray:
     """Cross-product matrices [v]x of (..., 3) vectors, so that
     skew(v) @ p == np.cross(v, p)."""
@@ -111,15 +88,16 @@ def skew(v) -> np.ndarray:
 
 
 def rotation_exp(w) -> np.ndarray:
-    """Rodrigues: rotation matrix for an axis-angle 3-vector."""
-    w = np.asarray(w, dtype=float).reshape(3)
-    theta = np.linalg.norm(w)
+    """Rodrigues: rotation matrices (..., 3, 3) for axis-angle vectors
+    (..., 3)."""
+    w = np.asarray(w, dtype=float)
+    theta = np.sqrt(_dot(w, w))
     K = skew(w)
-    if theta < 1e-12:
-        return np.eye(3) + K + 0.5 * (K @ K)
-    A = np.sin(theta) / theta
-    B = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + A * K + B * (K @ K)
+    small = theta < 1e-12
+    theta = np.where(small, 1.0, theta)
+    A = np.where(small, 1.0, np.sin(theta) / theta)
+    B = np.where(small, 0.5, (1.0 - np.cos(theta)) / theta**2)
+    return np.eye(3) + A[..., None, None] * K + B[..., None, None] * (K @ K)
 
 
 def euler_to_matrix(r) -> np.ndarray:

@@ -32,8 +32,9 @@ product. Its sensor offsets are two (64,) vectors and one scalar, since
 every sensor lies at z = 0. The fit returns its final rows: the outlier
 gate reads their residual and the filter's covariance their J^T J, so
 nothing evaluates the model again after the fit, except at the carried
-pose of a diverged frame. predict_normal_components keeps the closed
-form's own operation order and equals the kernel's b_z up to rounding.
+pose of a diverged frame. predict_normal_components writes the closed
+form out on d^2 with its own operation order, and equals the kernel's b_z
+up to rounding.
 """
 
 from __future__ import annotations
@@ -239,9 +240,9 @@ def predict_normal_components(
     sp, cp = np.sin(params[4]), np.cos(params[4])
     m = dipole.moment_magnitude * np.array([st * cp, st * sp, ct])
     r = _SENSORS - params[:3]
-    dist = np.sqrt(np.sum(r * r, axis=1))
+    d2 = np.sum(r * r, axis=1)
     mdotr = r @ m
-    return MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] / dist**2 - m[2]) / dist**3
+    return MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] - m[2] * d2) / (d2 * d2 * np.sqrt(d2))
 
 
 def _moment_gain(r, d2, scale):

@@ -20,7 +20,9 @@ from capsloc.geometry import (
     Pose,
     Trajectory,
     euler_to_matrix,
+    matrix_to_euler,
     resample_trajectory,
+    rotation_exp,
 )
 from capsloc.neuralcore import Hyperparams
 
@@ -289,8 +291,8 @@ def test_criterion_4_magnetic_inversion(verdict):
         pose, dipole, zero_act, 0.0, 0.0, np.random.default_rng(0)
     )
     axis_rot = np.asarray(dipole.moment_axis) * 0.7
-    R = euler_to_matrix(pose.r) @ _rotation_about(axis_rot)
-    rolled = Pose(pose.t, _euler_of(R))
+    R = euler_to_matrix(pose.r) @ rotation_exp(axis_rot)
+    rolled = Pose(pose.t, matrix_to_euler(R))
     spun = sk.sample_hall_array(
         rolled, dipole, zero_act, 0.0, 0.0, np.random.default_rng(0)
     )
@@ -327,39 +329,21 @@ def _perturb_heading(h, rng, angle):
     return v / np.linalg.norm(v)
 
 
-def _rotation_about(w):
-    theta = np.linalg.norm(w)
-    k = w / theta
-    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
-
-
-def _euler_of(R):
-    from capsloc.geometry import matrix_to_euler
-
-    return matrix_to_euler(R)
-
-
 # --- criterion 5: alignment ---------------------------------------------------
 
 
 def test_criterion_5_alignment(verdict):
     from capsloc import evoalign as ev
-    from capsloc.geometry import RigidTransform
-
-    ident = RigidTransform.identity()
 
     def small_transform(rng, trans=0.02, rot=0.2):
-        return RigidTransform(
-            euler_to_matrix(rng.uniform(-rot, rot, 3)),
-            rng.uniform(-trans, trans, 3),
-        )
+        return euler_to_matrix(rng.uniform(-rot, rot, 3)), rng.uniform(-trans, trans, 3)
 
     def corr_from(T, rng, n=30, noise=0.0):
+        R, t = T
         pairs = []
         for _ in range(n):
             p1 = np.array([*rng.uniform(-0.2, 0.2, 2), rng.uniform(0.4, 0.7)])
-            p0 = T.apply(p1)
+            p0 = R @ p1 + t
             if noise > 0:
                 p0 = p0 + rng.normal(0, noise, 3)
             pairs.append((0, 1, p0, p1))
@@ -370,18 +354,19 @@ def test_criterion_5_alignment(verdict):
     worst_r = 0.0
     for trial in range(5):
         rng = np.random.default_rng(np.random.SeedSequence([5000, trial]))
-        T = small_transform(rng)
-        state, info = ev.minimize_alignment([], corr_from(T, rng))
-        got = state.transforms[1]
-        worst_t = max(worst_t, float(np.linalg.norm(got.t - T.t)))
-        ang = np.arccos(np.clip((np.trace(got.R.T @ T.R) - 1) / 2, -1, 1))
+        R, t = T = small_transform(rng)
+        state, info = ev.minimize_alignment(corr_from(T, rng))
+        worst_t = max(worst_t, float(np.linalg.norm(state.t[1] - t)))
+        ang = np.arccos(np.clip((np.trace(state.R[1].T @ R) - 1) / 2, -1, 1))
         worst_r = max(worst_r, float(ang))
     recover_ok = worst_t < 1e-6 and worst_r < 1e-6
 
     # Gauge invariance of the sparse energy.
     rng = np.random.default_rng(51)
+    frames = [(np.eye(3), np.zeros(3))]
+    frames += [small_transform(rng, 0.1, 0.5) for _ in range(2)]
     state = ev.AlignmentState(
-        [ident] + [small_transform(rng, 0.1, 0.5) for _ in range(2)]
+        np.array([R for R, _ in frames]), np.array([t for _, t in frames])
     )
     pairs = [
         (
@@ -394,10 +379,8 @@ def test_criterion_5_alignment(verdict):
     ]
     corr = ev.CorrespondenceSet(pairs)
     base = ev.e_sparse(state, corr)
-    G = RigidTransform(euler_to_matrix([0.4, -0.3, 0.9]), np.array([1.0, -2.0, 0.5]))
-    moved = ev.AlignmentState(
-        [RigidTransform(G.R @ T.R, G.R @ T.t + G.t) for T in state.transforms]
-    )
+    G_R, G_t = euler_to_matrix([0.4, -0.3, 0.9]), np.array([1.0, -2.0, 0.5])
+    moved = ev.AlignmentState(G_R @ state.R, state.t @ G_R.T + G_t)
     gauge_dev = abs(ev.e_sparse(moved, corr) - base) / max(1.0, base)
 
     # Accepted-step energy monotonicity over 100 seeded runs.
@@ -405,7 +388,7 @@ def test_criterion_5_alignment(verdict):
     for seed in range(100):
         r = np.random.default_rng(np.random.SeedSequence([5100, seed]))
         T = small_transform(r)
-        _, info = ev.minimize_alignment([], corr_from(T, r, n=20, noise=3e-4))
+        _, info = ev.minimize_alignment(corr_from(T, r, n=20, noise=3e-4))
         trace = info["energy_trace"]
         mono_ok = mono_ok and all(
             b <= a + 1e-15 for a, b in zip(trace, trace[1:])

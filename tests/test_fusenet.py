@@ -267,19 +267,21 @@ def test_eval_loss_and_head_bias_refit_match_per_window_loops():
     rng = np.random.default_rng(43)
     hp = nc.Hyperparams(hidden_size=5, dropout_rate=0.25)
     net = fn.init_network(5, 2, rng)
-    windows = toy_samples(40, rng).windows(8)
-    per_window = [fn._window_pass(net, windows[b], 2.5, hp, None, training=False)[0]
-                  for b in range(len(windows))]
-    loss = fn._eval_loss(net, windows, 2.5, hp)
-    assert np.isclose(loss, sum(per_window) / 40, rtol=BATCH_RTOL, atol=0)
+    # One batch, and more windows than one batched pass takes.
+    for n_windows in (5, fn._INFERENCE_CHUNK + 3):
+        windows = toy_samples(8 * n_windows, rng).windows(8)
+        per_window = [fn._window_pass(net, windows[b], 2.5, hp, None, training=False)[0]
+                      for b in range(n_windows)]
+        loss = fn._eval_loss(net, windows, 2.5, hp)
+        assert np.isclose(loss, sum(per_window) / (8 * n_windows), rtol=BATCH_RTOL, atol=0)
 
-    refit = fn._refit_head_bias(net.params(), windows)
-    residuals = [fn.forward(net, windows[b])[0] - windows.target[b]
-                 for b in range(len(windows))]
-    expected = net.head_b - np.mean(np.concatenate(residuals), axis=0)
-    assert np.allclose(refit["head.b"], expected, rtol=BATCH_RTOL, atol=1e-15)
-    for k in ("mag.W", "vis.W", "core.W", "head.W"):
-        assert refit[k] is net.params()[k]
+        refit = fn._refit_head_bias(net.params(), windows)
+        residuals = [fn.forward(net, windows[b])[0] - windows.target[b]
+                     for b in range(n_windows)]
+        expected = net.head_b - np.mean(np.concatenate(residuals), axis=0)
+        assert np.allclose(refit["head.b"], expected, rtol=BATCH_RTOL, atol=1e-15)
+        for k in ("mag.W", "vis.W", "core.W", "head.W"):
+            assert refit[k] is net.params()[k]
 
 
 def test_forward_shape_asymmetry_contract():
@@ -461,6 +463,18 @@ def test_train_refits_head_bias_to_zero_mean_residual():
     residuals = np.array(residuals)
     assert np.all(np.std(residuals, axis=0) > 0.1)
     assert np.max(np.abs(residuals.mean(axis=0))) < 1e-12
+
+
+def test_train_aborted_checkpoint_stores_its_beta_in_hyperparams():
+    # Both exits of train store the checkpoint's beta in its Hyperparams.
+    data = constant_delta_dataset(n=64)
+    data.target[5, 0] = np.inf
+    cfg = fn.TrainingConfig(max_epochs=3, window_length=8, warmup_epochs=0)
+    hp = nc.Hyperparams(hidden_size=4, beta_loss=5.0)
+    with np.errstate(invalid="ignore"):  # the inf's normalization
+        ckpt, log = fn.train([data], cfg, hp)
+    assert log == [{"epoch": 1, "aborted": "non-finite loss"}]
+    assert ckpt.hyperparams.beta_loss == ckpt.beta_loss == 1.0
 
 
 def test_train_single_dataset_short_tail_validates_on_last_window():

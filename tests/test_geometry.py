@@ -310,6 +310,29 @@ def test_rotation_exp_continuous_across_small_angle_branch():
     assert np.allclose(above, np.eye(3) + skew(axis * 1e-12), rtol=0, atol=1e-20)
 
 
+def test_rotation_exp_broadcasts_bit_for_bit():
+    # Rows on both branches; each row of the (n, 3) call is its own call,
+    # and within 1e-15 of Rodrigues written out for one vector.
+    rng = np.random.default_rng(8)
+    w = np.concatenate([
+        rng.normal(0, 1.5, (200, 3)), rng.normal(0, 1e-3, (50, 3)),
+        np.zeros((1, 3)), [[3e-13, -1e-13, 2e-13]],
+    ])
+    R = rotation_exp(w)
+    assert R.shape == (len(w), 3, 3)
+    assert np.array_equal(R, np.array([rotation_exp(v) for v in w]))
+    assert np.array_equal(rotation_exp(w.reshape(2, -1, 3)), R.reshape(2, -1, 3, 3))
+    for v, Rv in zip(w, R):
+        theta = np.linalg.norm(v)
+        K = skew(v)
+        if theta < 1e-12:
+            ref = np.eye(3) + K + 0.5 * (K @ K)
+        else:
+            ref = (np.eye(3) + np.sin(theta) / theta * K
+                   + (1.0 - np.cos(theta)) / theta**2 * (K @ K))
+        assert np.max(np.abs(Rv - ref)) <= 1e-15
+
+
 @dataclass(frozen=True)
 class _Knobs:
     rate: float = 0.1

@@ -1,6 +1,6 @@
 """Smoke test of the benchmark's workloads: one set-up and one pass of each
-fusion workload, so that a capsloc API change that breaks the benchmark
-fails here."""
+workload, so that a capsloc API change that breaks the benchmark fails
+here."""
 
 import pathlib
 
@@ -9,7 +9,7 @@ import pytest
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["fusion-train-paper", "pipeline-desk"])
+@pytest.mark.parametrize("name", ["mag-stream", "fusion-train-paper", "pipeline-desk"])
 def test_workload_runs_one_pass_without_failures(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
