@@ -29,7 +29,6 @@ from .geometry import (
     relative_pose,
     resample_trajectory,
 )
-from .magloc import angles_from_heading
 from .neuralcore import (
     Hyperparams,
     LstmState,
@@ -53,6 +52,7 @@ __all__ = [
     "TrainingConfig",
     "Checkpoint",
     "AlignmentError",
+    "angles_from_heading",
     "init_network",
     "align_streams",
     "compute_norm_stats",
@@ -80,6 +80,15 @@ _INFERENCE_CHUNK = 16
 
 class AlignmentError(ValueError):
     """Streams do not overlap / no complete fused interval exists."""
+
+
+def angles_from_heading(h):
+    """(theta, phi) of unit headings h (..., 3), the heading part of the
+    magnetic input: two arrays of shape ..., or two floats for one heading."""
+    h = np.asarray(h, dtype=float)
+    theta = np.arccos(np.clip(h[..., 2], -1.0, 1.0))
+    phi = np.arctan2(h[..., 1], h[..., 0])
+    return theta, phi
 
 
 @dataclass

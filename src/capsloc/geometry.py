@@ -70,10 +70,6 @@ class Pose:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "r", r)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.zeros(3), np.zeros(3))
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.t, self.r])
 

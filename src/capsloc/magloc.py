@@ -1,11 +1,17 @@
 """5-DoF magnetic localization from Hall-array readings.
 
 Pipeline per frame: subtract the known actuator field, then fit the point
-dipole model to the residual cells by Levenberg-Marquardt over five
-parameters (position x, y, z and heading spherical angles theta, phi).
-Rotation of the capsule about its own dipole axis is unobservable, hence
-5 DoF. A second-order directional difference of the residual grid serves
-as an outlier gate on streaming input.
+dipole model to the residual cells by Levenberg-Marquardt over the
+position p and the unit heading h of the dipole axis. Rotation of the
+capsule about its own dipole axis is unobservable, hence 5 DoF. A
+second-order directional difference of the residual grid serves as an
+outlier gate on streaming input.
+
+The heading is a unit vector everywhere in this module: the grid search's
+candidates, every Levenberg-Marquardt iterate and the estimate. A step is
+(dp, a, b), applied as p + dp and h <- normalize(h + a b1 + b b2), where
+(b1, b2) is an orthonormal basis of the plane tangent to h. No heading is
+a singular point of this step.
 
 One frame's data fixes the position only to within its noise: a few
 millimetres near the array, centimetres at 10 cm depth. On a stream, a
@@ -16,25 +22,23 @@ Well-determined fits pass through almost unchanged; only poorly determined
 ones are pulled towards the track.
 
 The residual Jacobian is the closed-form derivative of the dipole b_z
-model with respect to (x, y, z, theta, phi); finite differences serve only
-as a test oracle. At the poles of the heading angles (theta = 0 or pi)
-db_z/dphi vanishes, and its column is only rounding noise. Levenberg-
-Marquardt therefore damps every parameter by at least 1e-12 times the
-largest diagonal entry of J^T J, so a vanishing column cannot produce a
-huge phi step.
+model with respect to (p, a, b); finite differences serve only as a test
+oracle. b_z is linear in the moment m = M h, and h moves along b1 and b2
+to first order, so b_z and its two heading derivatives are one form,
+C / d^5 (3 r_z (e.r) - e_z d^2) at e = m, M b1 and M b2.
 
 One kernel (_lm_rows) serves every use of the model on the fit's path.
 In one pass per Levenberg-Marquardt trial it fills a (6, 64) array whose
-rows are J^T and the residual, sharing d^2, C / d^5 and m.r between them,
-and returns the array with its Gram matrix [J r]^T [J r]: the normal
-equations J^T J, J^T r and the cost r.r are slices of that one 6 x 6
-product. Its sensor offsets are two (64,) vectors and one scalar, since
-every sensor lies at z = 0. The fit returns its final rows: the outlier
-gate reads their residual and the filter's covariance their J^T J, so
-nothing evaluates the model again after the fit, except at the carried
-pose of a diverged frame. predict_normal_components writes the closed
-form out on d^2 with its own operation order, and equals the kernel's b_z
-up to rounding.
+rows are J^T and the residual, sharing d^2, C / d^5 and the three e.r
+(one (3, 3) @ (3, 64) product) between them, and returns the array with
+its Gram matrix [J r]^T [J r]: the normal equations J^T J, J^T r and the
+cost r.r are slices of that one 6 x 6 product. Its sensor offsets are two
+(64,) vectors and one scalar, since every sensor lies at z = 0. The fit
+returns its final rows: the outlier gate reads their residual and the
+filter's covariance their J^T J, so nothing evaluates the model again
+after the fit, except at the carried pose of a diverged frame.
+predict_normal_components writes the closed form out on d^2 with its own
+operation order, and equals the kernel's b_z up to rounding.
 """
 
 from __future__ import annotations
@@ -61,8 +65,6 @@ __all__ = [
     "MagMeasurement5DoF",
     "InversionSettings",
     "DivergenceError",
-    "heading_from_angles",
-    "angles_from_heading",
     "subtract_actuator_field",
     "directional_second_difference",
     "predict_normal_components",
@@ -133,18 +135,22 @@ class DivergenceError(RuntimeError):
         self.best = best
 
 
-def heading_from_angles(theta: float, phi: float) -> np.ndarray:
-    st, ct = np.sin(theta), np.cos(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), ct])
+def _tangent_basis(h) -> np.ndarray:
+    """(2, 3) orthonormal basis (b1, b2) of the plane tangent to the unit
+    vector h, branching only on the sign of h_z (Duff et al., "Building an
+    orthonormal basis, revisited", JCGT 2017)."""
+    x, y, z = h.tolist()
+    s = math.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    return np.array([[1.0 + s * x * x * a, s * b, -s * x], [b, s + y * y * a, -y]])
 
 
-def angles_from_heading(h):
-    """(theta, phi) of unit headings h (..., 3): two arrays of shape ...,
-    or two floats for one heading."""
-    h = np.asarray(h, dtype=float)
-    theta = np.arccos(np.clip(h[..., 2], -1.0, 1.0))
-    phi = np.arctan2(h[..., 1], h[..., 0])
-    return theta, phi
+def _retract(h, basis, ab) -> np.ndarray:
+    """normalize(h + a b1 + b b2): unit heading h moved by the tangent
+    coefficients ab = (a, b) along basis = _tangent_basis(h)."""
+    v = h + ab @ basis
+    return v / _norm(v)
 
 
 def subtract_actuator_field(
@@ -178,68 +184,55 @@ def directional_second_difference(reading: HallArrayReading) -> np.ndarray:
 _SX, _SY = (np.ascontiguousarray(c) for c in _SENSORS[:, :2].T)
 
 
-def _lm_rows(params, target_flat, moment_magnitude):
-    """The dipole model's Levenberg-Marquardt rows at params (x, y, z,
-    theta, phi), in one pass.
+def _lm_rows(position, heading, basis, target_flat, moment_magnitude):
+    """The dipole model's Levenberg-Marquardt rows at position p and unit
+    heading h, in one pass.
 
     Returns (A, W). A (6, 64) holds J^T, the closed-form Jacobian of b_z
-    with respect to the five parameters, as rows 0-4 and the residual
-    r = b_z - target_flat as row 5; W = A A^T, so W[:5, :5] = J^T J,
-    W[:5, 5] = J^T r and W[5, 5] = r.r.
+    with respect to p and to the coefficients (a, b) of a heading step
+    along basis = (b1, b2) = _tangent_basis(h), as rows 0-4, and the
+    residual r = b_z - target_flat as row 5; W = A A^T, so W[:5, :5] =
+    J^T J, W[:5, 5] = J^T r and W[5, 5] = r.r.
 
-    With the sensor offset r = s - p = (rx, ry, rz), d = |r|, the moment
-    m = M (st cp, st sp, ct) and w = rx cp + ry sp, v = ry cp - rx sp its
-    offset along and across the moment's azimuth, every row is C / d^5
-    times:
-        b_z:    3 (m.r) rz - m_z d^2
-        d/dp:   q r - 3 rz m - 3 (m.r) e_z,  q = 15 (m.r) rz / d^2 - 3 m_z
-        d/dth:  M (3 rz ct w + st (d^2 - 3 rz^2))
-        d/dph:  3 M rz st v
-    with m.r = M st w + m_z rz."""
-    x, y, z, theta, phi = params.tolist()
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    M = moment_magnitude
-    mz = M * ct
+    With the sensor offset r = s - p = (rx, ry, rz), d = |r| and the
+    moment m = M h, every row is C / d^5 times:
+        d/dp:             q r - 3 rz m - 3 (m.r) e_z,
+                          q = 15 (m.r) rz / d^2 - 3 m_z
+        d/da, d/db, b_z:  3 rz (e.r) - e_z d^2  at e = M b1, M b2, m"""
+    x, y, z = position.tolist()
     rz = -z
-    k = 3.0 * rz * M * st  # 3 rz M st
-    kz = 3.0 * rz * mz  # 3 rz m_z
-    rx = _SX - x
-    ry = _SY - y
-    d2 = rx * rx + ry * ry + rz * rz
-    w = rx * cp + ry * sp
-    v = ry * cp - rx * sp
-    mdotr3 = w * (3.0 * M * st) + kz  # 3 m.r
-    q = mdotr3 * (5.0 * rz) / d2 - 3.0 * mz
     A = np.empty((6, _SX.size))
-    jx, jy, jz, jth, jph, bz = A  # views: rows 0-4 J^T, row 5 the residual
-    np.multiply(q, rx, out=jx)
-    jx -= k * cp
-    np.multiply(q, ry, out=jy)
-    jy -= k * sp
-    np.multiply(q, rz, out=jz)
-    jz -= mdotr3
-    jz -= kz
-    np.multiply(w, kz, out=jth)
-    jth += d2 * (M * st)
-    jth -= 3.0 * rz * rz * M * st
-    np.multiply(v, k, out=jph)
-    np.multiply(mdotr3, rz, out=bz)
-    bz -= mz * d2
+    r = A[:3]  # views: the offsets, until they are overwritten by d/dp
+    np.subtract(_SX, x, out=r[0])
+    np.subtract(_SY, y, out=r[1])
+    r[2] = rz
+    d2 = r[0] * r[0] + r[1] * r[1] + rz * rz
+    E = np.empty((3, 3))  # rows M b1, M b2, m
+    E[:2] = basis
+    E[2] = heading
+    E *= moment_magnitude
+    er3 = E @ r
+    er3 *= 3.0  # 3 e.r for each row e of E
+    np.multiply(er3, rz, out=A[3:])
+    A[3:] -= E[:, 2:] * d2
+    mdotr3 = er3[2]  # 3 m.r
+    q = mdotr3 * (5.0 * rz) / d2 - 3.0 * E[2, 2]
+    r *= q
+    r -= (3.0 * rz) * E[2, :, None]
+    r[2] -= mdotr3
     A *= MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2))  # C / d^5
-    bz -= target_flat
+    A[5] -= target_flat
     return A, A @ A.T
 
 
 def predict_normal_components(
-    params: np.ndarray, dipole: DipoleParams
+    position: np.ndarray, heading: np.ndarray, dipole: DipoleParams
 ) -> np.ndarray:
-    """z-component of the dipole field at all 64 sensors for parameters
-    (x, y, z, theta, phi). Vectorized closed form, no Pose construction."""
-    st, ct = np.sin(params[3]), np.cos(params[3])
-    sp, cp = np.sin(params[4]), np.cos(params[4])
-    m = dipole.moment_magnitude * np.array([st * cp, st * sp, ct])
-    r = _SENSORS - params[:3]
+    """z-component of the dipole field at all 64 sensors for a dipole at
+    position with unit heading. Vectorized closed form, no Pose
+    construction."""
+    m = dipole.moment_magnitude * np.asarray(heading, dtype=float)
+    r = _SENSORS - position
     d2 = np.sum(r * r, axis=1)
     mdotr = r @ m
     return MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] - m[2] * d2) / (d2 * d2 * np.sqrt(d2))
@@ -255,26 +248,25 @@ def _moment_gain(r, d2, scale):
     return G
 
 
-def _levenberg_marquardt(params0, target_flat, dipole, settings):
-    """Fit params to target_flat from params0.
+def _levenberg_marquardt(p0, h0, target_flat, dipole, settings):
+    """Fit position and heading to target_flat from (p0, h0).
 
-    Returns (params, A, W, iterations, converged): A and W are _lm_rows at
-    the final params, so A[5] is the residual and W[5, 5] its squared norm.
-    Each trial evaluates _lm_rows once, and an iteration reads its normal
-    equations from the W of the trial accepted last."""
+    Returns (p, h, A, W, iterations, converged): A and W are _lm_rows at
+    (p, h), so A[5] is the residual and W[5, 5] its squared norm. Each
+    trial evaluates _lm_rows once, in the tangent basis of its own heading,
+    and an iteration reads its normal equations from the W of the trial
+    accepted last."""
     M = dipole.moment_magnitude
-    params = params0.copy()
-    A, W = _lm_rows(params, target_flat, M)
+    p, h = p0.copy(), h0
+    basis = _tangent_basis(h)
+    A, W = _lm_rows(p, h, basis, target_flat, M)
     lam = settings.initial_damping
     iters = 0
     for iters in range(1, settings.max_iterations + 1):
         cost_prev = cost = W[5, 5]
         neg_g = -W[:5, 5]
         H = W[:5, :5]
-        # Marquardt scaling, floored: at a heading pole the phi column of J
-        # is rounding noise, and an unfloored diagonal would not damp it.
-        dH = H.diagonal()
-        D = np.maximum(dH, 1e-12 * dH.max())
+        D = H.diagonal()  # Marquardt scaling
         stepped = False
         for _ in range(25):
             A_damped = H.copy()
@@ -284,22 +276,24 @@ def _levenberg_marquardt(params0, target_flat, dipole, settings):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            trial = params + delta
-            A_trial, W_trial = _lm_rows(trial, target_flat, M)
+            p_trial = p + delta[:3]
+            h_trial = _retract(h, basis, delta[3:])
+            basis_trial = _tangent_basis(h_trial)
+            A_trial, W_trial = _lm_rows(p_trial, h_trial, basis_trial, target_flat, M)
             if W_trial[5, 5] < cost:
-                rel_step = _norm(delta) / (_norm(params) + 1e-12)
-                params, A, W = trial, A_trial, W_trial
+                rel_step = _norm(delta) / math.sqrt(p @ p + 1.0)
+                p, h, basis, A, W = p_trial, h_trial, basis_trial, A_trial, W_trial
                 lam = max(lam / 10.0, 1e-14)
                 stepped = True
                 break
             lam *= 10.0
         if not stepped:
-            return params, A, W, iters, True  # stalled at a minimum
+            return p, h, A, W, iters, True  # stalled at a minimum
         if rel_step < settings.convergence_tol:
-            return params, A, W, iters, True
+            return p, h, A, W, iters, True
         if cost_prev - W[5, 5] <= 1e-9 * cost_prev:
-            return params, A, W, iters, True  # at the noise floor
-    return params, A, W, iters, False
+            return p, h, A, W, iters, True  # at the noise floor
+    return p, h, A, W, iters, False
 
 
 def estimate_pose_5dof(
@@ -309,33 +303,40 @@ def estimate_pose_5dof(
     init: MagMeasurement5DoF,
     settings: InversionSettings = InversionSettings(),
 ) -> MagMeasurement5DoF:
-    """Levenberg-Marquardt fit of position + heading to one reading."""
+    """Levenberg-Marquardt fit of position + heading to one reading.
+
+    Raises DivergenceError, carrying the best attempt, when no attempt
+    converges."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
-    return _fit_5dof(target, reading.timestamp, dipole, init, settings)[0]
+    est = _fit_5dof(target, reading.timestamp, dipole, init, settings)[0]
+    if not est.converged:
+        raise DivergenceError(
+            f"no convergence after {settings.restart_count + 1} attempts", est
+        )
+    return est
 
 
 def _fit_5dof(target, timestamp, dipole, init, settings):
-    """estimate_pose_5dof on an actuator-free, flattened reading.
+    """estimate_pose_5dof on an actuator-free, flattened reading, without
+    the raise: a fit with no converged attempt returns its lowest-residual
+    attempt, with converged=False.
 
-    Returns (estimate, A, W): _lm_rows at the parameters of the attempt
-    the estimate is from, so A[5] is that fit's residual vector."""
-    theta, phi = angles_from_heading(init.heading)
-    params0 = np.concatenate([init.position, [theta, phi]])
-
+    Returns (estimate, A, W): _lm_rows at the pose of the attempt the
+    estimate is from, so A[5] is that fit's residual vector."""
     best = None
     rng = None  # restarts only; the same seed each frame
     for attempt in range(settings.restart_count + 1):
-        p0 = params0.copy()
+        p0, h0 = init.position, init.heading
         if attempt > 0:
             if rng is None:
                 rng = np.random.default_rng(0xC0FFEE)
-            p0[:3] += rng.normal(0.0, 0.01, size=3)
-            p0[3:] += rng.normal(0.0, 0.15, size=2)
-        params, A, W, iters, ok = _levenberg_marquardt(p0, target, dipole, settings)
+            p0 = p0 + rng.normal(0.0, 0.01, size=3)
+            h0 = _retract(h0, _tangent_basis(h0), rng.normal(0.0, 0.15, size=2))
+        p, h, A, W, iters, ok = _levenberg_marquardt(p0, h0, target, dipole, settings)
         est = MagMeasurement5DoF(
             timestamp,
-            params[:3],
-            heading_from_angles(params[3], params[4]),
+            p,
+            h,
             converged=ok,
             residual=float(np.sqrt(W[5, 5])),
             iterations=iters,
@@ -343,10 +344,8 @@ def _fit_5dof(target, timestamp, dipole, init, settings):
         if best is None or est.residual < best[0].residual:
             best = (est, A, W)
         if ok:
-            return best
-    raise DivergenceError(
-        f"no convergence after {settings.restart_count + 1} attempts", best[0]
-    )
+            break
+    return best
 
 
 def grid_search_init(
@@ -363,13 +362,13 @@ def grid_search_init(
     )
 
 
-# (theta, phi) of the grid search's 26 headings: the unit vectors towards a
-# cube cell's neighbours, in dx, dy, dz order.
-_GRID_HEADINGS = np.stack(angles_from_heading([
+# The grid search's 26 unit headings (26, 3): the directions towards a cube
+# cell's neighbours, in dx, dy, dz order.
+_GRID_HEADINGS = np.array([
     np.divide(d, np.linalg.norm(d))
     for d in itertools.product((-1, 0, 1), repeat=3)
     if any(d)
-]), axis=-1)
+])
 
 
 def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_extent):
@@ -384,7 +383,7 @@ def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_ext
     zs = np.linspace(c[2] - 0.6 * he, c[2] + 0.6 * he, 3)
     pos = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
     pos = pos[pos[:, 2] <= -0.01]
-    m = dipole.moment_magnitude * heading_from_angles(*_GRID_HEADINGS.T).T  # (26, 3)
+    m = dipole.moment_magnitude * _GRID_HEADINGS
     r = _SENSORS - pos[:, None, :]  # (P, 64, 3)
     d2 = np.sum(r * r, axis=2, keepdims=True)
     G = _moment_gain(r, d2, MU0_OVER_4PI / (d2 * d2 * np.sqrt(d2)))
@@ -395,7 +394,7 @@ def _grid_search(target, timestamp, dipole, workspace_center, workspace_half_ext
     return MagMeasurement5DoF(
         timestamp,
         pos[ip],
-        heading_from_angles(*_GRID_HEADINGS[ih]),
+        _GRID_HEADINGS[ih],
         residual=float(np.sqrt(costs[ip, ih])),
     )
 
@@ -405,17 +404,18 @@ def position_covariance(
 ) -> np.ndarray:
     """(3, 3) position covariance sigma^2 (J^T J)^-1 of one frame's fit.
 
-    J is the residual Jacobian at the estimate, with the heading angles
-    re-derived from est.heading, and sigma^2 = residual^2 / (64 - 5), the
-    noise variance the fit's own residual implies. Raises
+    J is the residual Jacobian at the estimate, in the tangent basis of
+    est.heading, and sigma^2 = residual^2 / (64 - 5), the noise variance
+    the fit's own residual implies. The position block of (J^T J)^-1 does
+    not depend on which basis spans the heading's tangent plane. Raises
     numpy.linalg.LinAlgError when J^T J is singular.
 
     J^T J is read from the same _lm_rows kernel as the fit's. On a stream,
     localize_stream reads it from the fit's own last kernel call instead,
-    at Levenberg-Marquardt's final angles, so the two differ in rounding
-    only."""
-    params = np.concatenate([est.position, angles_from_heading(est.heading)])
-    _, W = _lm_rows(params, target_flat, dipole.moment_magnitude)
+    at Levenberg-Marquardt's final heading before the estimate renormalizes
+    it, so the two differ in rounding only."""
+    h = est.heading
+    _, W = _lm_rows(est.position, h, _tangent_basis(h), target_flat, dipole.moment_magnitude)
     return _fit_covariance(W, est.residual, target_flat.size)
 
 
@@ -482,6 +482,18 @@ class _PositionTrack:
         self.P = I_K @ self.P @ I_K.T + K @ R @ K.T
 
 
+def _carried(prev, est):
+    """est's frame at prev's pose, unconverged: a diverged or gated frame."""
+    return MagMeasurement5DoF(
+        est.timestamp,
+        prev.position,
+        prev.heading,
+        converged=False,
+        residual=est.residual,
+        iterations=est.iterations,
+    )
+
+
 def localize_stream(
     readings,
     actuator: ActuatorFieldModel,
@@ -494,15 +506,17 @@ def localize_stream(
     """Streaming inversion: frame k warm-started from frame k-1's fit, and
     positions filtered across frames.
 
-    Each frame is fitted on its own (estimate_pose_5dof). A diverged or
-    gated frame carries the previous fit forward and has converged=False.
-    The output position is that of a causal Kalman filter on position
-    (see the module docstring): every converged frame's fit updates it
-    with covariance sigma^2 (J^T J)^-1, J being the Jacobian
+    Each frame is fitted on its own (estimate_pose_5dof, without the
+    raise). A diverged or gated frame carries the previous fit's pose
+    forward, with its own residual and iterations, and has
+    converged=False. The output position is that of a causal Kalman
+    filter on position (see the module docstring): every converged frame's
+    fit updates it with covariance sigma^2 (J^T J)^-1, J being the Jacobian
     Levenberg-Marquardt holds at the fit; a diverged or gated frame only
     advances its prediction. The heading, residual, iterations and
-    converged flag are the frame's own; the warm start and the outlier
-    gate use the frame's own fit, never the filtered position. On
+    converged flag are the frame's own, or the carried ones; the warm
+    start and the outlier gate use the frame's own fit, never the filtered
+    position. On
     noiseless readings the fit's covariance is ~0 and the filter returns
     the fitted positions unchanged.
 
@@ -513,6 +527,7 @@ def localize_stream(
     """
     out = []
     prev = None
+    M = dipole.moment_magnitude
     gate_window = _GateWindow()
     actuator_bz = actuator.field(_SENSORS)[:, 2]
     track = _PositionTrack()
@@ -527,43 +542,23 @@ def localize_stream(
                 )
             else:
                 init = prev
-            try:
-                est, A, W = _fit_5dof(
-                    target, reading.timestamp, dipole, init, settings
-                )
-            except DivergenceError as e:
-                carried = e.best
-                if prev is not None:
-                    carried = MagMeasurement5DoF(
-                        reading.timestamp,
-                        prev.position,
-                        prev.heading,
-                        converged=False,
-                        residual=e.best.residual,
-                        iterations=e.best.iterations,
-                    )
-                else:
-                    carried.converged = False
-                est = carried
-                params = np.concatenate([est.position, angles_from_heading(est.heading)])
-                A, W = _lm_rows(params, target, dipole.moment_magnitude)
+            est, A, W = _fit_5dof(target, reading.timestamp, dipole, init, settings)
+            diverged = not est.converged and prev is not None
+            if diverged:  # the gate reads the residual at the carried pose
+                h = prev.heading
+                A = _lm_rows(prev.position, h, _tangent_basis(h), target, M)[0]
 
             # Outlier gate: second-difference of the fit residual grid vs the
             # running median. Gated frames keep the previous estimate.
             resid_grid = -A[5].reshape(SENSOR_GRID_N, SENSOR_GRID_N)  # data - fit
             gate_val = float(_norm(directional_second_difference(resid_grid).ravel()))
+            gated = False
             if len(gate_window.sorted) >= 10 and prev is not None:
                 med = gate_window.median()
-                if med > 0 and gate_val > _OUTLIER_GATE * med:
-                    est = MagMeasurement5DoF(
-                        reading.timestamp,
-                        prev.position,
-                        prev.heading,
-                        converged=False,
-                        residual=est.residual,
-                        iterations=est.iterations,
-                    )
+                gated = med > 0 and gate_val > _OUTLIER_GATE * med
             gate_window.push(gate_val)
+            if diverged or gated:
+                est = _carried(prev, est)
 
             track.predict(reading.timestamp)
             if est.converged:  # so est and W are the fit's

@@ -8,6 +8,7 @@ field. The capsule moves below the array (negative z).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,10 +168,6 @@ class ActuatorFieldModel:
     def field(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return self.uniform + self.gradient * p
-
-    @staticmethod
-    def zero() -> "ActuatorFieldModel":
-        return ActuatorFieldModel()
 
     @staticmethod
     def from_config(cfg: SimConfig) -> "ActuatorFieldModel":
@@ -462,6 +459,8 @@ def read_dataset(path) -> Dataset:
                     continue
                 kind, rest = line.split(" ", 1)
                 vals = [float(x) for x in rest.split()]
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"{kind} record has a non-finite value")
                 if kind == "GT":
                     if len(vals) != 7:
                         raise ValueError("GT record needs 7 fields")

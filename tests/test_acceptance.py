@@ -256,7 +256,7 @@ def test_criterion_3_lstm_fidelity(verdict):
 
 def test_criterion_4_magnetic_inversion(verdict):
     dipole = sk.DipoleParams()
-    zero_act = sk.ActuatorFieldModel.zero()
+    zero_act = sk.ActuatorFieldModel()
 
     # Noiseless forward-then-invert.
     worst_pos = 0.0
@@ -581,8 +581,9 @@ def test_criterion_9_determinism_persistence(verdict, tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, ck1)
     loaded = fn.load_checkpoint(path)
-    p0 = fn.predict_trajectory(ck1, mag, a.vis, Pose.identity())
-    p1 = fn.predict_trajectory(loaded, mag, a.vis, Pose.identity())
+    start = Pose(np.zeros(3), np.zeros(3))
+    p0 = fn.predict_trajectory(ck1, mag, a.vis, start)
+    p1 = fn.predict_trajectory(loaded, mag, a.vis, start)
     rt_ok = np.array_equal(p0.poses, p1.poses)
 
     ok = data_ok and train_ok and rt_ok

@@ -62,6 +62,19 @@ def zero_network(hidden=4, rate_ratio=2):
 # --- align_streams ---------------------------------------------------------
 
 
+def test_heading_angle_roundtrip():
+    rng = np.random.default_rng(1)
+    hs = rng.normal(0, 1, (50, 3))
+    hs /= np.linalg.norm(hs, axis=1, keepdims=True)
+    thetas, phis = fn.angles_from_heading(hs)
+    for h, theta_b, phi_b in zip(hs, thetas, phis):
+        theta, phi = fn.angles_from_heading(h)
+        # One call over many headings equals a call per heading.
+        assert theta == theta_b and phi == phi_b
+        back = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+        assert np.allclose(back, h, atol=1e-12)
+
+
 def test_align_counting_100_mag_50_vis():
     mag, vis = make_streams(n_vis=50)
     assert len(mag) == 100

@@ -33,19 +33,6 @@ def init_from(pose, dipole, dpos=(0, 0, 0), dr=(0, 0, 0)):
     )
 
 
-def test_heading_angle_roundtrip():
-    rng = np.random.default_rng(1)
-    hs = rng.normal(0, 1, (50, 3))
-    hs /= np.linalg.norm(hs, axis=1, keepdims=True)
-    thetas, phis = ml.angles_from_heading(hs)
-    for h, theta_b, phi_b in zip(hs, thetas, phis):
-        theta, phi = ml.angles_from_heading(h)
-        # One call over many headings equals a call per heading.
-        assert theta == theta_b and phi == phi_b
-        back = ml.heading_from_angles(theta, phi)
-        assert np.allclose(back, h, atol=1e-12)
-
-
 def test_measurement_heading_validation():
     with pytest.raises(ValueError):
         ml.MagMeasurement5DoF(0.0, np.zeros(3), np.array([1.0, 1.0, 0.0]), True, 0.0, 0)
@@ -167,9 +154,7 @@ def test_estimate_residual_not_worse_than_init():
         reading = make_reading(pose, DESK_DIPOLE, noise_sd=5e-7, seed=seed)
         init = init_from(pose, DESK_DIPOLE, dpos=rng.normal(0, 0.005, 3))
         target = ml.subtract_actuator_field(reading, ZERO_ACT).values.ravel()
-        theta, phi = ml.angles_from_heading(init.heading)
-        p0 = np.concatenate([init.position, [theta, phi]])
-        r0 = ml.predict_normal_components(p0, DESK_DIPOLE) - target
+        r0 = ml.predict_normal_components(init.position, init.heading, DESK_DIPOLE) - target
         cost0 = float(r0 @ r0)
         est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
         assert est.residual**2 <= cost0 + 1e-30
@@ -339,38 +324,74 @@ def test_localize_stream_outputs_own_their_positions():
     assert streamed[11].position[0] < 0.5
 
 
-def _central_difference_jacobian(params, dipole):
-    # Steps of 1e-7 m and 1e-4 rad: near a pole the phi column is ~1e-4 of
-    # the field, and a smaller angle step would drown it in rounding.
+def _test_headings(rng, n):
+    """n random unit headings, a third of them within 1e-3 rad of the +z
+    pole and a third within 1e-3 rad of the -z pole."""
+    hs = []
+    for k in range(n):
+        polar = rng.uniform(0.1, np.pi - 0.1)
+        if k % 3 == 1:
+            polar = rng.uniform(1e-4, 1e-3)
+        elif k % 3 == 2:
+            polar = np.pi - rng.uniform(1e-4, 1e-3)
+        az = rng.uniform(-np.pi, np.pi)
+        hs.append([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az), np.cos(polar)])
+    return np.array(hs)
+
+
+def test_tangent_basis_orthonormal_and_retract_stays_unit():
+    rng = np.random.default_rng(23)
+    random = rng.normal(0.0, 1.0, (1000, 3))
+    random /= np.linalg.norm(random, axis=1, keepdims=True)
+    axes = np.array([
+        [0, 0, 1], [0, 0, -1], [1, 0, 0], [1, 0, -0.0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+    ], dtype=float)
+    for h in np.concatenate([axes, random]):
+        B = ml._tangent_basis(h)
+        frame = np.vstack([B, h])
+        assert np.max(np.abs(frame @ frame.T - np.eye(3))) <= 1e-15, h
+        for scale in (1e-8, 1e-3, 0.15, 3.0):
+            moved = ml._retract(h, B, rng.normal(0.0, scale, 2))
+            assert abs(np.linalg.norm(moved) - 1.0) <= 1e-15, (h, scale)
+
+
+def _central_difference_jacobian(position, heading, dipole):
+    # Steps of 1e-7 m and 1e-5 along the heading's tangent basis; the
+    # retraction is even in the step, so the central difference has no
+    # first-order error from it.
+    basis = ml._tangent_basis(heading)
     J = np.empty((sk.SENSOR_GRID_N**2, 5))
-    for i, step in enumerate((1e-7, 1e-7, 1e-7, 1e-4, 1e-4)):
-        dp = np.zeros(5)
-        dp[i] = step
+    for i in range(3):
+        dp = np.zeros(3)
+        dp[i] = 1e-7
         J[:, i] = (
-            ml.predict_normal_components(params + dp, dipole)
-            - ml.predict_normal_components(params - dp, dipole)
-        ) / (2.0 * step)
+            ml.predict_normal_components(position + dp, heading, dipole)
+            - ml.predict_normal_components(position - dp, heading, dipole)
+        ) / 2e-7
+    for i in range(2):
+        ab = np.zeros(2)
+        ab[i] = 1e-5
+        J[:, 3 + i] = (
+            ml.predict_normal_components(position, ml._retract(heading, basis, ab), dipole)
+            - ml.predict_normal_components(position, ml._retract(heading, basis, -ab), dipole)
+        ) / 2e-5
     return J
 
 
 def test_jacobian_matches_central_differences():
-    # Random parameters, a third of them with the heading within 1e-3 rad
-    # of a pole, where the phi column shrinks like sin(theta).
+    # Random poses, a third of them with the heading within 1e-3 rad of
+    # each pole: the tangent step has no singular heading.
     dipole = sk.DipoleParams()
     rng = np.random.default_rng(11)
-    for k in range(60):
-        theta = rng.uniform(0.1, np.pi - 0.1)
-        if k % 3 == 1:
-            theta = rng.uniform(1e-4, 1e-3)
-        elif k % 3 == 2:
-            theta = np.pi - rng.uniform(1e-4, 1e-3)
-        params = np.array([
-            *rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03),
-            theta, rng.uniform(-np.pi, np.pi),
-        ])
+    for k, heading in enumerate(_test_headings(rng, 60)):
+        position = np.array([*rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03)])
         # The Jacobian Levenberg-Marquardt reads: rows 0-4 of its kernel.
-        J = ml._lm_rows(params, np.zeros(64), dipole.moment_magnitude)[0][:5].T
-        J_fd = _central_difference_jacobian(params, dipole)
+        A, _ = ml._lm_rows(
+            position, heading, ml._tangent_basis(heading), np.zeros(64),
+            dipole.moment_magnitude,
+        )
+        J = A[:5].T
+        J_fd = _central_difference_jacobian(position, heading, dipole)
         for col in range(5):
             err = np.linalg.norm(J[:, col] - J_fd[:, col])
             assert err < 1e-6 * np.linalg.norm(J_fd[:, col]), (k, col)
@@ -421,11 +442,11 @@ def _grid_search_loop(target, dipole, center, half_extent):
                 if z > -0.01:
                     continue
                 for d in dirs:
-                    p = np.array([x, y, z, *ml.angles_from_heading(d)])
-                    r = ml.predict_normal_components(p, dipole) - target
+                    p = np.array([x, y, z])
+                    r = ml.predict_normal_components(p, d, dipole) - target
                     cost = float(r @ r)
                     if cost < best_cost:
-                        best, best_cost = p, cost
+                        best, best_cost = (p, d), cost
     return best, best_cost
 
 
@@ -444,17 +465,19 @@ def test_grid_search_matches_loop():
         )
         reading = make_reading(pose, dipole, actuator=act, noise_sd=5e-7, seed=k)
         target = ml.subtract_actuator_field(reading, act).values.ravel()
-        params, cost = _grid_search_loop(target, dipole, center, half_extent)
+        (position, heading), cost = _grid_search_loop(target, dipole, center, half_extent)
         got = ml.grid_search_init(reading, act, dipole, center, half_extent)
-        assert np.array_equal(got.position, params[:3])
-        assert np.array_equal(got.heading, ml.heading_from_angles(*params[3:]))
+        assert np.array_equal(got.position, position)
+        # The estimate holds the candidate heading as MagMeasurement5DoF
+        # normalizes it.
+        assert np.array_equal(got.heading, ml.MagMeasurement5DoF(0.0, position, heading).heading)
         assert abs(got.residual**2 - cost) <= 1e-12 * cost
 
 
-def _closed_form_bz(params, dipole):
+def _closed_form_bz(position, heading, dipole):
     """b_z at the 64 sensors, written out as the point-dipole formula."""
-    m = dipole.moment_magnitude * ml.heading_from_angles(params[3], params[4])
-    r = sk.sensor_positions().reshape(-1, 3) - params[:3]
+    m = dipole.moment_magnitude * heading
+    r = sk.sensor_positions().reshape(-1, 3) - position
     d2 = np.sum(r * r, axis=1)
     mdotr = r @ m
     return sk.MU0_OVER_4PI * (3.0 * mdotr * r[:, 2] - m[2] * d2) / (d2 * d2 * np.sqrt(d2))
@@ -469,14 +492,15 @@ def test_model_kernel_bz_matches_closed_form_bit_for_bit():
     rng = np.random.default_rng(12)
     noise = np.random.default_rng(13)
     for _ in range(1000):
-        params = np.array([
-            *rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03),
-            rng.uniform(-1.0, 4.0), rng.uniform(-4.0, 4.0),
-        ])
-        bz = ml.predict_normal_components(params, dipole)
-        assert np.array_equal(bz, _closed_form_bz(params, dipole))
+        position = np.array([*rng.uniform(-0.05, 0.05, 2), rng.uniform(-0.15, -0.03)])
+        polar, az = rng.uniform(-1.0, 4.0), rng.uniform(-4.0, 4.0)
+        heading = np.array([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az), np.cos(polar)])
+        bz = ml.predict_normal_components(position, heading, dipole)
+        assert np.array_equal(bz, _closed_form_bz(position, heading, dipole))
         target = bz + noise.normal(0.0, 5e-7, bz.shape)
-        A, W = ml._lm_rows(params, target, dipole.moment_magnitude)
+        A, W = ml._lm_rows(
+            position, heading, ml._tangent_basis(heading), target, dipole.moment_magnitude
+        )
         assert A.shape == (6, 64)
         err = np.max(np.abs(A[5] - (bz - target)))
         assert err <= 1e-15 * np.max(np.abs(bz))
@@ -503,8 +527,8 @@ def test_gate_window_median_matches_np_median():
 
 def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half_extent):
     """Reference stream: after each fit, the model and its Jacobian are
-    evaluated again at the fitted pose, with the heading angles re-derived
-    from the unit heading, for the outlier gate and position_covariance.
+    evaluated again at the fitted pose, for the outlier gate and
+    position_covariance.
     Returns the estimates, each frame's gate value and whether it was gated."""
     out, gates, gated, history = [], [], [], []
     prev = None
@@ -525,8 +549,7 @@ def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half
                     residual=e.best.residual, iterations=e.best.iterations,
                 )
             est.converged = False
-        params = np.concatenate([est.position, ml.angles_from_heading(est.heading)])
-        fit = ml.predict_normal_components(params, dipole).reshape(8, 8)
+        fit = ml.predict_normal_components(est.position, est.heading, dipole).reshape(8, 8)
         gate = float(np.linalg.norm(ml.directional_second_difference(subtracted - fit)))
         is_gated = False
         if len(history) >= 10 and prev is not None:

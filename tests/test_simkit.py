@@ -308,6 +308,22 @@ def test_dataset_truncated_file_reports_line(tmp_path):
         sk.read_dataset(path)
 
 
+@pytest.mark.parametrize("kind", ["GT", "MAG", "VIS"])
+@pytest.mark.parametrize("field, value", [(1, "nan"), (3, "inf"), (0, "-inf")])
+def test_dataset_non_finite_record_reports_line(tmp_path, kind, field, value):
+    # field 0 is the timestamp; the others are pose or reading values.
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=12)))
+    lines = path.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith(kind + " "))
+    tokens = lines[idx].split()
+    tokens[1 + field] = value
+    lines[idx] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"ds\.txt:{idx + 1}: {kind} record has a non-finite"):
+        sk.read_dataset(path)
+
+
 def test_dataset_header_roundtrips_every_config_field(tmp_path):
     cfg = sk.SimConfig(duration=1.0, seed=13, motion_profile="slow_incremental",
                        workspace_center=(0.01, -0.02, -0.07), slow_speed_cap=0.004,
