@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Write the CLI's outputs on fixed seeds and print one sha256 per file.
+
+Two trees that should give the same results can be compared with `cmp` on
+their OUT_DIRs, or on the printed hashes:
+
+    python3 scripts/fixed_seed_outputs.py OUT_DIR
+
+It runs, with the config it writes to OUT_DIR/run.cfg:
+- `simulate`: seeds 1-3, 12 s each;
+- `localize-mag --diagnostics` on each dataset;
+- `train` on all three (H 16, window 16, 25 epochs, warm-up 3, patience 6),
+  which writes the checkpoint and its log;
+- `evaluate` of that checkpoint on the held-out seed-3 dataset;
+- `align-demo --seed 2 --out`.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from capsloc.cli import main as capsloc
+
+CONFIG = """\
+seed = 1
+n_datasets = 3
+sim.duration = 12
+train.hidden_size = 16
+train.window_length = 16
+train.max_epochs = 25
+train.warmup_epochs = 3
+train.early_stop_patience = 6
+"""
+
+
+def run(*argv):
+    if capsloc(list(argv)) != 0:
+        sys.exit(f"capsloc {argv[0]} failed")
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("out_dir")
+    out = ap.parse_args().out_dir
+    os.makedirs(out, exist_ok=True)
+    cfg = os.path.join(out, "run.cfg")
+    with open(cfg, "w") as f:
+        f.write(CONFIG)
+    data = os.path.join(out, "data")
+    run("simulate", "--config", cfg, "--out", data)
+    datasets = [os.path.join(data, f"dataset_seed{s}.txt") for s in (1, 2, 3)]
+    for s, path in zip((1, 2, 3), datasets):
+        run("localize-mag", "--config", cfg, path,
+            "--out", os.path.join(out, f"mag_seed{s}.txt"),
+            "--diagnostics", os.path.join(out, f"mag_seed{s}.diag"))
+    ckpt = os.path.join(out, "model.ckpt")
+    run("train", "--config", cfg, *datasets, "--out", ckpt)
+    run("evaluate", "--config", cfg, datasets[2], "--checkpoint", ckpt,
+        "--out", os.path.join(out, "report.txt"))
+    run("align-demo", "--config", cfg, "--seed", "2", "--out", os.path.join(out, "align.txt"))
+
+    for root, _, files in sorted(os.walk(out)):
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            with open(path, "rb") as f:
+                digest = hashlib.sha256(f.read()).hexdigest()
+            print(f"{digest}  {os.path.relpath(path, out)}")
+
+
+if __name__ == "__main__":
+    main()

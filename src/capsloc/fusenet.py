@@ -12,6 +12,10 @@ forward runs each LSTM over all T steps in turn, B windows at once:
 magnetic (T * rate_ratio inputs), visual, one dropout draw on the
 (T, B, 2H) concatenation, core, then the head as one GEMM. Neither branch
 LSTM reads the core's state, so this is the per-step math reordered.
+
+The network is the dict of five arrays that _param_shapes lists, keyed as
+its gradients, Adam moments and checkpoints are. Its hidden size is
+head.W's column count; the inputs fix the rate ratio.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .geometry import (
 from .neuralcore import (
     Hyperparams,
     LstmState,
-    LstmWeights,
     adam_init,
     adam_step,
     dropout,
@@ -46,7 +49,6 @@ from .neuralcore import (
 )
 
 __all__ = [
-    "FusionNetwork",
     "FusedSet",
     "NormStats",
     "TrainingConfig",
@@ -91,44 +93,8 @@ def angles_from_heading(h):
     return theta, phi
 
 
-@dataclass
-class FusionNetwork:
-    mag_lstm: LstmWeights
-    vis_lstm: LstmWeights
-    core_lstm: LstmWeights
-    head_W: np.ndarray
-    head_b: np.ndarray
-    rate_ratio: int = 2
-
-    @property
-    def hidden_size(self) -> int:
-        return self.mag_lstm.hidden_size
-
-    def params(self) -> dict:
-        """The network's own arrays (shapes: _param_shapes); updating one in
-        place updates the network."""
-        return {
-            "mag.W": self.mag_lstm.W,
-            "vis.W": self.vis_lstm.W,
-            "core.W": self.core_lstm.W,
-            "head.W": self.head_W,
-            "head.b": self.head_b,
-        }
-
-    @staticmethod
-    def from_params(params: dict, rate_ratio: int) -> "FusionNetwork":
-        return FusionNetwork(
-            LstmWeights(params["mag.W"]),
-            LstmWeights(params["vis.W"]),
-            LstmWeights(params["core.W"]),
-            params["head.W"],
-            params["head.b"],
-            rate_ratio,
-        )
-
-
 def _param_shapes(hidden_size: int) -> dict:
-    """The shape of each FusionNetwork.params() array, in its key order."""
+    """The shape of each network array, in its key order."""
     H = hidden_size
     return {
         "mag.W": (4 * H, MAG_INPUT + H),
@@ -139,14 +105,18 @@ def _param_shapes(hidden_size: int) -> dict:
     }
 
 
-def init_network(hidden_size: int, rate_ratio: int, rng) -> FusionNetwork:
-    mag = init_lstm_weights(MAG_INPUT, hidden_size, rng)
-    vis = init_lstm_weights(VIS_INPUT, hidden_size, rng)
-    core = init_lstm_weights(2 * hidden_size, hidden_size, rng)
-    bound = 1.0 / np.sqrt(hidden_size)
-    head_W = rng.uniform(-bound, bound, size=(OUT_DIM, hidden_size))
-    head_b = np.zeros(OUT_DIM)
-    return FusionNetwork(mag, vis, core, head_W, head_b, rate_ratio)
+def init_network(hidden_size: int, rng) -> dict:
+    """A seeded network: the magnetic, visual and core LSTMs' W, then head.W
+    uniform +/- 1/sqrt(H), drawn in that order; head.b zero."""
+    H = hidden_size
+    bound = 1.0 / np.sqrt(H)
+    return {
+        "mag.W": init_lstm_weights(MAG_INPUT, H, rng),
+        "vis.W": init_lstm_weights(VIS_INPUT, H, rng),
+        "core.W": init_lstm_weights(2 * H, H, rng),
+        "head.W": rng.uniform(-bound, bound, size=(OUT_DIM, H)),
+        "head.b": np.zeros(OUT_DIM),
+    }
 
 
 @dataclass
@@ -247,7 +217,7 @@ def compute_norm_stats(samples: FusedSet) -> NormStats:
 
 
 def forward(
-    net: FusionNetwork,
+    params: dict,
     samples: FusedSet,
     initial_states=None,
     training: bool = False,
@@ -258,49 +228,49 @@ def forward(
     windows with a state each. Returns (outputs (N, 6) or (B, T, 6), caches,
     final_states). States start at zero unless given and persist across
     steps; chunks of a sequence with carried states give the same outputs."""
-    hs = net.hidden_size
-    r = net.rate_ratio
+    hs = params["head.W"].shape[1]
+    r = samples.mag.shape[-2]
     *batch, T = samples.vis.shape[:-1]  # batch is [] or [B]
     if initial_states is None:
         initial_states = {k: LstmState.zeros(*batch, hs) for k in ("mag", "vis", "core")}
     # The LSTMs run time-major, on (steps, [B,] input) arrays.
     mag_final, mag_cache = lstm_sequence_forward(
         np.moveaxis(samples.mag.reshape(*batch, T * r, MAG_INPUT), -2, 0),
-        initial_states["mag"], net.mag_lstm,
+        initial_states["mag"], params["mag.W"],
     )
     vis_final, vis_cache = lstm_sequence_forward(
-        np.moveaxis(samples.vis, -2, 0), initial_states["vis"], net.vis_lstm
+        np.moveaxis(samples.vis, -2, 0), initial_states["vis"], params["vis.W"]
     )
     # The core sees the magnetic state after every rate_ratio-th input.
     z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=-1)
     z, mask = dropout(z, dropout_rate, rng, training)
     core_final, core_cache = lstm_sequence_forward(
-        z, initial_states["core"], net.core_lstm
+        z, initial_states["core"], params["core.W"]
     )
-    y = linear_forward(core_cache.h[1:].reshape(-1, hs), net.head_W, net.head_b)
+    y = linear_forward(core_cache.h[1:].reshape(-1, hs), params["head.W"], params["head.b"])
     outputs = np.moveaxis(y.reshape(T, *batch, OUT_DIM), 0, -2)
     final = {"mag": mag_final, "vis": vis_final, "core": core_final}
     return outputs, (mag_cache, vis_cache, core_cache, mask), final
 
 
-def backward(net: FusionNetwork, caches, dy):
+def backward(params: dict, caches, dy):
     """BPTT through the full fusion network.
 
     dy, shaped as forward's outputs, holds the upstream gradient on each
     step's output. Returns parameter gradients (summed over windows) keyed
-    as net.params()."""
+    as params."""
     mag_cache, vis_cache, core_cache, mask = caches
-    hs = net.hidden_size
-    r = net.rate_ratio
+    hs = params["head.W"].shape[1]
+    r = len(mag_cache.x) // len(core_cache.x)
     h = core_cache.h[1:]
     dy = np.moveaxis(np.asarray(dy, dtype=float), -2, 0).reshape(-1, OUT_DIM)
-    dW_head, db_head, dh = linear_backward(h.reshape(-1, hs), net.head_W, dy)
-    dW_core, _, dz = lstm_backward(core_cache, net.core_lstm, dh.reshape(h.shape))
+    dW_head, db_head, dh = linear_backward(h.reshape(-1, hs), params["head.W"], dy)
+    dW_core, _, dz = lstm_backward(core_cache, params["core.W"], dh.reshape(h.shape))
     dz *= mask
-    dW_vis, _, _ = lstm_backward(vis_cache, net.vis_lstm, dz[..., hs:])
+    dW_vis, _, _ = lstm_backward(vis_cache, params["vis.W"], dz[..., hs:])
     dh_mag = np.zeros(mag_cache.h[1:].shape)
     dh_mag[r - 1 :: r] = dz[..., :hs]
-    dW_mag, _, _ = lstm_backward(mag_cache, net.mag_lstm, dh_mag)
+    dW_mag, _, _ = lstm_backward(mag_cache, params["mag.W"], dh_mag)
     return {"mag.W": dW_mag, "vis.W": dW_vis, "core.W": dW_core,
             "head.W": dW_head, "head.b": db_head}
 
@@ -334,19 +304,16 @@ class Checkpoint:
     beta_loss: float
     version: str = CHECKPOINT_VERSION
 
-    def network(self) -> FusionNetwork:
-        return FusionNetwork.from_params(self.params, self.rate_ratio)
 
-
-def _window_pass(net, window, beta, hp, rng, training=True):
+def _window_pass(params, window, beta, hp, rng, training=True):
     """Forward (and, when training, backward) over a batch of windows: (loss,
     per-step translational and rotational residual norms, gradients)."""
     outputs, caches, _ = forward(
-        net, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
+        params, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
     )
     loss, dys = pose_loss(outputs, window.target, beta)
     trans, rot = pose_residual_norms(outputs, window.target)
-    grads = backward(net, caches, dys) if training else None
+    grads = backward(params, caches, dys) if training else None
     return loss, trans, rot, grads
 
 
@@ -356,20 +323,24 @@ def _chunks(windows: FusedSet):
         yield windows[k : k + _INFERENCE_CHUNK]
 
 
-def _eval_loss(net, windows, beta, hp):
-    loss = sum(_window_pass(net, chunk, beta, hp, None, training=False)[0]
+def _infer(params, windows: FusedSet) -> np.ndarray:
+    """Inference outputs (B, T, 6) of windows, each run from zero states."""
+    return np.concatenate([forward(params, chunk)[0] for chunk in _chunks(windows)])
+
+
+def _eval_loss(params, windows, beta, hp):
+    loss = sum(_window_pass(params, chunk, beta, hp, None, training=False)[0]
                for chunk in _chunks(windows))
     return loss / windows.times.size
 
 
-def calibrate_beta(net: FusionNetwork, val_samples: FusedSet, stats: NormStats):
-    """beta = mean translational / mean rotational residual norm over the
-    validation set as one sequence (raw units); clamped to _BETA_CLAMP.
-    Returns (beta, flagged)."""
-    outputs, _, _ = forward(net, val_samples, training=False)
+def calibrate_beta(params: dict, val_windows: FusedSet, stats: NormStats):
+    """beta = mean translational / mean rotational residual norm (raw units)
+    over the validation windows, run as _eval_loss runs them; clamped to
+    _BETA_CLAMP. Returns (beta, flagged)."""
     trans, rot = pose_residual_norms(
-        stats.denormalize_output(outputs),
-        stats.denormalize_output(val_samples.target),
+        stats.denormalize_output(_infer(params, val_windows)),
+        stats.denormalize_output(val_windows.target),
     )
     mean_trans = float(np.mean(trans))
     mean_rot = float(np.mean(rot))
@@ -386,13 +357,8 @@ def _refit_head_bias(params: dict, windows: FusedSet) -> dict:
     The head is linear, so this is the least-squares constant offset; as
     predict_trajectory integrates the outputs, a constant offset is what
     turns into drift."""
-    net = FusionNetwork.from_params(params, windows.mag.shape[-2])
-    residuals = np.concatenate(
-        [forward(net, chunk)[0] - chunk.target for chunk in _chunks(windows)]
-    )
-    refit = dict(params)
-    refit["head.b"] = params["head.b"] - np.mean(residuals.reshape(-1, OUT_DIM), axis=0)
-    return refit
+    residuals = (_infer(params, windows) - windows.target).reshape(-1, OUT_DIM)
+    return {**params, "head.b": params["head.b"] - np.mean(residuals, axis=0)}
 
 
 def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
@@ -405,10 +371,15 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     sees but that integrates into drift over a trajectory. The log holds
     the losses before the refit.
 
-    datasets: list of FusedSet (raw units, targets present). Adam steps on
-    one window at a time. Returns (Checkpoint, log), a list of epoch dicts."""
+    datasets: list of finite FusedSets (raw units, targets present). Adam
+    steps on one window at a time. Returns (Checkpoint, log), epoch dicts."""
     if not datasets:
         raise ValueError("need at least one training dataset")
+    for k, ds in enumerate(datasets):
+        for name in ("mag", "vis", "target"):
+            bad = ~np.isfinite(getattr(ds, name).reshape(len(ds), -1)).all(axis=1)
+            if bad.any():
+                raise ValueError(f"dataset {k} step {bad.argmax()}: non-finite {name}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF05E]))
     T = cfg.window_length
 
@@ -434,10 +405,8 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     val_windows = stats.normalize(FusedSet.concat(ds.windows(T) for ds in val_sets))
     if not len(train_windows) or not len(val_windows):
         raise ValueError("not enough samples for the configured window length")
-    val_flat = val_windows.map(lambda a: a.reshape(-1, *a.shape[2:]))
 
-    net = init_network(hp.hidden_size, datasets[0].mag.shape[1], rng)
-    params = net.params()  # views into net, which adam_step updates in place
+    params = init_network(hp.hidden_size, rng)  # adam_step updates these in place
     adam = adam_init(params)
     beta = 1.0
 
@@ -449,12 +418,12 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
     for epoch in range(1, cfg.max_epochs + 1):
         if epoch == cfg.warmup_epochs + 1:
-            beta, _ = calibrate_beta(net, val_flat, stats)
+            beta, _ = calibrate_beta(params, val_windows, stats)
         order = rng.permutation(len(train_windows))
         train_loss = train_trans = train_rot = grad_norm = 0.0
         for wi in order:
             window = train_windows[wi : wi + 1]  # a batch of one
-            loss, trans, rot, grads = _window_pass(net, window, beta, hp, rng)
+            loss, trans, rot, grads = _window_pass(params, window, beta, hp, rng)
             if not np.isfinite(loss):
                 break
             grad_norm += np.sqrt(sum(np.sum(g * g) for g in grads.values()))
@@ -466,7 +435,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             log.append({"epoch": epoch, "aborted": "non-finite loss"})
             break
         n_steps = len(order) * T
-        val_loss = _eval_loss(net, val_windows, beta, hp)
+        val_loss = _eval_loss(params, val_windows, beta, hp)
         log.append(
             {
                 "epoch": epoch,
@@ -491,7 +460,8 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
     best_params = _refit_head_bias(best_params, train_windows)
     hp_final = replace(hp, beta_loss=best_beta)
-    return Checkpoint(best_params, net.rate_ratio, hp_final, stats, best_beta), log
+    rate_ratio = datasets[0].mag.shape[1]
+    return Checkpoint(best_params, rate_ratio, hp_final, stats, best_beta), log
 
 
 def write_training_log(path, log) -> None:
@@ -515,9 +485,8 @@ def predict_trajectory(
     ckpt: Checkpoint, mag, vis, initial_pose: Pose
 ) -> Trajectory:
     """align_streams -> inference forward -> de-normalize -> integrate."""
-    net = ckpt.network()
     samples = align_streams(mag, vis, gt=None, rate_ratio=ckpt.rate_ratio)
-    outputs, _, _ = forward(net, ckpt.stats.normalize(samples), training=False)
+    outputs, _, _ = forward(ckpt.params, ckpt.stats.normalize(samples))
     deltas = ckpt.stats.denormalize_output(outputs)
     return integrate_deltas(initial_pose.as_vector(), samples.times, deltas)
 

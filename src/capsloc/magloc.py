@@ -36,7 +36,10 @@ cost r.r are slices of that one 6 x 6 product. Its sensor offsets are two
 (64,) vectors and one scalar, since every sensor lies at z = 0. The fit
 returns its final rows: the outlier gate reads their residual and the
 filter's covariance their J^T J, so nothing evaluates the model again
-after the fit, except at the carried pose of a diverged frame.
+after the fit, except at the carried pose of a diverged frame and at a
+reflected fit. As every sensor lies at z = 0, b_z is the same at a pose
+(x, y, z), (h_x, h_y, h_z) and at its mirror (x, y, -z), (-h_x, -h_y, h_z);
+the capsule lies below the array, so a fit that ends above it is reflected.
 predict_normal_components writes the closed form out on d^2 with its own
 operation order, and equals the kernel's b_z up to rounding.
 """
@@ -321,8 +324,8 @@ def _fit_5dof(target, timestamp, dipole, init, settings):
     the raise: a fit with no converged attempt returns its lowest-residual
     attempt, with converged=False.
 
-    Returns (estimate, A, W): _lm_rows at the pose of the attempt the
-    estimate is from, so A[5] is that fit's residual vector."""
+    Returns (estimate, A, W): _lm_rows at the estimate's pose, that of its
+    attempt's fit or its mirror, so A[5] is the estimate's residual vector."""
     best = None
     rng = None  # restarts only; the same seed each frame
     for attempt in range(settings.restart_count + 1):
@@ -333,6 +336,9 @@ def _fit_5dof(target, timestamp, dipole, init, settings):
             p0 = p0 + rng.normal(0.0, 0.01, size=3)
             h0 = _retract(h0, _tangent_basis(h0), rng.normal(0.0, 0.15, size=2))
         p, h, A, W, iters, ok = _levenberg_marquardt(p0, h0, target, dipole, settings)
+        if p[2] > 0.0:
+            p, h = p * [1.0, 1.0, -1.0], h * [-1.0, -1.0, 1.0]
+            A, W = _lm_rows(p, h, _tangent_basis(h), target, dipole.moment_magnitude)
         est = MagMeasurement5DoF(
             timestamp,
             p,

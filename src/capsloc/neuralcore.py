@@ -9,10 +9,11 @@ LSTM cell with no bias terms:
     o = sigmoid(W_ox x + W_oh h_prev)
     h = o * tanh(c)
 
-An LSTM's weights are one stacked W (4H, X + H): row blocks i, f, g, o,
-columns [x | h], so W_gh above is W[2H:3H, X:]. Parameters, gradients, Adam
-moments and checkpoints all hold W whole. The sequence kernels run a (T, X)
-sequence as a batch of one, or B sequences as a time-major (T, B, X) batch:
+An LSTM's weights are one stacked array W (4H, X + H): row blocks i, f, g,
+o, columns [x | h], so W_gh above is W[2H:3H, X:]. The kernels, parameters,
+gradients, Adam moments and checkpoints all hold W whole. The sequence
+kernels run a (T, X) sequence as a batch of one, or B sequences as a
+time-major (T, B, X) batch:
 lstm_sequence_forward takes all input projections in one GEMM, then one
 h[t] W_h^T product per step; lstm_backward does one dA[t] W_h product per
 step, then dW as one GEMM dA^T [X | H_prev] and the input gradients dA W_x.
@@ -42,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "LstmWeights",
     "LstmState",
     "LstmCache",
     "AdamState",
@@ -66,30 +66,14 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass(eq=False)
-class LstmWeights:
-    """One LSTM's weights: W of shape (4H, X + H), row blocks the gates
-    i, f, g, o, columns [x | h]. A float array given as W is kept, not
-    copied, so writing into it (as adam_step does) updates the LSTM."""
-
-    W: np.ndarray
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=float)
-        rows, cols = self.W.shape if self.W.ndim == 2 else (0, 0)
-        if rows == 0 or rows % 4 or cols <= rows // 4:
-            raise ValueError(
-                f"LSTM weights have shape {self.W.shape}, expected (4H, X + H) "
-                "with H, X >= 1"
-            )
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1] - self.hidden_size
+def _lstm_shape(W) -> tuple:
+    """(H, X) of an LSTM's stacked W (4H, X + H); ValueError if malformed."""
+    rows, cols = W.shape if W.ndim == 2 else (0, 0)
+    if rows == 0 or rows % 4 or cols <= rows // 4:
+        raise ValueError(
+            f"LSTM weights have shape {W.shape}, expected (4H, X + H) with H, X >= 1"
+        )
+    return rows // 4, cols - rows // 4
 
 
 @dataclass
@@ -117,18 +101,19 @@ class LstmCache(NamedTuple):
     gates: np.ndarray  # (T, 4H) activations i, f, g, o
 
 
-def init_lstm_weights(input_size: int, hidden_size: int, rng) -> LstmWeights:
-    """Uniform +/- 1/sqrt(fan_in) per gate block, seeded: the x and then the
-    h block of gates i, f, g, o, drawn in that order."""
+def init_lstm_weights(input_size: int, hidden_size: int, rng) -> np.ndarray:
+    """A stacked W (4H, X + H), uniform +/- 1/sqrt(fan_in) per gate block,
+    seeded: the x and then the h block of gates i, f, g, o, drawn in that
+    order."""
     W = np.empty((4 * hidden_size, input_size + hidden_size))
     for rows in np.split(W, 4):
         for block in (rows[:, :input_size], rows[:, input_size:]):
             bound = 1.0 / np.sqrt(block.shape[1])
             block[...] = rng.uniform(-bound, bound, size=block.shape)
-    return LstmWeights(W)
+    return W
 
 
-def lstm_sequence_forward(xs, init: LstmState, w: LstmWeights):
+def lstm_sequence_forward(xs, init: LstmState, W: np.ndarray):
     """Run the LSTM from init over a nonempty (T, X) sequence with (H,) states
     or a (T, B, X) batch with (B, H) states. Returns (the LstmState after the
     last step, the LstmCache for lstm_backward, holding every step's h and c)."""
@@ -136,15 +121,15 @@ def lstm_sequence_forward(xs, init: LstmState, w: LstmWeights):
     if x.ndim not in (2, 3) or x.size == 0:
         raise ValueError("expected a nonempty (steps, [batch,] input) sequence")
     T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
-    H = w.hidden_size
-    if n != w.input_size:
-        raise ValueError(f"input size {n} != weights {w.input_size}")
+    H, X = _lstm_shape(W)
+    if n != X:
+        raise ValueError(f"input size {n} != weights {X}")
     if init.h.shape != x.shape[1:-1] + (H,):
         raise ValueError("state shape mismatch")
     h, c = np.empty((2, T + 1, B, H))
     h[0], c[0] = init.h, init.c
-    W_h_T = w.W[:, n:].T
-    gates = (x.reshape(T * B, n) @ w.W[:, :n].T).reshape(T, B, 4 * H)
+    W_h_T = W[:, n:].T
+    gates = (x.reshape(T * B, n) @ W[:, :n].T).reshape(T, B, 4 * H)
     for t in range(T):
         a = gates[t]
         a += h[t] @ W_h_T
@@ -158,14 +143,14 @@ def lstm_sequence_forward(xs, init: LstmState, w: LstmWeights):
     return LstmState(h[T], c[T]), LstmCache(x, h, c, gates)
 
 
-def lstm_backward(cache: LstmCache, w: LstmWeights, dh_list):
+def lstm_backward(cache: LstmCache, W: np.ndarray, dh_list):
     """Full BPTT over a forward pass; dh_list holds the upstream gradient on
     every step's h, shaped as the cache's h[1:], zeros allowed. Returns (the
-    (4H, X + H) gradient on w.W, summed over a batch; the gradient on the
+    (4H, X + H) gradient on W, summed over a batch; the gradient on the
     initial state; the input gradients)."""
     x, h, c, gates = cache
     T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
-    H = w.hidden_size
+    H, _ = _lstm_shape(W)
     dh_up = np.asarray(dh_list, dtype=float)
     if dh_up.shape != h[1:].shape:
         raise ValueError("dh_list must hold one hidden-size gradient per step")
@@ -179,7 +164,7 @@ def lstm_backward(cache: LstmCache, w: LstmWeights, dh_list):
     per_unit[..., 2 * H : 3 * H] = 1.0 - g * g
     per_unit *= np.concatenate([g, c[:-1], i, tc], axis=-1)
     d_pre = np.empty((T, B, 4 * H))
-    W_h = w.W[:, n:]
+    W_h = W[:, n:]
     dh_next, dc = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_up[t] + dh_next
@@ -190,7 +175,7 @@ def lstm_backward(cache: LstmCache, w: LstmWeights, dh_list):
     d_pre = d_pre.reshape(T * B, 4 * H)
     dW = d_pre.T @ np.concatenate([x.reshape(T * B, n), h[:-1].reshape(T * B, H)], 1)
     dinit = LstmState(dh_next.reshape(cache.h[0].shape), dc.reshape(cache.h[0].shape))
-    return dW, dinit, (d_pre @ w.W[:, :n]).reshape(x.shape)
+    return dW, dinit, (d_pre @ W[:, :n]).reshape(x.shape)
 
 
 def linear_forward(x, W, b):
@@ -289,8 +274,7 @@ def adam_init(params: dict) -> AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
     """One update of every parameter array, in place, as are the moments in
-    state; returns (params, state). Parameter views write through to the
-    arrays they view."""
+    state; returns (params, state)."""
     for k, p in params.items():
         if grads[k].shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {k}")
@@ -334,8 +318,8 @@ def _adam_update(p, g, m, v, scratch, hp, m_scale, v_scale):
 
 def finite_difference_gradient(loss_fn, params: dict, step: float = 1e-6) -> dict:
     """Central differences of loss_fn(params) per parameter component, each
-    perturbed in place and restored: loss_fn sees the perturbation through
-    any object that holds the same array, such as an LstmWeights' W."""
+    perturbed in place and restored, so loss_fn sees the perturbation in
+    any array it reads from params."""
     grads = {}
     for k, p in params.items():
         g = np.zeros(p.shape)

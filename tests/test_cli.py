@@ -262,10 +262,10 @@ def test_malformed_checkpoint_line_errors_to_stderr(tmp_path, capsys):
     cfg = fast_cfg(tmp_path)
     data = tmp_path / "data"
     main(["simulate", "--config", cfg, "--seed", "1", "--out", str(data)])
-    net = fusenet.init_network(4, 2, np.random.default_rng(0))
+    net = fusenet.init_network(4, np.random.default_rng(0))
     ones = np.ones(6)
     stats = fusenet.NormStats(np.zeros(5), np.ones(5), 0 * ones, ones, 0 * ones, ones)
-    ckpt = fusenet.Checkpoint(net.params(), 2, Hyperparams(hidden_size=4), stats, 1.0)
+    ckpt = fusenet.Checkpoint(net, 2, Hyperparams(hidden_size=4), stats, 1.0)
     path = tmp_path / "model.ckpt"
     fusenet.save_checkpoint(path, ckpt)
     lines = path.read_text().splitlines()

@@ -53,10 +53,9 @@ def cell(x, prev, w):
     return nc.lstm_sequence_forward([x], prev, w)[0]
 
 
-def zero_network(hidden=4, rate_ratio=2):
-    net = fn.init_network(hidden, rate_ratio, np.random.default_rng(0))
-    params = {k: np.zeros_like(v) for k, v in net.params().items()}
-    return fn.FusionNetwork.from_params(params, rate_ratio)
+def zero_network(hidden=4):
+    net = fn.init_network(hidden, np.random.default_rng(0))
+    return {k: np.zeros_like(v) for k, v in net.items()}
 
 
 # --- align_streams ---------------------------------------------------------
@@ -161,9 +160,7 @@ def test_fused_set_windows_and_slices():
 def test_forward_zero_weights_outputs_head_bias():
     net = zero_network()
     bias = np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.6])
-    params = net.params()
-    params["head.b"] = bias
-    net = fn.FusionNetwork.from_params(params, net.rate_ratio)
+    net["head.b"] = bias
     samples = toy_samples(7, np.random.default_rng(1))
     outputs, _, _ = fn.forward(net, samples)
     assert outputs.shape == (7, 6)
@@ -172,20 +169,19 @@ def test_forward_zero_weights_outputs_head_bias():
 
 
 def test_forward_output_length_matches_input():
-    net = fn.init_network(4, 2, np.random.default_rng(2))
+    net = fn.init_network(4, np.random.default_rng(2))
     for n in (1, 3, 11):
         outputs, caches, _ = fn.forward(net, toy_samples(n, np.random.default_rng(3)))
         assert outputs.shape == (n, 6)
         grads = fn.backward(net, caches, np.zeros((n, 6)))
-        params = net.params()
-        assert list(grads) == list(params)
-        for k, p in params.items():
+        assert list(grads) == list(net)
+        for k, p in net.items():
             assert grads[k].shape == p.shape, k
 
 
 def test_forward_matches_step_by_step_oracle():
     rng = np.random.default_rng(4)
-    net = fn.init_network(3, 2, rng)
+    net = fn.init_network(3, rng)
     samples = toy_samples(5, rng)
     outputs, _, _ = fn.forward(net, samples)
 
@@ -194,17 +190,17 @@ def test_forward_matches_step_by_step_oracle():
     core_s = nc.LstmState.zeros(3)
     for k in range(len(samples)):
         for r in range(2):
-            mag_s = cell(samples.mag[k, r], mag_s, net.mag_lstm)
-        vis_s = cell(samples.vis[k], vis_s, net.vis_lstm)
+            mag_s = cell(samples.mag[k, r], mag_s, net["mag.W"])
+        vis_s = cell(samples.vis[k], vis_s, net["vis.W"])
         z = np.concatenate([mag_s.h, vis_s.h])
-        core_s = cell(z, core_s, net.core_lstm)
-        y = net.head_W @ core_s.h + net.head_b
+        core_s = cell(z, core_s, net["core.W"])
+        y = net["head.W"] @ core_s.h + net["head.b"]
         assert np.allclose(outputs[k], y, atol=1e-12)
 
 
 def test_forward_statefulness_chunking():
     rng = np.random.default_rng(5)
-    net = fn.init_network(6, 2, rng)
+    net = fn.init_network(6, rng)
     samples = toy_samples(10, rng)
     whole, _, _ = fn.forward(net, samples)
     first, _, states = fn.forward(net, samples[:4])
@@ -218,7 +214,7 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     # the core's (14) wider. Three magnetic inputs per step, dropout on.
     H, r, rate = 7, 3, 0.25
     rng = np.random.default_rng(40)
-    net = fn.init_network(H, r, rng)
+    net = fn.init_network(H, rng)
     samples = toy_samples(5, rng, rate_ratio=r)
     outputs, caches, states = fn.forward(
         net, samples, training=True, rng=np.random.default_rng(41),
@@ -229,12 +225,12 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     mag_s, vis_s, core_s = (nc.LstmState.zeros(H) for _ in range(3))
     for k in range(len(samples)):
         for x in samples.mag[k]:
-            mag_s = cell(x, mag_s, net.mag_lstm)
-        vis_s = cell(samples.vis[k], vis_s, net.vis_lstm)
+            mag_s = cell(x, mag_s, net["mag.W"])
+        vis_s = cell(samples.vis[k], vis_s, net["vis.W"])
         keep = (mask_rng.random(2 * H) >= rate) / (1.0 - rate)
         z = np.concatenate([mag_s.h, vis_s.h]) * keep
-        core_s = cell(z, core_s, net.core_lstm)
-        assert np.allclose(outputs[k], net.head_W @ core_s.h + net.head_b,
+        core_s = cell(z, core_s, net["core.W"])
+        assert np.allclose(outputs[k], net["head.W"] @ core_s.h + net["head.b"],
                            rtol=0, atol=1e-12)
     for name, s in (("mag", mag_s), ("vis", vis_s), ("core", core_s)):
         assert np.allclose(states[name].h, s.h, rtol=0, atol=1e-12)
@@ -243,13 +239,12 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     targets = samples.target
 
     def loss_fn(params):
-        n2 = fn.FusionNetwork.from_params(params, r)
-        y, _, _ = fn.forward(n2, samples, training=True,
+        y, _, _ = fn.forward(params, samples, training=True,
                              rng=np.random.default_rng(41), dropout_rate=rate)
         return nc.pose_loss(y, targets, 2.5)[0]
 
     grads = fn.backward(net, caches, nc.pose_loss(outputs, targets, 2.5)[1])
-    fd = nc.finite_difference_gradient(loss_fn, net.params(), step=1e-5)
+    fd = nc.finite_difference_gradient(loss_fn, net, step=1e-5)
     assert list(grads) == list(fd)
     inputs = {"mag.W": 5, "vis.W": 6, "core.W": 2 * H}
     fd, grads = gate_blocks(fd, inputs), gate_blocks(grads, inputs)
@@ -265,7 +260,7 @@ BATCH_RTOL = 1e-12
 
 def test_batched_forward_matches_per_window_forward():
     rng = np.random.default_rng(42)
-    net = fn.init_network(5, 2, rng)
+    net = fn.init_network(5, rng)
     windows = toy_samples(24, rng).windows(8)
     outputs, _, states = fn.forward(net, windows)
     assert outputs.shape == (3, 8, 6) and states["core"].h.shape == (3, 5)
@@ -279,7 +274,7 @@ def test_batched_forward_matches_per_window_forward():
 def test_eval_loss_and_head_bias_refit_match_per_window_loops():
     rng = np.random.default_rng(43)
     hp = nc.Hyperparams(hidden_size=5, dropout_rate=0.25)
-    net = fn.init_network(5, 2, rng)
+    net = fn.init_network(5, rng)
     # One batch, and more windows than one batched pass takes.
     for n_windows in (5, fn._INFERENCE_CHUNK + 3):
         windows = toy_samples(8 * n_windows, rng).windows(8)
@@ -288,21 +283,37 @@ def test_eval_loss_and_head_bias_refit_match_per_window_loops():
         loss = fn._eval_loss(net, windows, 2.5, hp)
         assert np.isclose(loss, sum(per_window) / (8 * n_windows), rtol=BATCH_RTOL, atol=0)
 
-        refit = fn._refit_head_bias(net.params(), windows)
+        refit = fn._refit_head_bias(net, windows)
         residuals = [fn.forward(net, windows[b])[0] - windows.target[b]
                      for b in range(n_windows)]
-        expected = net.head_b - np.mean(np.concatenate(residuals), axis=0)
+        expected = net["head.b"] - np.mean(np.concatenate(residuals), axis=0)
         assert np.allclose(refit["head.b"], expected, rtol=BATCH_RTOL, atol=1e-15)
         for k in ("mag.W", "vis.W", "core.W", "head.W"):
-            assert refit[k] is net.params()[k]
+            assert refit[k] is net[k]
+
+
+def test_calibrate_beta_matches_per_window_loop():
+    # More windows than one batched pass takes; a target sd of 10 on the
+    # translation keeps the ratio inside the clamp.
+    rng = np.random.default_rng(44)
+    net = fn.init_network(5, rng)
+    windows = toy_samples(8 * (fn._INFERENCE_CHUNK + 3), rng).windows(8)
+    stats = identity_stats()
+    stats.target_sd = np.repeat([10.0, 1.0], 3)
+    beta, flagged = fn.calibrate_beta(net, windows, stats)
+    residuals = np.concatenate([fn.forward(net, windows[b])[0] - windows.target[b]
+                                for b in range(len(windows))])
+    trans, rot = nc.pose_residual_norms(residuals * stats.target_sd, np.zeros(6))
+    assert 1.0 < beta < 1000.0 and not flagged
+    assert np.isclose(beta, trans.mean() / rot.mean(), rtol=BATCH_RTOL, atol=0)
 
 
 def test_forward_shape_asymmetry_contract():
     # 5-input magnetic branch, 6-input visual branch, 6-DoF output.
-    net = fn.init_network(4, 2, np.random.default_rng(6))
-    assert net.mag_lstm.input_size == 5
-    assert net.vis_lstm.input_size == 6
-    assert net.head_W.shape[0] == 6
+    net = fn.init_network(4, np.random.default_rng(6))
+    assert net["mag.W"].shape == (16, 5 + 4)
+    assert net["vis.W"].shape == (16, 6 + 4)
+    assert net["head.W"].shape[0] == 6
     outputs, _, _ = fn.forward(net, toy_samples(3, np.random.default_rng(7)))
     assert outputs.shape[1] == 6
 
@@ -313,16 +324,15 @@ def test_forward_shape_asymmetry_contract():
 def test_end_to_end_gradient_check(gate_blocks):
     rng = np.random.default_rng(8)
     hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0)
-    net = fn.init_network(4, 2, rng)
+    net = fn.init_network(4, rng)
     window = toy_samples(3, rng)
 
     _, _, _, grads = fn._window_pass(net, window, 2.5, hp, None, training=True)
 
     def loss_fn(params):
-        n2 = fn.FusionNetwork.from_params(params, 2)
-        return fn._window_pass(n2, window, 2.5, hp, None, training=False)[0]
+        return fn._window_pass(params, window, 2.5, hp, None, training=False)[0]
 
-    fd = nc.finite_difference_gradient(loss_fn, net.params())
+    fd = nc.finite_difference_gradient(loss_fn, net)
     inputs = {"mag.W": 5, "vis.W": 6, "core.W": 8}
     fd, grads = gate_blocks(fd, inputs), gate_blocks(grads, inputs)
     for k in fd:
@@ -465,13 +475,12 @@ def test_train_refits_head_bias_to_zero_mean_residual():
                             early_stop_patience=10, warmup_epochs=1)
     hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.25)
     ckpt, _ = fn.train(datasets, cfg, hp)
-    net = ckpt.network()
     residuals = []
     for ds in datasets[:3]:  # validation_fraction 0.25 holds out the last set
         normed = ckpt.stats.normalize(ds)
         for k in range(0, len(normed) - cfg.window_length + 1, cfg.window_length):
             window = normed[k : k + cfg.window_length]
-            outputs, _, _ = fn.forward(net, window)
+            outputs, _, _ = fn.forward(ckpt.params, window)
             residuals.extend(outputs - window.target)
     residuals = np.array(residuals)
     assert np.all(np.std(residuals, axis=0) > 0.1)
@@ -480,14 +489,25 @@ def test_train_refits_head_bias_to_zero_mean_residual():
 
 def test_train_aborted_checkpoint_stores_its_beta_in_hyperparams():
     # Both exits of train store the checkpoint's beta in its Hyperparams.
+    # A learning rate near the float maximum makes the first Adam step's
+    # weights overflow the next window's loss.
     data = constant_delta_dataset(n=64)
-    data.target[5, 0] = np.inf
     cfg = fn.TrainingConfig(max_epochs=3, window_length=8, warmup_epochs=0)
-    hp = nc.Hyperparams(hidden_size=4, beta_loss=5.0)
-    with np.errstate(invalid="ignore"):  # the inf's normalization
+    hp = nc.Hyperparams(hidden_size=4, beta_loss=5.0, alpha=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
         ckpt, log = fn.train([data], cfg, hp)
     assert log == [{"epoch": 1, "aborted": "non-finite loss"}]
     assert ckpt.hyperparams.beta_loss == ckpt.beta_loss == 1.0
+
+
+@pytest.mark.parametrize("field", ["mag", "vis", "target"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_inputs(field, value):
+    sets = [constant_delta_dataset(n=32) for _ in range(3)]
+    getattr(sets[1], field)[17].flat[-1] = value
+    cfg = fn.TrainingConfig(max_epochs=1, window_length=8)
+    with pytest.raises(ValueError, match=f"dataset 1 step 17: non-finite {field}"):
+        fn.train(sets, cfg, nc.Hyperparams(hidden_size=4))
 
 
 def test_train_single_dataset_short_tail_validates_on_last_window():
@@ -524,7 +544,7 @@ def test_training_log_format(tmp_path):
 
 def test_predict_zero_delta_constant_trajectory():
     net = zero_network(hidden=4)
-    ckpt = fn.Checkpoint(net.params(), 2, nc.Hyperparams(hidden_size=4),
+    ckpt = fn.Checkpoint(net, 2, nc.Hyperparams(hidden_size=4),
                          identity_stats(), 1.0)
     mag, vis = make_streams(n_vis=20)
     start = Pose([0.01, 0.02, -0.08], [0.1, 0.0, 0.2])

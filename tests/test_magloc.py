@@ -421,6 +421,28 @@ def test_fit_started_at_heading_pole_converges():
         fits += 1
 
 
+def test_fit_started_at_mirror_pose_lands_below_the_array():
+    # The mirror pose (x, y, -z), heading (-h_x, -h_y, h_z), gives the same
+    # b_z at every sensor; a fit started next to it is reflected back.
+    pose = Pose([0.01, -0.02, -0.07], [0.2, 0.3, -0.4])
+    reading = make_reading(pose, DESK_DIPOLE)
+    h_true = truth_heading(pose, DESK_DIPOLE)
+    init = ml.MagMeasurement5DoF(
+        0.0, pose.t * [1.0, 1.0, -1.0] + [0.0, 0.001, 0.0], h_true * [-1.0, -1.0, 1.0]
+    )
+    est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
+    assert np.linalg.norm(est.position - pose.t) < 1e-9
+    assert np.arccos(np.clip(est.heading @ h_true, -1.0, 1.0)) < 1e-7
+    # The J^T J the stream's filter reads is the one at the reflected pose.
+    target = reading.values.ravel()
+    est, _, W = ml._fit_5dof(target, 0.0, DESK_DIPOLE, init, ml.InversionSettings())
+    h = est.heading
+    _, W_at = ml._lm_rows(est.position, h, ml._tangent_basis(h), target,
+                          DESK_DIPOLE.moment_magnitude)
+    JtJ = W_at[:5, :5]
+    assert np.max(np.abs(W[:5, :5] - JtJ)) <= 1e-9 * np.max(np.abs(JtJ))
+
+
 def _grid_search_loop(target, dipole, center, half_extent):
     """Reference: every (position, heading) candidate in turn, the first
     strictly lowest cost kept."""

@@ -11,11 +11,11 @@ def sigmoid(z):
 
 
 def make_weights(rng, hidden, inp, scale=0.5):
-    return nc.LstmWeights(scale * nc.init_lstm_weights(inp, hidden, rng).W)
+    return scale * nc.init_lstm_weights(inp, hidden, rng)
 
 
 def zero_weights(hidden, inp):
-    return nc.LstmWeights(np.zeros((4 * hidden, inp + hidden)))
+    return np.zeros((4 * hidden, inp + hidden))
 
 
 def cell(x, prev, w):
@@ -25,10 +25,11 @@ def cell(x, prev, w):
 
 def scalar_cell_oracle(x, h_prev, c_prev, w):
     """Naive loop re-implementation of the cell equations."""
-    hidden, n = w.hidden_size, w.input_size
+    hidden = len(w) // 4
+    n = w.shape[1] - hidden
     # Gate row blocks of W, each split into its x and h column blocks.
     (W_ix, W_ih), (W_fx, W_fh), (W_gx, W_gh), (W_ox, W_oh) = (
-        (rows[:, :n], rows[:, n:]) for rows in np.split(w.W, 4)
+        (rows[:, :n], rows[:, n:]) for rows in np.split(w, 4)
     )
     i = np.empty(hidden)
     f = np.empty(hidden)
@@ -116,7 +117,7 @@ def test_backward_zero_upstream():
     xs = [rng.normal(0, 1, 3) for _ in range(3)]
     _, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(4), w)
     grads, dinit, dxs = nc.lstm_backward(caches, w, [np.zeros(4)] * 3)
-    assert grads.shape == w.W.shape and np.array_equal(grads, 0 * grads)
+    assert grads.shape == w.shape and np.array_equal(grads, 0 * grads)
     assert all(np.array_equal(dx, np.zeros(3)) for dx in dxs)
     assert np.array_equal(dinit.h, np.zeros(4))
     assert np.array_equal(dinit.c, np.zeros(4))
@@ -130,7 +131,7 @@ def test_backward_scalar_two_steps_hand_derived():
     #   dL/da = dL/dc2 * [0.5 (1-tanh(a x2)^2) x2 + 0.5 * 0.5 (1-tanh(a x1)^2) x1]
     a, x1, x2 = 0.7, 0.3, -0.5
     w = zero_weights(1, 1)
-    w.W[2, 0] = a  # W_gx: the g row block, the x column block
+    w[2, 0] = a  # W_gx: the g row block, the x column block
     xs = [np.array([x1]), np.array([x2])]
     final, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1), w)
     grads, _, _ = nc.lstm_backward(caches, w, [np.zeros(1), np.ones(1)])
@@ -159,11 +160,11 @@ def test_backward_matches_finite_differences(trial, gate_blocks):
     grads, _, _ = nc.lstm_backward(caches, w, targets)
 
     def loss_fn(params):
-        _, cache = nc.lstm_sequence_forward(xs, init, nc.LstmWeights(params["W"]))
+        _, cache = nc.lstm_sequence_forward(xs, init, params["W"])
         return float(np.sum(np.array(targets) * cache.h[1:]))
 
-    fd = nc.finite_difference_gradient(loss_fn, {"W": w.W})
-    assert grads.shape == w.W.shape
+    fd = nc.finite_difference_gradient(loss_fn, {"W": w})
+    assert grads.shape == w.shape
     fd, grads = gate_blocks(fd, {"W": inp}), gate_blocks({"W": grads}, {"W": inp})
     for k in fd:
         denom = max(np.max(np.abs(fd[k])), 1e-8)
@@ -467,10 +468,10 @@ def test_fd_gradient_quadratic_and_linear():
 def test_init_weights_range_and_determinism():
     w1 = nc.init_lstm_weights(16, 8, np.random.default_rng(5))
     w2 = nc.init_lstm_weights(16, 8, np.random.default_rng(5))
-    assert w1.W.shape == (32, 24)
-    assert np.array_equal(w1.W, w2.W)
-    assert np.max(np.abs(w1.W[:, :16])) <= 1.0 / np.sqrt(16)
-    assert np.max(np.abs(w1.W[:, 16:])) <= 1.0 / np.sqrt(8)
+    assert w1.shape == (32, 24)
+    assert np.array_equal(w1, w2)
+    assert np.max(np.abs(w1[:, :16])) <= 1.0 / np.sqrt(16)
+    assert np.max(np.abs(w1[:, 16:])) <= 1.0 / np.sqrt(8)
 
 
 @pytest.mark.parametrize("inp, hidden", [(5, 4), (6, 16), (32, 16)])
@@ -486,13 +487,18 @@ def test_init_weights_match_per_block_draws(inp, hidden):
     ]
     expected = np.block([blocks[2 * k : 2 * k + 2] for k in range(4)])
     w = nc.init_lstm_weights(inp, hidden, np.random.default_rng(9))
-    assert np.array_equal(w.W, expected)
+    assert np.array_equal(w, expected)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (6, 4), (8, 2), (8,)])
 def test_lstm_weights_reject_malformed_shapes(shape):
+    W = np.zeros(shape)
+    _, cache = nc.lstm_sequence_forward(np.zeros((3, 1)), nc.LstmState.zeros(1),
+                                        np.zeros((4, 2)))
     with pytest.raises(ValueError, match="expected \\(4H, X \\+ H\\)"):
-        nc.LstmWeights(np.zeros(shape))
+        nc.lstm_sequence_forward(np.zeros((3, 1)), nc.LstmState.zeros(1), W)
+    with pytest.raises(ValueError, match="expected \\(4H, X \\+ H\\)"):
+        nc.lstm_backward(cache, W, np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("field, value", [("hidden_size", 0), ("dropout_rate", 1.0),
