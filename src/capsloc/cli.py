@@ -1,11 +1,11 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
 Config files are flat `key = value` text with `#` comments and section
-prefixes (sim., train., eval., align., magloc.). Unknown keys are rejected.
+prefixes (sim., train., eval., align.). Unknown keys are rejected.
 The sim.* keys are the scalar fields of simkit.SimConfig and
 simkit.DipoleParams, with their types and defaults, except seed (set by
-the top-level seed key) and slow_speed_cap. The magloc.* keys are the
-fields of magloc.InversionSettings, with their types and defaults.
+the top-level seed key) and slow_speed_cap. The magnetic inversion has no
+keys: its solver settings are constants of magloc.
 Every output file starts with a header echoing the effective configuration.
 """
 
@@ -46,8 +46,6 @@ KNOWN_KEYS = {
     "train.learning_rate": (float, 0.001),
     "train.dropout_rate": (float, 0.25),
     "eval.bucket_lengths": (str, "0.05,0.1,0.2,0.4,0.8"),
-    **{f"magloc.{f.name}": (type(f.default), f.default)
-       for f in fields(magloc.InversionSettings)},
     "align.noise_sd": (float, 0.0),
 }
 
@@ -108,11 +106,6 @@ class RunConfig:
 
     def dipole(self) -> simkit.DipoleParams:
         return simkit.DipoleParams(**self._section_values("sim", simkit.DipoleParams))
-
-    def inversion_settings(self) -> magloc.InversionSettings:
-        return magloc.InversionSettings(
-            **self._section_values("magloc", magloc.InversionSettings)
-        )
 
     def training_config(self) -> fusenet.TrainingConfig:
         v = self.values
@@ -182,9 +175,7 @@ def _write_mag_estimates(path, ests, cfg):
 def cmd_localize_mag(args) -> int:
     cfg = _load_config(args)
     ds = simkit.read_dataset(args.dataset)
-    ests = magloc.localize_dataset(
-        ds, cfg.inversion_settings(), diagnostics_path=args.diagnostics
-    )
+    ests = magloc.localize_dataset(ds, diagnostics_path=args.diagnostics)
     _write_mag_estimates(args.out, ests, cfg)
     print(f"wrote {args.out} ({len(ests)} frames)")
     return 0
@@ -197,7 +188,7 @@ def cmd_train(args) -> int:
     sample_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
-        ests = magloc.localize_dataset(ds, cfg.inversion_settings())
+        ests = magloc.localize_dataset(ds)
         samples = fusenet.align_streams(
             ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio
         )
@@ -215,7 +206,7 @@ def cmd_evaluate(args) -> int:
     eval_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
-        ests = magloc.localize_dataset(ds, cfg.inversion_settings())
+        ests = magloc.localize_dataset(ds)
         eval_sets.append(
             {
                 "gt": ds.gt,

@@ -323,9 +323,13 @@ def _chunks(windows: FusedSet):
         yield windows[k : k + _INFERENCE_CHUNK]
 
 
-def _infer(params, windows: FusedSet) -> np.ndarray:
-    """Inference outputs (B, T, 6) of windows, each run from zero states."""
-    return np.concatenate([forward(params, chunk)[0] for chunk in _chunks(windows)])
+def _infer(params, samples: FusedSet) -> np.ndarray:
+    """Inference outputs from zero states: (N, 6) for one flat sequence, run
+    whole as predict_trajectory runs it, or (B, T, 6) for B windows, each
+    run from its own zero states."""
+    if samples.vis.ndim == 2:
+        return forward(params, samples)[0]
+    return np.concatenate([forward(params, chunk)[0] for chunk in _chunks(samples)])
 
 
 def _eval_loss(params, windows, beta, hp):
@@ -336,8 +340,8 @@ def _eval_loss(params, windows, beta, hp):
 
 def calibrate_beta(params: dict, val_windows: FusedSet, stats: NormStats):
     """beta = mean translational / mean rotational residual norm (raw units)
-    over the validation windows, run as _eval_loss runs them; clamped to
-    _BETA_CLAMP. Returns (beta, flagged)."""
+    over the validation windows, run as _eval_loss runs them, or over one
+    flat sequence run whole; clamped to _BETA_CLAMP. Returns (beta, flagged)."""
     trans, rot = pose_residual_norms(
         stats.denormalize_output(_infer(params, val_windows)),
         stats.denormalize_output(val_windows.target),

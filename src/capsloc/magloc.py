@@ -66,7 +66,6 @@ from .simkit import (
 
 __all__ = [
     "MagMeasurement5DoF",
-    "InversionSettings",
     "DivergenceError",
     "subtract_actuator_field",
     "directional_second_difference",
@@ -104,22 +103,13 @@ class MagMeasurement5DoF:
         self.heading = h / n
 
 
-@dataclass(frozen=True)
-class InversionSettings:
-    max_iterations: int = 60
-    convergence_tol: float = 1e-12  # relative step norm
-    initial_damping: float = 1e-3
-    restart_count: int = 3
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.restart_count < 0:
-            raise ValueError("restart_count must not be negative")
-        for tol in (self.convergence_tol, self.initial_damping):
-            if not (tol > 0 and math.isfinite(tol)):
-                raise ValueError("tolerances must be finite and positive")
-
+# Levenberg-Marquardt: iterations per attempt, the relative step norm that
+# ends it, its starting damping, and the randomized restarts after a first
+# attempt that does not converge.
+_MAX_ITERATIONS = 60
+_CONVERGENCE_TOL = 1e-12
+_INITIAL_DAMPING = 1e-3
+_RESTARTS = 3
 
 # A streamed frame is gated when its differentiated fit residual exceeds
 # this multiple of the median over the last _GATE_HISTORY frames.
@@ -163,13 +153,12 @@ def subtract_actuator_field(
     return HallArrayReading(reading.timestamp, reading.values - bz)
 
 
-def directional_second_difference(reading: HallArrayReading) -> np.ndarray:
-    """Discrete second difference across the grid (Laplacian stencil).
+def directional_second_difference(v: np.ndarray) -> np.ndarray:
+    """Discrete second difference across an (8, 8) grid (Laplacian stencil).
 
     Interior cells use the 4-neighbor stencil; edge cells use one-sided
     second differences, so any constant-plus-linear field maps to zero.
     """
-    v = reading.values if isinstance(reading, HallArrayReading) else np.asarray(reading)
 
     def second_diff_rows(a):
         out = np.empty_like(a)
@@ -251,7 +240,7 @@ def _moment_gain(r, d2, scale):
     return G
 
 
-def _levenberg_marquardt(p0, h0, target_flat, dipole, settings):
+def _levenberg_marquardt(p0, h0, target_flat, dipole):
     """Fit position and heading to target_flat from (p0, h0).
 
     Returns (p, h, A, W, iterations, converged): A and W are _lm_rows at
@@ -263,9 +252,9 @@ def _levenberg_marquardt(p0, h0, target_flat, dipole, settings):
     p, h = p0.copy(), h0
     basis = _tangent_basis(h)
     A, W = _lm_rows(p, h, basis, target_flat, M)
-    lam = settings.initial_damping
+    lam = _INITIAL_DAMPING
     iters = 0
-    for iters in range(1, settings.max_iterations + 1):
+    for iters in range(1, _MAX_ITERATIONS + 1):
         cost_prev = cost = W[5, 5]
         neg_g = -W[:5, 5]
         H = W[:5, :5]
@@ -292,7 +281,7 @@ def _levenberg_marquardt(p0, h0, target_flat, dipole, settings):
             lam *= 10.0
         if not stepped:
             return p, h, A, W, iters, True  # stalled at a minimum
-        if rel_step < settings.convergence_tol:
+        if rel_step < _CONVERGENCE_TOL:
             return p, h, A, W, iters, True
         if cost_prev - W[5, 5] <= 1e-9 * cost_prev:
             return p, h, A, W, iters, True  # at the noise floor
@@ -304,22 +293,19 @@ def estimate_pose_5dof(
     actuator: ActuatorFieldModel,
     dipole: DipoleParams,
     init: MagMeasurement5DoF,
-    settings: InversionSettings = InversionSettings(),
 ) -> MagMeasurement5DoF:
     """Levenberg-Marquardt fit of position + heading to one reading.
 
     Raises DivergenceError, carrying the best attempt, when no attempt
     converges."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
-    est = _fit_5dof(target, reading.timestamp, dipole, init, settings)[0]
+    est = _fit_5dof(target, reading.timestamp, dipole, init)[0]
     if not est.converged:
-        raise DivergenceError(
-            f"no convergence after {settings.restart_count + 1} attempts", est
-        )
+        raise DivergenceError(f"no convergence after {_RESTARTS + 1} attempts", est)
     return est
 
 
-def _fit_5dof(target, timestamp, dipole, init, settings):
+def _fit_5dof(target, timestamp, dipole, init):
     """estimate_pose_5dof on an actuator-free, flattened reading, without
     the raise: a fit with no converged attempt returns its lowest-residual
     attempt, with converged=False.
@@ -328,14 +314,14 @@ def _fit_5dof(target, timestamp, dipole, init, settings):
     attempt's fit or its mirror, so A[5] is the estimate's residual vector."""
     best = None
     rng = None  # restarts only; the same seed each frame
-    for attempt in range(settings.restart_count + 1):
+    for attempt in range(_RESTARTS + 1):
         p0, h0 = init.position, init.heading
         if attempt > 0:
             if rng is None:
                 rng = np.random.default_rng(0xC0FFEE)
             p0 = p0 + rng.normal(0.0, 0.01, size=3)
             h0 = _retract(h0, _tangent_basis(h0), rng.normal(0.0, 0.15, size=2))
-        p, h, A, W, iters, ok = _levenberg_marquardt(p0, h0, target, dipole, settings)
+        p, h, A, W, iters, ok = _levenberg_marquardt(p0, h0, target, dipole)
         if p[2] > 0.0:
             p, h = p * [1.0, 1.0, -1.0], h * [-1.0, -1.0, 1.0]
             A, W = _lm_rows(p, h, _tangent_basis(h), target, dipole.moment_magnitude)
@@ -358,8 +344,8 @@ def grid_search_init(
     reading: HallArrayReading,
     actuator: ActuatorFieldModel,
     dipole: DipoleParams,
-    workspace_center=(0.0, 0.0, -0.08),
-    workspace_half_extent: float = 0.1,
+    workspace_center,
+    workspace_half_extent: float,
 ) -> MagMeasurement5DoF:
     """Coarse init: 5x5x3 position grid x 26 heading directions, lowest residual."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
@@ -504,9 +490,8 @@ def localize_stream(
     readings,
     actuator: ActuatorFieldModel,
     dipole: DipoleParams,
-    settings: InversionSettings = InversionSettings(),
-    workspace_center=(0.0, 0.0, -0.08),
-    workspace_half_extent: float = 0.1,
+    workspace_center,
+    workspace_half_extent: float,
     diagnostics_path=None,
 ) -> list:
     """Streaming inversion: frame k warm-started from frame k-1's fit, and
@@ -548,7 +533,7 @@ def localize_stream(
                 )
             else:
                 init = prev
-            est, A, W = _fit_5dof(target, reading.timestamp, dipole, init, settings)
+            est, A, W = _fit_5dof(target, reading.timestamp, dipole, init)
             diverged = not est.converged and prev is not None
             if diverged:  # the gate reads the residual at the carried pose
                 h = prev.heading
@@ -590,18 +575,13 @@ def localize_stream(
     return out
 
 
-def localize_dataset(
-    ds: Dataset,
-    settings: InversionSettings = InversionSettings(),
-    diagnostics_path=None,
-) -> list:
+def localize_dataset(ds: Dataset, diagnostics_path=None) -> list:
     """localize_stream over a simulated dataset's magnetic stream, with the
     actuator field, workspace and dipole of that dataset."""
     return localize_stream(
         ds.mag,
         ActuatorFieldModel.from_config(ds.config),
         ds.dipole,
-        settings,
         workspace_center=ds.config.workspace_center,
         workspace_half_extent=ds.config.workspace_half_extent,
         diagnostics_path=diagnostics_path,

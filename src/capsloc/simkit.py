@@ -445,8 +445,11 @@ def _parse_header(line: str):
 
 
 def read_dataset(path) -> Dataset:
+    """Parse a dataset file. Every record must be finite, and each GT, MAG
+    and VIS record must come strictly after the previous one of its kind."""
     cfg = dipole = None
     gt_t, gt_p, mag, vis = [], [], [], []
+    last_t = {}  # record kind -> timestamp of its previous record
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -476,6 +479,12 @@ def read_dataset(path) -> Dataset:
                     vis.append(VisMeasurement(vals[0], Pose(vals[1:4], vals[4:])))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
+                if vals[0] <= last_t.get(kind, -math.inf):
+                    raise ValueError(
+                        f"{kind} record at t={vals[0]!r} does not follow the "
+                        f"previous {kind} record at t={last_t[kind]!r}"
+                    )
+                last_t[kind] = vals[0]
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
     if cfg is None:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from capsloc import cli, fusenet, magloc, simkit
+from capsloc import cli, fusenet, simkit
 from capsloc.cli import RunConfig, main
 from capsloc.neuralcore import Hyperparams
 
@@ -44,6 +44,13 @@ def test_config_unknown_key_rejected(tmp_path):
         RunConfig.load(path)
 
 
+def test_magnetic_inversion_has_no_config_keys():
+    # The solver's settings are magloc constants, not config keys.
+    assert not [k for k in cli.KNOWN_KEYS if k.startswith("magloc.")]
+    with pytest.raises(KeyError, match="unknown config key: magloc.max_iterations"):
+        RunConfig({"magloc.max_iterations": "25"})
+
+
 def test_config_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n")
@@ -79,17 +86,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert cfg["seed"] == 99
 
 
-def test_magloc_keys_are_the_inversion_settings_fields():
-    cfg = RunConfig({"magloc.restart_count": "5"})
-    assert cfg.inversion_settings() == magloc.InversionSettings(restart_count=5)
-    assert [l for l in cfg.header_lines() if l.startswith("config magloc.")] == [
-        "config magloc.convergence_tol=1e-12",
-        "config magloc.initial_damping=0.001",
-        "config magloc.max_iterations=60",
-        "config magloc.restart_count=5",
-    ]
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -101,8 +97,7 @@ def fast_cfg(tmp_path, extra=""):
         "train.warmup_epochs = 0\n"
         "train.hidden_size = 4\n"
         "train.window_length = 8\n"
-        "eval.bucket_lengths = 0.002,0.005\n"
-        "magloc.max_iterations = 25\n" + extra
+        "eval.bucket_lengths = 0.002,0.005\n" + extra
     )
     return str(path)
 
@@ -213,22 +208,6 @@ def test_bad_config_errors_to_stderr(tmp_path, capsys):
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "d")])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
-
-
-def test_bad_inversion_settings_error_to_stderr(tmp_path, capsys):
-    data = tmp_path / "data"
-    main(["simulate", "--config", fast_cfg(tmp_path), "--seed", "1", "--out", str(data)])
-    capsys.readouterr()
-    for line, message in [
-        ("magloc.restart_count = -1", "restart_count must not be negative"),
-        ("magloc.max_iterations = 0", "max_iterations must be at least 1"),
-        ("magloc.convergence_tol = nan", "tolerances must be finite and positive"),
-    ]:
-        rc = main(["localize-mag", "--config", fast_cfg(tmp_path, line + "\n"),
-                   str(data / "dataset_seed1.txt"), "--out", str(tmp_path / "o.txt")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "o.txt").exists()
 
 
 def test_bad_training_config_errors_to_stderr(tmp_path, capsys):

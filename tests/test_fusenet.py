@@ -308,6 +308,21 @@ def test_calibrate_beta_matches_per_window_loop():
     assert np.isclose(beta, trans.mean() / rot.mean(), rtol=BATCH_RTOL, atol=0)
 
 
+def test_calibrate_beta_runs_a_flat_set_as_one_sequence():
+    # A flat (N, ·) set is one sequence from zero states, as
+    # predict_trajectory runs it, not consecutive pieces of the batch chunk.
+    rng = np.random.default_rng(44)
+    net = fn.init_network(5, rng)
+    samples = toy_samples(8 * (fn._INFERENCE_CHUNK + 3), rng)
+    stats = identity_stats()
+    stats.target_sd = np.repeat([10.0, 1.0], 3)
+    beta, flagged = fn.calibrate_beta(net, samples, stats)
+    residuals = fn.forward(net, samples)[0] - samples.target
+    trans, rot = nc.pose_residual_norms(residuals * stats.target_sd, np.zeros(6))
+    assert 1.0 < beta < 1000.0 and not flagged
+    assert np.isclose(beta, trans.mean() / rot.mean(), rtol=BATCH_RTOL, atol=0)
+
+
 def test_forward_shape_asymmetry_contract():
     # 5-input magnetic branch, 6-input visual branch, 6-DoF output.
     net = fn.init_network(4, np.random.default_rng(6))

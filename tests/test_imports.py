@@ -1,9 +1,10 @@
 """Static checks: every name a capsloc module imports is used in that module,
-every module-level private name is read somewhere in the package, and every
-name a module lists in __all__ is defined in it."""
+every private name a module or its classes define is read somewhere in the
+package, and every name a module lists in __all__ is defined in it."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -25,31 +26,49 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _bound_names(node) -> list:
+    """Names a def, class or plain assignment statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in tree: loaded as a name or an
+    attribute, or imported from another module."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def unread_private_names(sources: dict) -> list:
-    """(module, name) of each module-level private name (leading `_`, not a
-    dunder) that none of the sources reads. sources maps module -> text."""
-    defined, read = [], set()
+    """(module, name) of each private name (leading `_`, not a dunder) bound
+    at module level, or as Class.name in a module-level class's body, that
+    none of the sources reads outside its own definition. sources maps
+    module -> text."""
+    defined, read = [], Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
+        read += _reads(tree)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            defined += [(module, n) for n in names
+            members = [(node, n, n) for n in _bound_names(node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(m, n, f"{node.name}.{n}")
+                            for m in node.body for n in _bound_names(m)]
+            defined += [(module, label, n, m) for m, n, label in members
                         if n.startswith("_") and not n.endswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return sorted((m, n) for m, n in defined if n not in read)
+    return sorted((module, label) for module, label, n, node in defined
+                  if read[n] == _reads(node)[n])
 
 
 def undefined_exports(source: str) -> list:
@@ -84,11 +103,22 @@ def test_module_has_no_unused_imports(path):
 
 
 def test_private_scan_flags_unread_names():
+    # A private method read only by itself, and a function that only calls
+    # itself, are unread.
     sources = {
         "a": "_USED = 1\n_ORPHAN = 2\n__all__ = []\ndef _helper():\n    return _USED\n",
         "b": "from a import _helper\nclass _Gone:\n    pass\n",
+        "c": (
+            "class C:\n    _LIMIT = 3\n"
+            "    def _used(self):\n        return self._LIMIT\n"
+            "    def _orphan(self):\n        return self._orphan()\n"
+            "    def run(self):\n        return self._used()\n"
+            "def _recurse(n):\n    return _recurse(n - 1) if n else 0\n"
+        ),
     }
-    assert unread_private_names(sources) == [("a", "_ORPHAN"), ("b", "_Gone")]
+    assert unread_private_names(sources) == [
+        ("a", "_ORPHAN"), ("b", "_Gone"), ("c", "C._orphan"), ("c", "_recurse"),
+    ]
 
 
 def test_package_has_no_unread_private_names():

@@ -9,6 +9,9 @@ from capsloc.geometry import Pose, euler_to_matrix
 
 ZERO_ACT = sk.ActuatorFieldModel(uniform=(0.0, 0.0, 0.0), gradient=(0.0, 0.0, 0.0))
 DESK_DIPOLE = sk.DipoleParams(moment_magnitude=2.5e-3, moment_axis=(1, 0, 0))
+# The simulator's default workspace: (centre, half-extent).
+_SIM = sk.SimConfig()
+WORKSPACE = (_SIM.workspace_center, _SIM.workspace_half_extent)
 
 
 def make_reading(pose, dipole, actuator=ZERO_ACT, noise_sd=0.0, seed=0, t=0.0):
@@ -44,21 +47,6 @@ def test_measurement_heading_validation():
             ml.MagMeasurement5DoF(0.0, bad, [0.0, 0.0, 1.0])
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"max_iterations": 0},
-    {"restart_count": -1},
-    {"convergence_tol": 0.0},
-    {"convergence_tol": float("nan")},
-    {"initial_damping": -1e-3},
-    {"initial_damping": float("nan")},
-    {"initial_damping": float("inf")},
-])
-def test_inversion_settings_validation(kwargs):
-    with pytest.raises(ValueError):
-        ml.InversionSettings(**kwargs)
-    ml.InversionSettings(max_iterations=1, restart_count=0)  # the smallest valid
-
-
 def test_subtract_actuator_zero_field_identity():
     pose = Pose([0.01, 0.0, -0.07], [0.1, 0.2, 0.3])
     reading = make_reading(pose, DESK_DIPOLE)
@@ -85,26 +73,20 @@ def test_subtract_actuator_zero_dipole_residual_zero():
     assert np.max(np.abs(out.values)) < 1e-15
 
 
-def grid_reading(values):
-    return sk.HallArrayReading(
-        timestamp=0.0, values=np.asarray(values, dtype=float)
-    )
-
-
 def test_second_difference_constant_zero():
-    out = ml.directional_second_difference(grid_reading(np.full((8, 8), 3.7)))
+    out = ml.directional_second_difference(np.full((8, 8), 3.7))
     assert np.allclose(out, 0.0, atol=1e-18)
 
 
 def test_second_difference_affine_zero():
     i, j = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    out = ml.directional_second_difference(grid_reading(2.0 * i - 3.0 * j + 1.0))
+    out = ml.directional_second_difference(2.0 * i - 3.0 * j + 1.0)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_second_difference_quadratic_rows():
     i, _ = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    out = ml.directional_second_difference(grid_reading((i.astype(float)) ** 2))
+    out = ml.directional_second_difference(i.astype(float) ** 2)
     # Interior: row-direction second difference of i^2 is exactly 2.
     assert np.allclose(out[1:-1, 1:-1], 2.0, atol=1e-12)
 
@@ -198,20 +180,20 @@ def test_scale_consistency():
 def test_grid_search_init_close_to_truth():
     pose = Pose([0.02, -0.03, -0.09], [0.0, 0.5, -0.7])
     reading = make_reading(pose, DESK_DIPOLE)
-    init = ml.grid_search_init(reading, ZERO_ACT, DESK_DIPOLE)
+    init = ml.grid_search_init(reading, ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
     est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
     assert np.linalg.norm(est.position - pose.t) < 1e-6
 
 
 def test_localize_stream_empty():
-    assert ml.localize_stream([], ZERO_ACT, DESK_DIPOLE) == []
+    assert ml.localize_stream([], ZERO_ACT, DESK_DIPOLE, *WORKSPACE) == []
 
 
 def test_localize_stream_single_frame_equals_grid_init_estimate():
     pose = Pose([0.01, 0.01, -0.08], [0.2, 0.1, 0.3])
     reading = make_reading(pose, DESK_DIPOLE)
-    stream_out = ml.localize_stream([reading], ZERO_ACT, DESK_DIPOLE)
-    init = ml.grid_search_init(reading, ZERO_ACT, DESK_DIPOLE)
+    stream_out = ml.localize_stream([reading], ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
+    init = ml.grid_search_init(reading, ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
     single = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
     assert len(stream_out) == 1
     assert np.allclose(stream_out[0].position, single.position, atol=1e-12)
@@ -221,7 +203,7 @@ def test_localize_stream_single_frame_equals_grid_init_estimate():
 def test_localize_stream_constant_pose_noiseless():
     pose = Pose([0.0, 0.015, -0.07], [0.1, -0.2, 0.4])
     readings = [make_reading(pose, DESK_DIPOLE, t=k / 50.0) for k in range(6)]
-    out = ml.localize_stream(readings, ZERO_ACT, DESK_DIPOLE)
+    out = ml.localize_stream(readings, ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
     assert len(out) == 6
     for est in out:
         assert np.linalg.norm(est.position - pose.t) < 1e-6
@@ -234,7 +216,9 @@ def test_localize_stream_tracks_moving_capsule():
     cfg = sk.SimConfig(duration=2.0, seed=21, mag_noise_sd=0.0)
     ds = sk.simulate_dataset(cfg, DESK_DIPOLE)
     act = sk.ActuatorFieldModel.from_config(cfg)
-    out = ml.localize_stream(ds.mag, act, DESK_DIPOLE)
+    out = ml.localize_stream(
+        ds.mag, act, DESK_DIPOLE, cfg.workspace_center, cfg.workspace_half_extent
+    )
     assert len(out) == len(ds.mag)
     errs = [
         np.linalg.norm(est.position - gt_pose[:3])
@@ -254,7 +238,7 @@ def test_localize_stream_filter_beats_per_frame_fits_at_depth():
         make_reading(pose, dipole, noise_sd=5e-7, seed=k, t=k / 50.0)
         for k in range(30)
     ]
-    streamed = ml.localize_stream(readings, ZERO_ACT, dipole)
+    streamed = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
     truth = init_from(pose, dipole)
     per_frame = []
     for reading in readings:
@@ -278,8 +262,8 @@ def test_localize_stream_keeps_per_frame_fields():
         make_reading(pose, dipole, noise_sd=5e-7, seed=100 + k, t=k / 50.0)
         for k in range(5)
     ]
-    streamed = ml.localize_stream(readings, ZERO_ACT, dipole)
-    prev = ml.grid_search_init(readings[0], ZERO_ACT, dipole)
+    streamed = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
+    prev = ml.grid_search_init(readings[0], ZERO_ACT, dipole, *WORKSPACE)
     for reading, est in zip(readings, streamed):
         fit = ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, prev)
         assert np.array_equal(est.heading, fit.heading)
@@ -317,7 +301,7 @@ def test_localize_stream_outputs_own_their_positions():
     spiked = readings[12].values.copy()
     spiked[3, 4] += 1e-4
     readings[12] = sk.HallArrayReading(readings[12].timestamp, spiked)
-    streamed = ml.localize_stream(readings, ZERO_ACT, dipole)
+    streamed = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
     assert not streamed[12].converged
     assert np.array_equal(streamed[12].position, streamed[11].position)
     streamed[12].position[0] += 1.0
@@ -435,7 +419,7 @@ def test_fit_started_at_mirror_pose_lands_below_the_array():
     assert np.arccos(np.clip(est.heading @ h_true, -1.0, 1.0)) < 1e-7
     # The J^T J the stream's filter reads is the one at the reflected pose.
     target = reading.values.ravel()
-    est, _, W = ml._fit_5dof(target, 0.0, DESK_DIPOLE, init, ml.InversionSettings())
+    est, _, W = ml._fit_5dof(target, 0.0, DESK_DIPOLE, init)
     h = est.heading
     _, W_at = ml._lm_rows(est.position, h, ml._tangent_basis(h), target,
                           DESK_DIPOLE.moment_magnitude)
@@ -547,7 +531,7 @@ def test_gate_window_median_matches_np_median():
             assert window.median() == float(np.median(values[max(0, i + 1 - n):i + 1]))
 
 
-def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half_extent):
+def _per_frame_gate_and_covariance(readings, act, dipole, center, half_extent):
     """Reference stream: after each fit, the model and its Jacobian are
     evaluated again at the fitted pose, for the outlier gate and
     position_covariance.
@@ -562,7 +546,7 @@ def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half
         if prev is None:
             init = ml.grid_search_init(reading, act, dipole, center, half_extent)
         try:
-            est = ml.estimate_pose_5dof(reading, act, dipole, init, settings)
+            est = ml.estimate_pose_5dof(reading, act, dipole, init)
         except ml.DivergenceError as e:
             est = e.best
             if prev is not None:
@@ -597,11 +581,13 @@ def _per_frame_gate_and_covariance(readings, act, dipole, settings, center, half
 
 
 @pytest.mark.parametrize("max_iterations", [60, 8])
-def test_localize_stream_matches_per_frame_gate_and_covariance(max_iterations, tmp_path):
+def test_localize_stream_matches_per_frame_gate_and_covariance(
+    max_iterations, tmp_path, monkeypatch
+):
     # The stream's gate and covariance read the fit's own residual and
     # Jacobian. At 8 iterations a fifth of the frames diverge, and some
     # converge only after restarts; frame 40 carries a spike.
-    settings = ml.InversionSettings(max_iterations=max_iterations)
+    monkeypatch.setattr(ml, "_MAX_ITERATIONS", max_iterations)
     cfg = sk.SimConfig(duration=2.0, seed=5)
     ds = sk.simulate_dataset(cfg)
     act = sk.ActuatorFieldModel.from_config(cfg)
@@ -610,11 +596,11 @@ def test_localize_stream_matches_per_frame_gate_and_covariance(max_iterations, t
     spiked[3, 4] += 1e-4
     readings[40] = sk.HallArrayReading(readings[40].timestamp, spiked)
     ref, ref_gates, ref_gated = _per_frame_gate_and_covariance(
-        readings, act, ds.dipole, settings, cfg.workspace_center, cfg.workspace_half_extent
+        readings, act, ds.dipole, cfg.workspace_center, cfg.workspace_half_extent
     )
     diag = tmp_path / "diag.txt"
     got = ml.localize_stream(
-        readings, act, ds.dipole, settings, cfg.workspace_center,
+        readings, act, ds.dipole, cfg.workspace_center,
         cfg.workspace_half_extent, diagnostics_path=diag,
     )
     assert ref_gated[40] and sum(ref_gated) < 5

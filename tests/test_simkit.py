@@ -324,6 +324,20 @@ def test_dataset_non_finite_record_reports_line(tmp_path, kind, field, value):
         sk.read_dataset(path)
 
 
+@pytest.mark.parametrize("kind", ["GT", "MAG", "VIS"])
+def test_dataset_out_of_order_record_reports_line(tmp_path, kind):
+    # With the first two records of a kind swapped, the second is earlier.
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=12)))
+    lines = path.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith(kind + " "))
+    assert lines[idx + 1].startswith(kind + " ")
+    lines[idx], lines[idx + 1] = lines[idx + 1], lines[idx]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"ds\.txt:{idx + 2}: {kind} record at t="):
+        sk.read_dataset(path)
+
+
 def test_dataset_header_roundtrips_every_config_field(tmp_path):
     cfg = sk.SimConfig(duration=1.0, seed=13, motion_profile="slow_incremental",
                        workspace_center=(0.01, -0.02, -0.07), slow_speed_cap=0.004,
