@@ -1,11 +1,15 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
 Config files are flat `key = value` text with `#` comments and section
-prefixes (sim., train., eval., align.). Unknown keys are rejected.
+prefixes (sim., train., eval., align.). An unknown key, or a value that
+does not parse as its key's type, is an error naming the file, line and key.
 The sim.* keys are the scalar fields of simkit.SimConfig and
 simkit.DipoleParams, with their types and defaults, except seed (set by
-the top-level seed key) and slow_speed_cap. The magnetic inversion has no
-keys: its solver settings are constants of magloc.
+the top-level seed key) and slow_speed_cap. The train.* keys are the
+fields of fusenet.TrainingConfig and neuralcore.Hyperparams except seed,
+with their types, and their defaults overlaid by the desk profile. The
+magnetic inversion has no keys: its solver settings are constants of
+magloc, as Adam's decay rates and epsilon are of neuralcore.
 Every output file starts with a header echoing the effective configuration.
 """
 
@@ -32,21 +36,13 @@ _SIM_FIELDS = [
     if f.name not in ("seed", "slow_speed_cap") and not isinstance(f.default, tuple)
 ]
 
-# key -> (type, default)
-KNOWN_KEYS = {
-    "seed": (int, 0),
-    "n_datasets": (int, 1),
-    **{f"sim.{f.name}": (type(f.default), f.default) for f in _SIM_FIELDS},
-    "train.max_epochs": (int, 30),
-    "train.window_length": (int, 16),
-    "train.early_stop_patience": (int, 10),
-    "train.validation_fraction": (float, 0.25),
-    "train.warmup_epochs": (int, 10),
-    "train.hidden_size": (int, 16),
-    "train.learning_rate": (float, 0.001),
-    "train.dropout_rate": (float, 0.25),
-    "eval.bucket_lengths": (str, "0.05,0.1,0.2,0.4,0.8"),
-    "align.noise_sd": (float, 0.0),
+# The training fields a config file may set, by key; the seed comes from
+# the top-level seed key.
+_TRAIN_FIELDS = {
+    f"train.{f.name}": f
+    for cls in (fusenet.TrainingConfig, Hyperparams)
+    for f in fields(cls)
+    if f.name != "seed"
 }
 
 # The paper-faithful profile; desk is the test-scale default.
@@ -55,6 +51,17 @@ PROFILES = {
              "train.window_length": 16},
     "paper": {"train.hidden_size": 200, "train.max_epochs": 200,
               "train.window_length": 32},
+}
+
+# key -> (type, default); the train.* defaults are the desk profile's.
+KNOWN_KEYS = {
+    "seed": (int, 0),
+    "n_datasets": (int, 1),
+    **{f"sim.{f.name}": (type(f.default), f.default) for f in _SIM_FIELDS},
+    **{key: (type(f.default), PROFILES["desk"].get(key, f.default))
+       for key, f in _TRAIN_FIELDS.items()},
+    "eval.bucket_lengths": (str, "0.05,0.1,0.2,0.4,0.8"),
+    "align.noise_sd": (float, 0.0),
 }
 
 
@@ -69,7 +76,10 @@ class RunConfig:
         if key not in KNOWN_KEYS:
             raise KeyError(f"unknown config key: {key}")
         typ, _ = KNOWN_KEYS[key]
-        self.values[key] = typ(raw)
+        try:
+            self.values[key] = typ(raw)
+        except ValueError:
+            raise ValueError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
 
     def __getitem__(self, key):
         return self.values[key]
@@ -87,8 +97,8 @@ class RunConfig:
                 key, _, val = line.partition("=")
                 try:
                     cfg.set(key.strip(), val.strip())
-                except KeyError as e:
-                    raise KeyError(f"{path}:{lineno}: {e.args[0]}") from None
+                except (KeyError, ValueError) as e:
+                    raise ValueError(f"{path}:{lineno}: {e.args[0]}") from None
         return cfg
 
     def header_lines(self):
@@ -108,23 +118,11 @@ class RunConfig:
         return simkit.DipoleParams(**self._section_values("sim", simkit.DipoleParams))
 
     def training_config(self) -> fusenet.TrainingConfig:
-        v = self.values
-        return fusenet.TrainingConfig(
-            max_epochs=v["train.max_epochs"],
-            window_length=v["train.window_length"],
-            early_stop_patience=v["train.early_stop_patience"],
-            validation_fraction=v["train.validation_fraction"],
-            seed=v["seed"],
-            warmup_epochs=v["train.warmup_epochs"],
-        )
+        train = self._section_values("train", fusenet.TrainingConfig)
+        return fusenet.TrainingConfig(seed=self.values["seed"], **train)
 
     def hyperparams(self) -> Hyperparams:
-        v = self.values
-        return Hyperparams(
-            alpha=v["train.learning_rate"],
-            dropout_rate=v["train.dropout_rate"],
-            hidden_size=v["train.hidden_size"],
-        )
+        return Hyperparams(**self._section_values("train", Hyperparams))
 
     def bucket_lengths(self):
         return tuple(float(x) for x in self.values["eval.bucket_lengths"].split(","))

@@ -20,7 +20,7 @@ head.W's column count; the inputs fix the rate ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,7 +72,15 @@ MAG_INPUT = 5
 VIS_INPUT = 6
 OUT_DIM = 6
 
-CHECKPOINT_VERSION = "capsloc-checkpoint v2"
+CHECKPOINT_VERSION = "capsloc-checkpoint v3"
+
+# The shape of each NormStats array, in field order, keyed as its
+# checkpoint W record.
+_STATS_SHAPES = {
+    "stats.mag_mean": (MAG_INPUT,), "stats.mag_sd": (MAG_INPUT,),
+    "stats.vis_mean": (VIS_INPUT,), "stats.vis_sd": (VIS_INPUT,),
+    "stats.target_mean": (OUT_DIM,), "stats.target_sd": (OUT_DIM,),
+}
 
 _BETA_CLAMP = (1.0, 1000.0)  # calibrate_beta's range
 # Windows per batched inference pass: a forward keeps the caches of every
@@ -302,7 +310,6 @@ class Checkpoint:
     hyperparams: Hyperparams
     stats: NormStats
     beta_loss: float
-    version: str = CHECKPOINT_VERSION
 
 
 def _window_pass(params, window, beta, hp, rng, training=True):
@@ -311,8 +318,7 @@ def _window_pass(params, window, beta, hp, rng, training=True):
     outputs, caches, _ = forward(
         params, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
     )
-    loss, dys = pose_loss(outputs, window.target, beta)
-    trans, rot = pose_residual_norms(outputs, window.target)
+    loss, dys, trans, rot = pose_loss(outputs, window.target, beta)
     grads = backward(params, caches, dys) if training else None
     return loss, trans, rot, grads
 
@@ -446,7 +452,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 "train_loss": train_loss / n_steps,
                 "val_loss": val_loss,
                 "beta": beta,
-                "lr": hp.alpha,
+                "lr": hp.learning_rate,
                 "train_trans": float(train_trans / n_steps),
                 "train_rot": float(train_rot / n_steps),
                 "grad_norm": float(grad_norm / len(order)),
@@ -463,9 +469,8 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 break
 
     best_params = _refit_head_bias(best_params, train_windows)
-    hp_final = replace(hp, beta_loss=best_beta)
     rate_ratio = datasets[0].mag.shape[1]
-    return Checkpoint(best_params, rate_ratio, hp_final, stats, best_beta), log
+    return Checkpoint(best_params, rate_ratio, hp, stats, best_beta), log
 
 
 def write_training_log(path, log) -> None:
@@ -496,14 +501,13 @@ def predict_trajectory(
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """HP, META, then a W record per array, stats.<field> for NormStats."""
+    stats = {f"stats.{fld.name}": getattr(ckpt.stats, fld.name) for fld in fields(NormStats)}
     with open(path, "w") as f:
-        f.write(f"# {ckpt.version}\n")
+        f.write(f"# {CHECKPOINT_VERSION}\n")
         f.write(f"HP {format_config(ckpt.hyperparams)}\n")
         f.write(f"META rate_ratio={ckpt.rate_ratio} beta_loss={ckpt.beta_loss!r}\n")
-        for fld in fields(NormStats):
-            vals = " ".join(repr(float(v)) for v in getattr(ckpt.stats, fld.name))
-            f.write(f"STAT {fld.name} {vals}\n")
-        for name, arr in sorted(ckpt.params.items()):
+        for name, arr in sorted({**ckpt.params, **stats}.items()):
             dims = "x".join(str(d) for d in arr.shape)
             vals = " ".join(repr(float(v)) for v in arr.ravel())
             f.write(f"W {name} {dims} {vals}\n")
@@ -513,18 +517,16 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 _RECORD_FIELDS = {
     "HP": ("key=value",),
     "META": ("key=value",),
-    "STAT": ("name", "values"),
     "W": ("name", "shape", "values"),
 }
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file. A malformed record raises ValueError
-    naming its line and kind."""
+    naming its line and kind; every W record is checked against one shape
+    table, the network's arrays and the NormStats arrays alike."""
     hp = meta_kv = None
-    stat_names = [fld.name for fld in fields(NormStats)]
-    stats_arrays = {}
-    params = {}
+    arrays = {}
     with open(path) as f:
         first = f.readline().strip()
         if first != f"# {CHECKPOINT_VERSION}":
@@ -552,34 +554,26 @@ def load_checkpoint(path) -> Checkpoint:
                     for key, parse in (("rate_ratio", int), ("beta_loss", float)):
                         if key in meta_kv:
                             meta_kv[key] = parse(meta_kv[key])
-                elif kind == "STAT":
-                    name = words[0]
-                    if name not in stat_names:
-                        raise ValueError(f"unknown STAT record {name!r}")
-                    stats_arrays[name] = np.array([float(v) for v in words[1:]])
                 else:
                     name, dims = words[:2]
-                    if name in params:
+                    if name in arrays:
                         raise ValueError(f"repeated W record {name!r}")
                     shape = tuple(int(d) for d in dims.split("x"))
                     values = np.array([float(v) for v in words[2:]])
                     if values.size != np.prod(shape):
                         raise ValueError(f"W record {name!r} holds {values.size} "
                                          f"values for shape {dims}")
-                    params[name] = values.reshape(shape)
+                    arrays[name] = values.reshape(shape)
             except ValueError as err:
                 msg = f"checkpoint line {lineno}, {kind} record: {err}"
                 raise ValueError(msg) from None
     if hp is None or meta_kv is None:
         raise ValueError("corrupt checkpoint: missing HP/META records")
-    for name in stat_names:
-        if name not in stats_arrays:
-            raise ValueError(f"corrupt checkpoint: missing STAT record {name!r}")
     for key in ("rate_ratio", "beta_loss"):
         if key not in meta_kv:
             raise ValueError(f"corrupt checkpoint: missing META key {key!r}")
-    shapes = _param_shapes(hp.hidden_size)
-    for name, arr in params.items():
+    shapes = {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}
+    for name, arr in arrays.items():
         if name not in shapes:
             raise ValueError(f"unknown W record {name!r}")
         if arr.shape != shapes[name]:
@@ -587,7 +581,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"W record {name!r} has shape {arr.shape}, expected {shapes[name]}"
             )
     for name in shapes:
-        if name not in params:
+        if name not in arrays:
             raise ValueError(f"corrupt checkpoint: missing W record {name!r}")
-    stats = NormStats(**stats_arrays)
-    return Checkpoint(params, meta_kv["rate_ratio"], hp, stats, meta_kv["beta_loss"])
+    stats = NormStats(*(arrays.pop(name) for name in _STATS_SHAPES))
+    return Checkpoint(arrays, meta_kv["rate_ratio"], hp, stats, meta_kv["beta_loss"])

@@ -24,7 +24,10 @@ second moment:
     m <- b1 m + (1 - b1) grad
     v <- b2 v + (1 - b2) grad^2
     m_hat = m / (1 - b1^t),  v_hat = v / (1 - b2^t)
-    W <- W - alpha * m_hat / sqrt(v_hat + eps)
+    W <- W - lr * m_hat / sqrt(v_hat + eps)
+
+with b1 = 0.9, b2 = 0.999 and eps = 1e-8 fixed (Kingma & Ba's defaults) and
+lr the Hyperparams learning rate.
 
 This is not the usual m_hat / (sqrt(v_hat) + eps): the two agree only for
 v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
@@ -216,36 +219,35 @@ def pose_loss(pred, target, beta_loss: float):
     """Weighted pose loss: ||t_err||_2 + beta * ||r_err||_2 (unsquared norms),
     summed over the 6-vector rows of (..., 6) poses; a (6,) pose is one row.
 
-    Returns (loss, gradient wrt pred). The zero subgradient is returned for
-    an exactly-zero residual block."""
+    Returns (loss, gradient wrt pred, and pose_residual_norms's two norms).
+    The zero subgradient is returned for an exactly-zero residual block."""
     nt, nr = pose_residual_norms(pred, target)
     res = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
     norms = np.repeat(np.stack([nt, nr], axis=-1), 3, axis=-1)
     weighted = np.repeat([1.0, beta_loss], 3) * res
     grad = np.divide(weighted, norms, out=np.zeros_like(res), where=norms > 0)
-    return float(np.sum(nt + beta_loss * nr)), grad
+    return float(np.sum(nt + beta_loss * nr)), grad, nt, nr
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    beta_loss: float = 1.0
+    learning_rate: float = 0.001
     dropout_rate: float = 0.25
     hidden_size: int = 200
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1, beta2 must be in (0, 1)")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
 
+
+# Adam's decay rates and epsilon, fixed at Kingma & Ba's defaults.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 # adam_step updates each parameter in blocks of whole rows of about this
 # many elements, so that its two work arrays stay small whatever the
@@ -284,8 +286,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
     # into the step size and adding epsilon to the raw v) is not
     # equivalent: at early steps it scales the effective epsilon by
     # 1 / (1 - beta2**t), distorting updates for small gradients.
-    m_scale = 1.0 - hp.beta1**state.t
-    v_scale = 1.0 - hp.beta2**state.t
+    m_scale = 1.0 - _BETA1**state.t
+    v_scale = 1.0 - _BETA2**state.t
     for k, p in params.items():
         row = int(np.prod(p.shape[1:]))
         rows = max(1, _ADAM_BLOCK // row)
@@ -302,17 +304,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
 def _adam_update(p, g, m, v, scratch, hp, m_scale, v_scale):
     """adam_step on one block of rows, in place."""
     a, b = (s[: p.size].reshape(p.shape) for s in scratch)
-    m *= hp.beta1
-    m += np.multiply(1.0 - hp.beta1, g, out=a)
-    v *= hp.beta2
-    np.multiply(1.0 - hp.beta2, g, out=a)
+    m *= _BETA1
+    m += np.multiply(1.0 - _BETA1, g, out=a)
+    v *= _BETA2
+    np.multiply(1.0 - _BETA2, g, out=a)
     v += np.multiply(a, g, out=a)
-    # p -= alpha * (m / m_scale) / sqrt(v / v_scale + eps)
+    # p -= lr * (m / m_scale) / sqrt(v / v_scale + eps)
     np.divide(v, v_scale, out=b)
-    b += hp.epsilon
+    b += _EPSILON
     np.sqrt(b, out=b)
     np.divide(m, m_scale, out=a)
-    np.multiply(hp.alpha, a, out=a)
+    np.multiply(hp.learning_rate, a, out=a)
     p -= np.divide(a, b, out=a)
 
 

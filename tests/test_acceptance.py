@@ -110,7 +110,7 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         pred = rng.normal(0, 1, 6)
         tgt = rng.normal(0, 1, 6)
         beta = float(rng.uniform(0.5, 100.0))
-        _, grad = nc.pose_loss(pred, tgt, beta)
+        _, grad, _, _ = nc.pose_loss(pred, tgt, beta)
         fd = nc.finite_difference_gradient(
             lambda p: nc.pose_loss(p["pred"], tgt, beta)[0], {"pred": pred}
         )
@@ -169,7 +169,7 @@ def test_criterion_2_adam_fidelity(verdict):
     hand_w = out["w"][0]
     hand_ok = abs(hand_w - 0.999000) < 5e-7
 
-    # First-step magnitude within 1% of alpha across gradient scales.
+    # First-step magnitude within 1% of the learning rate across gradient scales.
     worst_dev = 0.0
     for g in np.logspace(-3, 3, 25):
         params = {"w": np.array([0.0])}
@@ -177,7 +177,7 @@ def test_criterion_2_adam_fidelity(verdict):
             params, {"w": np.array([g])}, nc.adam_init(params), hp
         )
         step = abs(out["w"][0])
-        worst_dev = max(worst_dev, abs(step - hp.alpha) / hp.alpha)
+        worst_dev = max(worst_dev, abs(step - hp.learning_rate) / hp.learning_rate)
     scale_ok = worst_dev < 0.01
 
     verdict(
@@ -627,7 +627,7 @@ def test_criterion_10_training_smoke(verdict):
         warmup_epochs=10, seed=0,
     )
     _, log = fn.train(
-        [samples], tcfg, Hyperparams(hidden_size=16, dropout_rate=0.0, alpha=3e-3)
+        [samples], tcfg, Hyperparams(hidden_size=16, dropout_rate=0.0, learning_rate=3e-3)
     )
     losses = [r["train_loss"] for r in log]
     drop = 1.0 - min(losses) / losses[0]
@@ -643,7 +643,7 @@ def test_criterion_10_training_smoke(verdict):
         warmup_epochs=0, seed=1,
     )
     _, plog = fn.train(
-        [constant], pcfg, Hyperparams(hidden_size=4, dropout_rate=0.0, alpha=10.0)
+        [constant], pcfg, Hyperparams(hidden_size=4, dropout_rate=0.0, learning_rate=10.0)
     )
     best_epoch = int(np.argmin([r["val_loss"] for r in plog])) + 1
     stopped = max(r["epoch"] for r in plog)

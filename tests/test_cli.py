@@ -1,7 +1,9 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,8 +42,30 @@ def test_config_file_roundtrip(tmp_path):
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("sim.gravity = 9.81\n")
-    with pytest.raises(KeyError, match="unknown config key"):
+    with pytest.raises(ValueError, match="bad.cfg:1: unknown config key: sim.gravity$"):
         RunConfig.load(path)
+
+
+def test_train_keys_are_the_training_fields():
+    # Every TrainingConfig and Hyperparams field but the seed, typed as
+    # its default; the defaults are the desk profile over the dataclasses'.
+    train = {k: v for k, v in cli.KNOWN_KEYS.items() if k.startswith("train.")}
+    names = [f.name for cls in (fusenet.TrainingConfig, Hyperparams) for f in fields(cls)]
+    assert [k[len("train."):] for k in train] == [n for n in names if n != "seed"]
+    assert train == {
+        "train.max_epochs": (int, 30),
+        "train.window_length": (int, 16),
+        "train.early_stop_patience": (int, 10),
+        "train.validation_fraction": (float, 0.25),
+        "train.warmup_epochs": (int, 10),
+        "train.learning_rate": (float, 0.001),
+        "train.dropout_rate": (float, 0.25),
+        "train.hidden_size": (int, 16),
+    }
+    cfg = RunConfig({"seed": 3, "train.learning_rate": "0.01", "train.max_epochs": "7"})
+    assert cfg.hyperparams() == Hyperparams(learning_rate=0.01, hidden_size=16)
+    assert cfg.training_config() == fusenet.TrainingConfig(
+        max_epochs=7, window_length=16, seed=3)
 
 
 def test_magnetic_inversion_has_no_config_keys():
@@ -203,11 +227,17 @@ def test_missing_dataset_errors_to_stderr(tmp_path, capsys):
 
 
 def test_bad_config_errors_to_stderr(tmp_path, capsys):
+    # The error names the file, line and key, unquoted, on one line.
     path = tmp_path / "bad.cfg"
-    path.write_text("sim.antigravity = on\n")
-    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "d")])
-    assert rc == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for line, message in [
+        ("sim.antigravity = on", "unknown config key: sim.antigravity"),
+        ("train.hidden_size = 8.5", "train.hidden_size: expected int, got '8.5'"),
+        ("sim.duration = fast", "sim.duration: expected float, got 'fast'"),
+    ]:
+        path.write_text("seed = 4\n" + line + "\n")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
 
 
 def test_bad_training_config_errors_to_stderr(tmp_path, capsys):
@@ -278,3 +308,21 @@ def test_script_help_runs_from_any_directory(script, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
+    # Byte-identity checks rest on this script: two runs, from a directory
+    # outside the repository and without PYTHONPATH, hash the same files
+    # to the same digests.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    listings = []
+    for run in ("a", "b"):
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "fixed_seed_outputs.py"), str(tmp_path / run)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        hashed = re.findall(r"^[0-9a-f]{64}  \S.*$", result.stdout, re.MULTILINE)
+        assert len(hashed) == 14
+        listings.append(hashed)
+    assert listings[0] == listings[1]

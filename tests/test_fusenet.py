@@ -443,7 +443,7 @@ def test_train_constant_sequence_loss_drops_90pct():
 def test_train_early_stopping_patience():
     cfg = fn.TrainingConfig(max_epochs=50, window_length=8, seed=1,
                             early_stop_patience=3, warmup_epochs=0)
-    hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0, alpha=10.0)
+    hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0, learning_rate=10.0)
     # A huge learning rate keeps validation loss from improving for long.
     ckpt, log = fn.train([constant_delta_dataset(n=64)], cfg, hp)
     epochs = [r["epoch"] for r in log if "train_loss" in r]
@@ -502,17 +502,24 @@ def test_train_refits_head_bias_to_zero_mean_residual():
     assert np.max(np.abs(residuals.mean(axis=0))) < 1e-12
 
 
-def test_train_aborted_checkpoint_stores_its_beta_in_hyperparams():
-    # Both exits of train store the checkpoint's beta in its Hyperparams.
-    # A learning rate near the float maximum makes the first Adam step's
-    # weights overflow the next window's loss.
+def test_train_aborted_checkpoint_keeps_hp_and_stores_beta(tmp_path):
+    # An aborted run returns the caller's Hyperparams and the beta it
+    # trained with. A learning rate near the float maximum makes the first
+    # Adam step's weights overflow the next window's loss.
     data = constant_delta_dataset(n=64)
     cfg = fn.TrainingConfig(max_epochs=3, window_length=8, warmup_epochs=0)
-    hp = nc.Hyperparams(hidden_size=4, beta_loss=5.0, alpha=1e308)
+    hp = nc.Hyperparams(hidden_size=4, learning_rate=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         ckpt, log = fn.train([data], cfg, hp)
     assert log == [{"epoch": 1, "aborted": "non-finite loss"}]
-    assert ckpt.hyperparams.beta_loss == ckpt.beta_loss == 1.0
+    assert ckpt.beta_loss == 1.0
+    assert ckpt.hyperparams == hp
+    path = tmp_path / "train.log"
+    fn.write_training_log(path, log)
+    assert path.read_text().splitlines() == [
+        "# epoch train_loss val_loss beta lr train_trans train_rot grad_norm",
+        "# aborted at epoch 1: non-finite loss",
+    ]
 
 
 @pytest.mark.parametrize("field", ["mag", "vis", "target"])
@@ -606,7 +613,6 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, ckpt)
     back = fn.load_checkpoint(path)
-    assert back.version == ckpt.version
     assert back.rate_ratio == ckpt.rate_ratio
     assert back.beta_loss == ckpt.beta_loss
     assert back.hyperparams == ckpt.hyperparams
@@ -634,7 +640,9 @@ def test_checkpoint_unknown_version(tmp_path):
     fn.save_checkpoint(path, ckpt)
     text = path.read_text()
     # v1 held each LSTM as eight gate blocks; no reader for it is kept.
-    for version in ("capsloc-checkpoint v999", "capsloc-checkpoint v1"):
+    # v2 held the NormStats arrays as STAT records.
+    for version in ("capsloc-checkpoint v999", "capsloc-checkpoint v1",
+                    "capsloc-checkpoint v2"):
         path.write_text(text.replace(fn.CHECKPOINT_VERSION, version))
         with pytest.raises(ValueError, match="version"):
             fn.load_checkpoint(path)
@@ -657,9 +665,9 @@ def test_checkpoint_missing_hp_key_is_named(tmp_path):
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     text = path.read_text()
     hp_line = next(l for l in text.splitlines() if l.startswith("HP "))
-    cut = " ".join(tok for tok in hp_line.split() if not tok.startswith("epsilon="))
+    cut = " ".join(tok for tok in hp_line.split() if not tok.startswith("dropout_rate="))
     path.write_text(text.replace(hp_line, cut))
-    with pytest.raises(ValueError, match="missing config key 'epsilon'"):
+    with pytest.raises(ValueError, match="missing config key 'dropout_rate'"):
         fn.load_checkpoint(path)
 
 
@@ -678,16 +686,21 @@ def test_checkpoint_missing_meta_key_is_named(tmp_path, key):
 def test_checkpoint_missing_stat_record_is_named(tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
-    _drop_lines(path, "STAT vis_sd ")
-    with pytest.raises(ValueError, match="missing STAT record 'vis_sd'"):
+    _drop_lines(path, "W stats.vis_sd ")
+    with pytest.raises(ValueError, match="missing W record 'stats.vis_sd'"):
         fn.load_checkpoint(path)
 
 
 def test_checkpoint_holds_one_w_record_per_param(tmp_path):
+    # The network's five arrays and the six NormStats arrays, sorted.
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
-    names = [l.split()[1] for l in path.read_text().splitlines() if l.startswith("W ")]
-    assert names == ["core.W", "head.W", "head.b", "mag.W", "vis.W"]
+    lines = path.read_text().splitlines()
+    assert [l.split()[0] for l in lines] == ["#", "HP", "META"] + ["W"] * 11
+    names = [l.split()[1] for l in lines if l.startswith("W ")]
+    assert names == ["core.W", "head.W", "head.b", "mag.W", "stats.mag_mean",
+                     "stats.mag_sd", "stats.target_mean", "stats.target_sd",
+                     "stats.vis_mean", "stats.vis_sd", "vis.W"]
 
 
 def test_checkpoint_missing_w_record_is_named(tmp_path):
@@ -726,11 +739,28 @@ def test_checkpoint_wrong_shape_w_record_is_named(tmp_path):
         fn.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("record, message", [
+    ("W stats.mag_sd 1 2.0", r"'stats.mag_sd' has shape \(1,\), expected \(5,\)"),
+    ("W stats.vis_mean 3 0.0 0.0 0.0", r"'stats.vis_mean' has shape \(3,\), expected \(6,\)"),
+])
+def test_checkpoint_wrong_shape_stats_record_is_named(tmp_path, record, message):
+    # A statistics array of the wrong length would broadcast, or fail
+    # unnamed, inside predict_trajectory.
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    name = record.split()[1]
+    _drop_lines(path, f"W {name} ")
+    with open(path, "a") as f:
+        f.write(record + "\n")
+    with pytest.raises(ValueError, match=message):
+        fn.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("prefix, replacement, kind", [
     ("HP ", "HP", "HP"),
-    ("STAT vis_sd ", "STAT", "STAT"),
+    ("W stats.vis_sd ", "STAT vis_sd 1.0", "STAT"),
     ("W head.b ", "W", "W"),
-    ("STAT vis_sd ", "STAT vis_sd", "STAT"),
+    ("W stats.vis_sd ", "W stats.vis_sd", "W"),
     ("W head.b ", "W head.b 6", "W"),
     ("META ", "META rate_ratio beta_loss=1.0", "META"),
     ("META ", "META rate_ratio=two beta_loss=1.0", "META"),

@@ -303,17 +303,27 @@ def test_dropout_statistics():
 
 def test_pose_loss_values():
     t = np.zeros(6)
-    loss, grad = nc.pose_loss(t, t, 50.0)
+    loss, grad, trans, rot = nc.pose_loss(t, t, 50.0)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros(6))
+    assert trans == rot == 0.0
 
     p = np.array([1.0, 0, 0, 0, 0, 0])
-    loss, _ = nc.pose_loss(p, t, 123.0)
+    loss, _, trans, rot = nc.pose_loss(p, t, 123.0)
     assert abs(loss - 1.0) < 1e-15
+    assert (trans, rot) == (1.0, 0.0)
 
     p = np.array([0, 0, 0, 0, 0, 0.2])
-    loss, _ = nc.pose_loss(p, t, 50.0)
+    loss, _, trans, rot = nc.pose_loss(p, t, 50.0)
     assert abs(loss - 10.0) < 1e-12
+    assert (trans, rot) == (0.0, 0.2)
+
+    # A batch of poses: the norms are pose_residual_norms's, row by row.
+    pred, target = np.random.default_rng(29).normal(0, 1, (2, 3, 4, 6))
+    _, _, trans, rot = nc.pose_loss(pred, target, 2.5)
+    assert trans.shape == rot.shape == (3, 4)
+    expected = nc.pose_residual_norms(pred, target)
+    assert np.array_equal(trans, expected[0]) and np.array_equal(rot, expected[1])
 
 
 def test_pose_loss_gradient_fd():
@@ -322,7 +332,7 @@ def test_pose_loss_gradient_fd():
         pred = rng.normal(0, 1, 6)
         target = rng.normal(0, 1, 6)
         beta = rng.uniform(0.5, 100)
-        _, grad = nc.pose_loss(pred, target, beta)
+        _, grad, _, _ = nc.pose_loss(pred, target, beta)
         fd = nc.finite_difference_gradient(
             lambda p: nc.pose_loss(p["pred"], target, beta)[0], {"pred": pred}
         )
@@ -334,7 +344,7 @@ def test_pose_loss_nonnegative_zero_only_at_equal():
     for _ in range(50):
         pred = rng.normal(0, 1, 6)
         target = rng.normal(0, 1, 6)
-        loss, _ = nc.pose_loss(pred, target, 1.0)
+        loss = nc.pose_loss(pred, target, 1.0)[0]
         assert loss >= 0
         if not np.array_equal(pred, target):
             assert loss > 0
@@ -351,12 +361,13 @@ def test_adam_zero_gradient_fixed_point():
 
 
 def adam_formula(p, g, m, v, t, hp):
-    """The Adam update written out, returning new arrays."""
-    m = hp.beta1 * m + (1.0 - hp.beta1) * g
-    v = hp.beta2 * v + (1.0 - hp.beta2) * g * g
-    m_hat = m / (1.0 - hp.beta1**t)
-    v_hat = v / (1.0 - hp.beta2**t)
-    return p - hp.alpha * m_hat / np.sqrt(v_hat + hp.epsilon), m, v
+    """The Adam update written out, with Kingma & Ba's decay rates and
+    epsilon, returning new arrays."""
+    m = 0.9 * m + (1.0 - 0.9) * g
+    v = 0.999 * v + (1.0 - 0.999) * g * g
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return p - hp.learning_rate * m_hat / np.sqrt(v_hat + 1e-8), m, v
 
 
 def test_adam_in_place_matches_formula():
@@ -435,7 +446,7 @@ def test_adam_first_step_magnitude_near_alpha():
         params = {"w": np.array([0.0])}
         state = nc.adam_init(params)
         out, _ = nc.adam_step(params, {"w": np.array([g])}, state, hp)
-        assert abs(abs(out["w"][0]) - hp.alpha) / hp.alpha < 1e-2
+        assert abs(abs(out["w"][0]) - hp.learning_rate) / hp.learning_rate < 1e-2
 
 
 def test_adam_deterministic_trajectory():
@@ -502,7 +513,7 @@ def test_lstm_weights_reject_malformed_shapes(shape):
 
 
 @pytest.mark.parametrize("field, value", [("hidden_size", 0), ("dropout_rate", 1.0),
-                                          ("dropout_rate", -0.1)])
+                                          ("dropout_rate", -0.1), ("learning_rate", 0.0)])
 def test_hyperparams_reject_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         nc.Hyperparams(**{field: value})
