@@ -73,13 +73,18 @@ class RunConfig:
                 self.set(k, v)
 
     def set(self, key, raw):
+        """Set key from a config-file string, or from a value that its type
+        does not change: an int may set a float key, 8.5 may not set an int."""
         if key not in KNOWN_KEYS:
             raise KeyError(f"unknown config key: {key}")
         typ, _ = KNOWN_KEYS[key]
         try:
-            self.values[key] = typ(raw)
-        except ValueError:
+            value = typ(raw)
+            if not isinstance(raw, str) and value != raw:
+                raise ValueError
+        except (TypeError, ValueError):
             raise ValueError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
+        self.values[key] = value
 
     def __getitem__(self, key):
         return self.values[key]

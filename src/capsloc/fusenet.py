@@ -83,8 +83,10 @@ _STATS_SHAPES = {
 }
 
 _BETA_CLAMP = (1.0, 1000.0)  # calibrate_beta's range
-# Windows per batched inference pass: a forward keeps the caches of every
-# window it runs, about 1.4 MiB per 32-step window at H = 200.
+# Windows per batched inference pass. An inference forward holds the branch
+# LSTMs' caches until the core runs, and then the core's: 16 windows of 32
+# steps at H = 200 peak at 15.9 MiB traced, 1.0 MiB per window, two thirds
+# of it the magnetic LSTM's cache.
 _INFERENCE_CHUNK = 16
 
 
@@ -235,7 +237,12 @@ def forward(
     """Run the fusion network over a normalized FusedSet, one sequence or B
     windows with a state each. Returns (outputs (N, 6) or (B, T, 6), caches,
     final_states). States start at zero unless given and persist across
-    steps; chunks of a sequence with carried states give the same outputs."""
+    steps; chunks of a sequence with carried states give the same outputs.
+
+    Training draws dropout at dropout_rate from rng and returns the caches
+    backward needs. Inference (training=False) calls no dropout and returns
+    None for caches: it drops the branch LSTMs' caches before the core runs,
+    and its outputs are training's at dropout_rate 0, bit for bit."""
     hs = params["head.W"].shape[1]
     r = samples.mag.shape[-2]
     *batch, T = samples.vis.shape[:-1]  # batch is [] or [B]
@@ -251,14 +258,18 @@ def forward(
     )
     # The core sees the magnetic state after every rate_ratio-th input.
     z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=-1)
-    z, mask = dropout(z, dropout_rate, rng, training)
+    if training:
+        z, mask = dropout(z, dropout_rate, rng)
+    else:
+        mag_cache = vis_cache = None
     core_final, core_cache = lstm_sequence_forward(
         z, initial_states["core"], params["core.W"]
     )
     y = linear_forward(core_cache.h[1:].reshape(-1, hs), params["head.W"], params["head.b"])
     outputs = np.moveaxis(y.reshape(T, *batch, OUT_DIM), 0, -2)
     final = {"mag": mag_final, "vis": vis_final, "core": core_final}
-    return outputs, (mag_cache, vis_cache, core_cache, mask), final
+    caches = (mag_cache, vis_cache, core_cache, mask) if training else None
+    return outputs, caches, final
 
 
 def backward(params: dict, caches, dy):
@@ -314,7 +325,8 @@ class Checkpoint:
 
 def _window_pass(params, window, beta, hp, rng, training=True):
     """Forward (and, when training, backward) over a batch of windows: (loss,
-    per-step translational and rotational residual norms, gradients)."""
+    per-step translational and rotational residual norms, gradients or None).
+    The caches live only until backward returns."""
     outputs, caches, _ = forward(
         params, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
     )
@@ -382,7 +394,14 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     the losses before the refit.
 
     datasets: list of finite FusedSets (raw units, targets present). Adam
-    steps on one window at a time. Returns (Checkpoint, log), epoch dicts."""
+    steps on one window at a time. Returns (Checkpoint, log), epoch dicts.
+
+    Training holds five parameter-sized sets (P, 6.18 MiB at H = 200): the
+    weights, Adam's m and v and the best epoch, all allocated before epoch
+    1 and updated in place, and one window's gradients, freed after its
+    Adam step. On top come one window's caches during an Adam step, or an
+    inference chunk's (see _INFERENCE_CHUNK) during validation and the
+    refit, when the gradients are gone."""
     if not datasets:
         raise ValueError("need at least one training dataset")
     for k, ds in enumerate(datasets):
@@ -436,8 +455,10 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             loss, trans, rot, grads = _window_pass(params, window, beta, hp, rng)
             if not np.isfinite(loss):
                 break
-            grad_norm += np.sqrt(sum(np.sum(g * g) for g in grads.values()))
             adam_step(params, grads, adam, hp)
+            # adam_step only reads grads, so the norm squares them in place.
+            grad_norm += np.sqrt(sum(np.multiply(g, g, out=g).sum() for g in grads.values()))
+            del grads  # freed before the next window's backward allocates
             train_loss += loss
             train_trans += trans.sum()
             train_rot += rot.sum()
@@ -460,7 +481,8 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
         )
         if val_loss < best_val - 1e-15:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            for k, v in params.items():
+                np.copyto(best_params[k], v)
             best_beta = beta
             bad_epochs = 0
         else:

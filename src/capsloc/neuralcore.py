@@ -196,12 +196,13 @@ def linear_backward(x, W, dy):
     return dy2.T @ x2, dy2.sum(axis=0), np.asarray(dy, dtype=float) @ W
 
 
-def dropout(x, rate: float, rng, training: bool):
-    """Inverted dropout; identity at inference. Returns (array, mask)."""
+def dropout(x, rate: float, rng):
+    """Inverted dropout, for training; inference skips it. Returns (array,
+    mask)."""
     x = np.asarray(x, dtype=float)
     if not (0.0 <= rate < 1.0):
         raise ValueError("rate must be in [0, 1)")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x.copy(), np.ones_like(x)
     keep = (rng.random(x.shape) >= rate).astype(float) / (1.0 - rate)
     return x * keep, keep

@@ -68,6 +68,26 @@ def test_train_keys_are_the_training_fields():
         max_epochs=7, window_length=16, seed=3)
 
 
+def test_config_value_that_its_type_would_change_is_rejected():
+    # A Python value is checked, not coerced: 8.5 is no int, 0.5 no str.
+    for key, raw, message in [
+        ("train.hidden_size", 8.5, "train.hidden_size: expected int, got 8.5"),
+        ("seed", 2.9, "seed: expected int, got 2.9"),
+        ("sim.duration", None, "sim.duration: expected float, got None"),
+        ("eval.bucket_lengths", 0.5, "eval.bucket_lengths: expected str, got 0.5"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig({key: raw})
+    # A value its type keeps, an int for a float key, and a string all set.
+    cfg = RunConfig({"train.hidden_size": 8.0, "seed": 2, "sim.duration": 5,
+                     "train.max_epochs": "9"})
+    assert cfg["train.hidden_size"] == 8 and type(cfg["train.hidden_size"]) is int
+    assert cfg["sim.duration"] == 5.0 and type(cfg["sim.duration"]) is float
+    assert cfg["seed"] == 2 and cfg["train.max_epochs"] == 9
+    for profile in cli.PROFILES.values():
+        RunConfig(profile)
+
+
 def test_magnetic_inversion_has_no_config_keys():
     # The solver's settings are magloc constants, not config keys.
     assert not [k for k in cli.KNOWN_KEYS if k.startswith("magloc.")]

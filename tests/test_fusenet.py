@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,12 +173,32 @@ def test_forward_zero_weights_outputs_head_bias():
 def test_forward_output_length_matches_input():
     net = fn.init_network(4, np.random.default_rng(2))
     for n in (1, 3, 11):
-        outputs, caches, _ = fn.forward(net, toy_samples(n, np.random.default_rng(3)))
+        outputs, caches, _ = fn.forward(net, toy_samples(n, np.random.default_rng(3)),
+                                        training=True)
         assert outputs.shape == (n, 6)
         grads = fn.backward(net, caches, np.zeros((n, 6)))
         assert list(grads) == list(net)
         for k, p in net.items():
             assert grads[k].shape == p.shape, k
+
+
+def test_inference_forward_keeps_no_caches():
+    # Inference skips dropout, whatever the rate, and draws nothing; its
+    # outputs and states are training's at rate zero, bit for bit.
+    net = fn.init_network(5, np.random.default_rng(6))
+    for samples in (toy_samples(11, np.random.default_rng(7)),
+                    toy_samples(24, np.random.default_rng(8)).windows(8)):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        outputs, caches, final = fn.forward(net, samples, rng=rng, dropout_rate=0.5)
+        assert caches is None
+        assert rng.bit_generator.state == state
+        train_out, train_caches, train_final = fn.forward(net, samples, training=True)
+        assert train_caches is not None
+        assert np.array_equal(outputs, train_out)
+        for name in ("mag", "vis", "core"):
+            assert np.array_equal(final[name].h, train_final[name].h), name
+            assert np.array_equal(final[name].c, train_final[name].c), name
 
 
 def test_forward_matches_step_by_step_oracle():
@@ -463,6 +485,25 @@ def test_train_deterministic():
     assert a_log == b_log
     for k in a_ckpt.params:
         assert np.array_equal(a_ckpt.params[k], b_ckpt.params[k])
+
+
+def test_train_holds_each_parameter_array_once():
+    # Paper size: the weights, Adam's m and v, the best epoch and one
+    # window's gradients are five parameter sets, and a window's caches and
+    # temporaries add about half of one. A gradient or best copy that
+    # outlives its use breaks the bound. Two 149-step sets of four 32-step
+    # windows, three epochs.
+    rng = np.random.default_rng(13)
+    sets = [toy_samples(149, rng) for _ in range(2)]
+    cfg = fn.TrainingConfig(max_epochs=3, window_length=32)
+    param_bytes = 8 * sum(int(np.prod(s)) for s in fn._param_shapes(200).values())
+    tracemalloc.start()
+    try:
+        fn.train(sets, cfg, nc.Hyperparams(hidden_size=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.75 * param_bytes, peak / param_bytes
 
 
 @pytest.mark.parametrize("field, value", [("max_epochs", 0), ("validation_fraction", 1.0),
