@@ -11,6 +11,11 @@ It runs, with the config it writes to OUT_DIR/run.cfg:
 - `localize-mag --diagnostics` on each dataset;
 - `train` on all three (H 16, window 16, 25 epochs, warm-up 3, patience 6),
   which writes the checkpoint and its log;
+- `train` at the paper's size on the seed-1 and seed-2 datasets (H 200,
+  window 32, 2 epochs, warm-up 1), with the config in OUT_DIR/paper.cfg,
+  which writes paper.ckpt and its log. The BLAS kernels that H 200 runs
+  differ from H 16's, so byte-identity at one size says nothing of the
+  other;
 - `evaluate` of that checkpoint on the held-out seed-3 dataset;
 - `align-demo --seed 2 --out`.
 """
@@ -35,6 +40,14 @@ train.warmup_epochs = 3
 train.early_stop_patience = 6
 """
 
+PAPER_CONFIG = """\
+seed = 1
+train.hidden_size = 200
+train.window_length = 32
+train.max_epochs = 2
+train.warmup_epochs = 1
+"""
+
 
 def run(*argv):
     if capsloc(list(argv)) != 0:
@@ -48,9 +61,10 @@ def main():
     ap.add_argument("out_dir")
     out = ap.parse_args().out_dir
     os.makedirs(out, exist_ok=True)
-    cfg = os.path.join(out, "run.cfg")
-    with open(cfg, "w") as f:
-        f.write(CONFIG)
+    cfg, paper_cfg = os.path.join(out, "run.cfg"), os.path.join(out, "paper.cfg")
+    for path, text in ((cfg, CONFIG), (paper_cfg, PAPER_CONFIG)):
+        with open(path, "w") as f:
+            f.write(text)
     data = os.path.join(out, "data")
     run("simulate", "--config", cfg, "--out", data)
     datasets = [os.path.join(data, f"dataset_seed{s}.txt") for s in (1, 2, 3)]
@@ -63,6 +77,7 @@ def main():
     run("evaluate", "--config", cfg, datasets[2], "--checkpoint", ckpt,
         "--out", os.path.join(out, "report.txt"))
     run("align-demo", "--config", cfg, "--seed", "2", "--out", os.path.join(out, "align.txt"))
+    run("train", "--config", paper_cfg, *datasets[:2], "--out", os.path.join(out, "paper.ckpt"))
 
     for root, _, files in sorted(os.walk(out)):
         for name in sorted(files):

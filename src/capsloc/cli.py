@@ -74,13 +74,14 @@ class RunConfig:
 
     def set(self, key, raw):
         """Set key from a config-file string, or from a value that its type
-        does not change: an int may set a float key, 8.5 may not set an int."""
+        does not change: an int may set a float key, 8.5 may not set an int.
+        No key is a bool, so a bool sets none, although True == 1."""
         if key not in KNOWN_KEYS:
             raise KeyError(f"unknown config key: {key}")
         typ, _ = KNOWN_KEYS[key]
         try:
             value = typ(raw)
-            if not isinstance(raw, str) and value != raw:
+            if isinstance(raw, (bool, np.bool_)) or not isinstance(raw, str) and value != raw:
                 raise ValueError
         except (TypeError, ValueError):
             raise ValueError(f"{key}: expected {typ.__name__}, got {raw!r}") from None

@@ -93,7 +93,9 @@ def _rmse(a):
 
 
 def rmse_by_length(est: Trajectory, gt: Trajectory, bucket_lengths):
-    """Per-bucket (trans_rmse, rot_rmse); empty buckets map to None."""
+    """Per-bucket (trans_rmse, rot_rmse) of one trajectory; empty buckets
+    map to None. A test oracle: compare_methods pools segment_errors over
+    datasets instead, and only tests call this."""
     buckets = segment_errors(est, gt, bucket_lengths)
     return {L: (_rmse(v) if len(v) else None) for L, v in buckets.items()}
 

@@ -35,7 +35,11 @@ v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
 
 adam_step updates parameters and moments in place, in that formula's
 operation order, a block of rows at a time through two work arrays of
-_ADAM_BLOCK elements kept in the AdamState.
+_ADAM_BLOCK elements kept in the AdamState. It takes the gradients as a
+dict or as a stream of (key, gradient) pairs, one array at a time, so that
+training can step each array as soon as backward makes its gradient and
+never hold a whole gradient set. The update is elementwise, so the order
+of the arrays moves no bit.
 """
 
 from __future__ import annotations
@@ -275,12 +279,23 @@ def adam_init(params: dict) -> AdamState:
     )
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
+def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
     """One update of every parameter array, in place, as are the moments in
-    state; returns (params, state)."""
-    for k, p in params.items():
-        if grads[k].shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {k}")
+    state; returns (params, state).
+
+    grads is a dict keyed as params, whose shapes are all checked before any
+    array is updated, or a stream of (key, gradient) pairs, one per array in
+    any order. A streamed pair is checked and applied as it arrives, and
+    adam_step holds no reference to it once it asks for the next, so the
+    stream may then reuse or free it. A repeated or unknown key raises
+    ValueError when it arrives, and a missing key when the stream ends;
+    either way the arrays stepped before stay stepped."""
+    pairs = grads
+    if isinstance(grads, dict):
+        for k, p in params.items():
+            if grads[k].shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {k}")
+        pairs = ((k, grads[k]) for k in params)
     state.t += 1
     # Epsilon belongs inside the square root of the bias-corrected second
     # moment. The popular "efficient" rewrite (folding the corrections
@@ -289,7 +304,14 @@ def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
     # 1 / (1 - beta2**t), distorting updates for small gradients.
     m_scale = 1.0 - _BETA1**state.t
     v_scale = 1.0 - _BETA2**state.t
-    for k, p in params.items():
+    stepped = set()
+    for k, g in pairs:
+        if k in stepped or k not in params:
+            raise ValueError(f"{'repeated' if k in stepped else 'unknown'} gradient key {k!r}")
+        p = params[k]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape mismatch for {k}")
+        stepped.add(k)
         row = int(np.prod(p.shape[1:]))
         rows = max(1, _ADAM_BLOCK // row)
         size = min(rows, len(p)) * row
@@ -297,8 +319,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, hp: Hyperparams):
             state.scratch = (np.empty(size), np.empty(size))
         for r in range(0, len(p), rows):
             block = slice(r, r + rows)
-            _adam_update(p[block], grads[k][block], state.m[k][block],
+            _adam_update(p[block], g[block], state.m[k][block],
                          state.v[k][block], state.scratch, hp, m_scale, v_scale)
+        del g  # before the stream makes the next gradient
+    missing = [k for k in params if k not in stepped]
+    if missing:
+        raise ValueError(f"no gradient for {', '.join(missing)}")
     return params, state
 
 
@@ -322,7 +348,8 @@ def _adam_update(p, g, m, v, scratch, hp, m_scale, v_scale):
 def finite_difference_gradient(loss_fn, params: dict, step: float = 1e-6) -> dict:
     """Central differences of loss_fn(params) per parameter component, each
     perturbed in place and restored, so loss_fn sees the perturbation in
-    any array it reads from params."""
+    any array it reads from params. A test oracle for the analytic
+    gradients (criterion 1); no training path calls it."""
     grads = {}
     for k, p in params.items():
         g = np.zeros(p.shape)

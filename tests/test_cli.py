@@ -88,6 +88,20 @@ def test_config_value_that_its_type_would_change_is_rejected():
         RunConfig(profile)
 
 
+def test_config_bool_is_rejected_for_every_key():
+    # No key is a bool, and True == 1 must not pass for one: seed True
+    # used to give seed 1, and train.max_epochs False zero epochs.
+    for key, raw, typ in [("seed", True, "int"), ("train.max_epochs", False, "int"),
+                          ("sim.duration", True, "float"),
+                          ("train.dropout_rate", np.False_, "float"),
+                          ("eval.bucket_lengths", True, "str")]:
+        with pytest.raises(ValueError, match=f"^{key}: expected {typ}, got {raw!r}$"):
+            RunConfig({key: raw})
+    # Config files are strings, so "True" still fails to parse as an int.
+    with pytest.raises(ValueError, match="^seed: expected int, got 'True'$"):
+        RunConfig({"seed": "True"})
+
+
 def test_magnetic_inversion_has_no_config_keys():
     # The solver's settings are magloc constants, not config keys.
     assert not [k for k in cli.KNOWN_KEYS if k.startswith("magloc.")]
@@ -343,6 +357,6 @@ def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         hashed = re.findall(r"^[0-9a-f]{64}  \S.*$", result.stdout, re.MULTILINE)
-        assert len(hashed) == 14
+        assert len(hashed) == 17
         listings.append(hashed)
     assert listings[0] == listings[1]

@@ -429,6 +429,49 @@ def test_adam_reuses_scratch_without_per_step_temporaries():
             assert np.array_equal(state.v[k], ref[k][2]), (k, t)
 
 
+def test_adam_stream_equals_dict_in_any_order():
+    # A stream of (key, gradient) pairs, in any order, steps each array as
+    # the dict form does, with one t per call.
+    hp = nc.Hyperparams()
+    rng = np.random.default_rng(29)
+    params = {"a": rng.normal(0, 1, (300, 200)), "b": rng.normal(0, 1, 7)}
+    ref = {k: p.copy() for k, p in params.items()}
+    state, ref_state = nc.adam_init(params), nc.adam_init(ref)
+    for t in range(1, 4):
+        grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
+        nc.adam_step(ref, grads, ref_state, hp)
+        out, out_state = nc.adam_step(params, iter([("b", grads["b"]), ("a", grads["a"])]),
+                                      state, hp)
+        assert out is params and out_state is state and state.t == t
+        for k in params:
+            assert np.array_equal(params[k], ref[k]), (k, t)
+            assert np.array_equal(state.m[k], ref_state.m[k]), (k, t)
+            assert np.array_equal(state.v[k], ref_state.v[k]), (k, t)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([("a", 2)], "^no gradient for b$"),
+    ([("a", 2), ("a", 2), ("b", 3)], "^repeated gradient key 'a'$"),
+    ([("a", 2), ("b", 3), ("c", 3)], "^unknown gradient key 'c'$"),
+    ([("a", 2), ("b", 4)], "^gradient shape mismatch for b$"),
+])
+def test_adam_stream_errors_name_the_key(pairs, message):
+    # Each pair is checked before its array is updated: a bad pair leaves
+    # its array as it was, and the arrays stepped before it stay stepped.
+    hp = nc.Hyperparams()
+    params = {"a": np.ones(2), "b": np.ones(3)}
+    state = nc.adam_init(params)
+    stream = ((k, np.ones(n)) for k, n in pairs)
+    with pytest.raises(ValueError, match=message):
+        nc.adam_step(params, stream, state, hp)
+    assert state.t == 1
+    assert not np.array_equal(params["a"], np.ones(2))
+    if "repeated" in message:
+        assert np.array_equal(state.m["a"], np.full(2, 1.0 - 0.9))  # stepped once
+    if "shape" in message:
+        assert np.array_equal(params["b"], np.ones(3))
+
+
 def test_adam_scalar_hand_case():
     hp = nc.Hyperparams()
     params = {"w": np.array([1.0])}
