@@ -5,13 +5,15 @@ Architecture per fused step: the magnetic LSTM consumes its rate_ratio
 sequentially and contributes its final hidden state; the visual LSTM
 consumes one 6-vector delta; the concatenated hidden states (after dropout
 when training) feed the core LSTM, whose hidden state a linear head maps to
-a 6-DoF delta. All LSTM states persist across fused steps, which is what
-lets the network carry sensor history across the asynchronous streams.
+a 6-DoF delta. Each LSTM starts a sequence from a zero state and carries
+it across the sequence's fused steps, which is what lets the network carry
+sensor history across the asynchronous streams.
 
 forward runs each LSTM over all T steps in turn, B windows at once:
 magnetic (T * rate_ratio inputs), visual, one dropout draw on the
 (T, B, 2H) concatenation, core, then the head as one GEMM. Neither branch
 LSTM reads the core's state, so this is the per-step math reordered.
+gradient_stream is the one BPTT through it.
 
 The network is the dict of five arrays that _param_shapes lists, keyed as
 its gradients, Adam moments and checkpoints are. Its hidden size is
@@ -59,7 +61,6 @@ __all__ = [
     "align_streams",
     "compute_norm_stats",
     "forward",
-    "backward",
     "gradient_stream",
     "calibrate_beta",
     "train",
@@ -230,32 +231,30 @@ def compute_norm_stats(samples: FusedSet) -> NormStats:
 def forward(
     params: dict,
     samples: FusedSet,
-    initial_states=None,
     training: bool = False,
     rng=None,
     dropout_rate: float = 0.0,
 ):
     """Run the fusion network over a normalized FusedSet, one sequence or B
-    windows with a state each. Returns (outputs (N, 6) or (B, T, 6), caches,
-    final_states). States start at zero unless given and persist across
-    steps; chunks of a sequence with carried states give the same outputs.
+    windows, each LSTM from a zero state. Returns (outputs (N, 6) or
+    (B, T, 6), caches).
 
     Training draws dropout at dropout_rate from rng and returns the caches
-    backward needs. Inference (training=False) calls no dropout and returns
-    None for caches: it drops the branch LSTMs' caches before the core runs,
-    and its outputs are training's at dropout_rate 0, bit for bit."""
+    gradient_stream needs. Inference (training=False) calls no dropout and
+    returns None for caches: it drops the branch LSTMs' caches before the
+    core runs, and its outputs are training's at dropout_rate 0, bit for
+    bit."""
     hs = params["head.W"].shape[1]
     r = samples.mag.shape[-2]
     *batch, T = samples.vis.shape[:-1]  # batch is [] or [B]
-    if initial_states is None:
-        initial_states = {k: LstmState.zeros(*batch, hs) for k in ("mag", "vis", "core")}
+    zero = LstmState.zeros(*batch, hs)
     # The LSTMs run time-major, on (steps, [B,] input) arrays.
-    mag_final, mag_cache = lstm_sequence_forward(
+    _, mag_cache = lstm_sequence_forward(
         np.moveaxis(samples.mag.reshape(*batch, T * r, MAG_INPUT), -2, 0),
-        initial_states["mag"], params["mag.W"],
+        zero, params["mag.W"],
     )
-    vis_final, vis_cache = lstm_sequence_forward(
-        np.moveaxis(samples.vis, -2, 0), initial_states["vis"], params["vis.W"]
+    _, vis_cache = lstm_sequence_forward(
+        np.moveaxis(samples.vis, -2, 0), zero, params["vis.W"]
     )
     # The core sees the magnetic state after every rate_ratio-th input.
     z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=-1)
@@ -263,34 +262,24 @@ def forward(
         z, mask = dropout(z, dropout_rate, rng)
     else:
         mag_cache = vis_cache = None
-    core_final, core_cache = lstm_sequence_forward(
-        z, initial_states["core"], params["core.W"]
-    )
+    _, core_cache = lstm_sequence_forward(z, zero, params["core.W"])
     y = linear_forward(core_cache.h[1:].reshape(-1, hs), params["head.W"], params["head.b"])
     outputs = np.moveaxis(y.reshape(T, *batch, OUT_DIM), 0, -2)
-    final = {"mag": mag_final, "vis": vis_final, "core": core_final}
     caches = (mag_cache, vis_cache, core_cache, mask) if training else None
-    return outputs, caches, final
-
-
-def backward(params: dict, caches, dy):
-    """BPTT through the full fusion network.
-
-    dy, shaped as forward's outputs, holds the upstream gradient on each
-    step's output. Returns parameter gradients (summed over windows) keyed
-    as params: gradient_stream's pairs, in params key order."""
-    grads = dict(gradient_stream(params, caches, dy))
-    return {k: grads[k] for k in params}
+    return outputs, caches
 
 
 def gradient_stream(params: dict, caches, dy):
-    """backward's gradients as (key, gradient) pairs, in the order BPTT
-    makes them: head.W, head.b, core.W, vis.W, mag.W.
+    """BPTT through the full fusion network, from a training forward's
+    caches. dy, shaped as forward's outputs, holds the upstream gradient on
+    each step's output. Yields the parameter gradients (summed over
+    windows) as (key, gradient) pairs, in the order BPTT makes them:
+    head.W, head.b, core.W, vis.W, mag.W.
 
     It reads an array's weights only before handing over that array's
-    gradient (dh comes from head.W and dz from core.W inside their
-    backward calls), so the consumer may step each array as its pair
-    arrives, and it holds no gradient once it resumes."""
+    gradient (dh comes from head.W and dz from core.W inside
+    linear_backward and lstm_backward), so the consumer may step each array
+    as its pair arrives, and it holds no gradient once it resumes."""
     mag_cache, vis_cache, core_cache, mask = caches
     hs = params["head.W"].shape[1]
     r = len(mag_cache.x) // len(core_cache.x)
@@ -341,31 +330,33 @@ class Checkpoint:
     beta_loss: float
 
 
-def _window_pass(params, window, beta, hp, rng, training=True):
-    """Forward (and, when training, backward) over a batch of windows: (loss,
-    per-step translational and rotational residual norms, gradients or None).
-    The caches live only until backward returns. train steps through
-    _train_step, which never holds the whole gradient dict; the dict here
-    serves the gradient checks and is _train_step's reference."""
-    outputs, caches, _ = forward(
-        params, window, training=training, rng=rng, dropout_rate=hp.dropout_rate
-    )
-    loss, dys, trans, rot = pose_loss(outputs, window.target, beta)
-    grads = backward(params, caches, dys) if training else None
-    return loss, trans, rot, grads
+@dataclass(frozen=True)
+class _MetaRecord:
+    """A checkpoint's META record. The defaults only give parse_config
+    each field's type."""
+
+    rate_ratio: int = 1
+    beta_loss: float = 1.0
+
+    def __post_init__(self):
+        if self.rate_ratio < 1:
+            raise ValueError(f"rate_ratio must be >= 1, got {self.rate_ratio}")
+        if not (np.isfinite(self.beta_loss) and self.beta_loss > 0.0):
+            raise ValueError(f"beta_loss must be finite and > 0, got {self.beta_loss!r}")
 
 
 def _train_step(params, window, beta, hp, rng, adam):
-    """_window_pass with one Adam step, which steps each array as
-    gradient_stream makes its gradient: (loss, per-step translational and
-    rotational residual norms, the gradient's L2 norm). A non-finite loss
-    steps nothing and gives the norm None.
+    """Training forward and pose loss over a batch of windows, then one Adam
+    step, which steps each array as gradient_stream makes its gradient:
+    (loss, per-step translational and rotational residual norms, the
+    gradient's L2 norm). A non-finite loss steps nothing and gives the norm
+    None. The caches live until the stream ends.
 
     Once adam_step asks for the next pair, it is done with the last
     gradient, which is then squared in place for the norm and dropped, so
     no whole gradient set ever exists. The norm sums the per-array sums in
     params key order."""
-    outputs, caches, _ = forward(
+    outputs, caches = forward(
         params, window, training=True, rng=rng, dropout_rate=hp.dropout_rate
     )
     loss, dys, trans, rot = pose_loss(outputs, window.target, beta)
@@ -398,8 +389,10 @@ def _infer(params, samples: FusedSet) -> np.ndarray:
     return np.concatenate([forward(params, chunk)[0] for chunk in _chunks(samples)])
 
 
-def _eval_loss(params, windows, beta, hp):
-    loss = sum(_window_pass(params, chunk, beta, hp, None, training=False)[0]
+def _eval_loss(params, windows, beta):
+    """Inference pose loss per step over a batch of windows, summed chunk by
+    chunk."""
+    loss = sum(pose_loss(forward(params, chunk)[0], chunk.target, beta)[0]
                for chunk in _chunks(windows))
     return loss / windows.times.size
 
@@ -446,15 +439,22 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
     Training holds four parameter-sized sets (P, 6.18 MiB at H = 200): the
     weights, Adam's m and v and the best epoch, all allocated before epoch
-    1 and updated in place. Adam steps each array as soon as backward
-    makes its gradient (_train_step), so at most one array's gradient
-    exists at a time: core.W's, 0.59 P, is the largest. On top come one
-    window's caches during an Adam step, or an inference chunk's (see
-    _INFERENCE_CHUNK) during validation and the refit. At H = 200 and
-    window 32 the traced peak is 5.02 P."""
+    1 and updated in place. Adam steps each array as soon as
+    gradient_stream makes its gradient (_train_step), so at most one
+    array's gradient exists at a time: core.W's, 0.59 P, is the largest.
+    On top come one window's caches during an Adam step, or an inference
+    chunk's (see _INFERENCE_CHUNK) during validation and the refit. At
+    H = 200 and window 32 the traced peak is 5.02 P.
+
+    Every dataset must have the same rate ratio, which the checkpoint
+    records."""
     if not datasets:
         raise ValueError("need at least one training dataset")
+    rate_ratio = datasets[0].mag.shape[1]
     for k, ds in enumerate(datasets):
+        if ds.mag.shape[1] != rate_ratio:
+            raise ValueError(f"dataset {k} has rate ratio {ds.mag.shape[1]}, "
+                             f"dataset 0 has {rate_ratio}")
         for name in ("mag", "vis", "target"):
             bad = ~np.isfinite(getattr(ds, name).reshape(len(ds), -1)).all(axis=1)
             if bad.any():
@@ -513,7 +513,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
             log.append({"epoch": epoch, "aborted": "non-finite loss"})
             break
         n_steps = len(order) * T
-        val_loss = _eval_loss(params, val_windows, beta, hp)
+        val_loss = _eval_loss(params, val_windows, beta)
         log.append(
             {
                 "epoch": epoch,
@@ -538,7 +538,6 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
                 break
 
     best_params = _refit_head_bias(best_params, train_windows)
-    rate_ratio = datasets[0].mag.shape[1]
     return Checkpoint(best_params, rate_ratio, hp, stats, best_beta), log
 
 
@@ -564,7 +563,7 @@ def predict_trajectory(
 ) -> Trajectory:
     """align_streams -> inference forward -> de-normalize -> integrate."""
     samples = align_streams(mag, vis, gt=None, rate_ratio=ckpt.rate_ratio)
-    outputs, _, _ = forward(ckpt.params, ckpt.stats.normalize(samples))
+    outputs, _ = forward(ckpt.params, ckpt.stats.normalize(samples))
     deltas = ckpt.stats.denormalize_output(outputs)
     return integrate_deltas(initial_pose.as_vector(), samples.times, deltas)
 
@@ -582,19 +581,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             f.write(f"W {name} {dims} {vals}\n")
 
 
-# The fields each checkpoint record kind needs after its kind word.
-_RECORD_FIELDS = {
-    "HP": ("key=value",),
-    "META": ("key=value",),
-    "W": ("name", "shape", "values"),
-}
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file. A malformed record raises ValueError
-    naming its line and kind; every W record is checked against one shape
-    table, the network's arrays and the NormStats arrays alike."""
-    hp = meta_kv = None
+    naming its line and kind: parse_config reads HP and META, which reject
+    a missing, repeated or unknown key, and _MetaRecord an out-of-range
+    value. Every W record is checked against one shape table, the
+    network's arrays and the NormStats arrays alike."""
+    hp = meta = None
     arrays = {}
     with open(path) as f:
         first = f.readline().strip()
@@ -606,24 +599,13 @@ def load_checkpoint(path) -> Checkpoint:
                 continue
             kind, *words = line.split()
             try:
-                if kind not in _RECORD_FIELDS:
-                    raise ValueError(f"unknown checkpoint record {kind!r}")
-                need = _RECORD_FIELDS[kind]
-                if len(words) < len(need):
-                    raise ValueError(f"expected fields: {' '.join(need)}")
                 if kind == "HP":
                     (hp,) = parse_config(" ".join(words), Hyperparams)
                 elif kind == "META":
-                    meta_kv = {}
-                    for tok in words:
-                        key, eq, val = tok.partition("=")
-                        if not eq:
-                            raise ValueError(f"{tok!r} is not key=value")
-                        meta_kv[key] = val
-                    for key, parse in (("rate_ratio", int), ("beta_loss", float)):
-                        if key in meta_kv:
-                            meta_kv[key] = parse(meta_kv[key])
-                else:
+                    (meta,) = parse_config(" ".join(words), _MetaRecord)
+                elif kind == "W":
+                    if len(words) < 3:
+                        raise ValueError("expected fields: name shape values")
                     name, dims = words[:2]
                     if name in arrays:
                         raise ValueError(f"repeated W record {name!r}")
@@ -633,14 +615,13 @@ def load_checkpoint(path) -> Checkpoint:
                         raise ValueError(f"W record {name!r} holds {values.size} "
                                          f"values for shape {dims}")
                     arrays[name] = values.reshape(shape)
+                else:
+                    raise ValueError(f"unknown checkpoint record {kind!r}")
             except ValueError as err:
                 msg = f"checkpoint line {lineno}, {kind} record: {err}"
                 raise ValueError(msg) from None
-    if hp is None or meta_kv is None:
+    if hp is None or meta is None:
         raise ValueError("corrupt checkpoint: missing HP/META records")
-    for key in ("rate_ratio", "beta_loss"):
-        if key not in meta_kv:
-            raise ValueError(f"corrupt checkpoint: missing META key {key!r}")
     shapes = {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}
     for name, arr in arrays.items():
         if name not in shapes:
@@ -653,4 +634,4 @@ def load_checkpoint(path) -> Checkpoint:
         if name not in arrays:
             raise ValueError(f"corrupt checkpoint: missing W record {name!r}")
     stats = NormStats(*(arrays.pop(name) for name in _STATS_SHAPES))
-    return Checkpoint(arrays, meta_kv["rate_ratio"], hp, stats, meta_kv["beta_loss"])
+    return Checkpoint(arrays, meta.rate_ratio, hp, stats, meta.beta_loss)

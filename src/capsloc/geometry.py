@@ -172,7 +172,9 @@ def relative_pose(a, b) -> np.ndarray:
 
 
 def apply_relative(a, d) -> np.ndarray:
-    """Compose poses a with deltas d (inverse of relative_pose)."""
+    """Compose poses a with deltas d (inverse of relative_pose). A test
+    oracle: tests build and check trajectories with it, and no pipeline
+    path calls it."""
     return _pose(*_compose(a, *_transform(d)))
 
 

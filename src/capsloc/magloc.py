@@ -222,7 +222,8 @@ def predict_normal_components(
 ) -> np.ndarray:
     """z-component of the dipole field at all 64 sensors for a dipole at
     position with unit heading. Vectorized closed form, no Pose
-    construction."""
+    construction. A test oracle for the fit's kernel, _lm_rows; no pipeline
+    path calls it."""
     m = dipole.moment_magnitude * np.asarray(heading, dtype=float)
     r = _SENSORS - position
     d2 = np.sum(r * r, axis=1)
@@ -297,7 +298,8 @@ def estimate_pose_5dof(
     """Levenberg-Marquardt fit of position + heading to one reading.
 
     Raises DivergenceError, carrying the best attempt, when no attempt
-    converges."""
+    converges. A test oracle (criterion 4 and the solver tests); no
+    pipeline path calls it."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
     est = _fit_5dof(target, reading.timestamp, dipole, init)[0]
     if not est.converged:
@@ -347,7 +349,8 @@ def grid_search_init(
     workspace_center,
     workspace_half_extent: float,
 ) -> MagMeasurement5DoF:
-    """Coarse init: 5x5x3 position grid x 26 heading directions, lowest residual."""
+    """Coarse init: 5x5x3 position grid x 26 heading directions, lowest residual.
+    A test oracle; no pipeline path calls it."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
     return _grid_search(
         target, reading.timestamp, dipole, workspace_center, workspace_half_extent
@@ -405,7 +408,8 @@ def position_covariance(
     J^T J is read from the same _lm_rows kernel as the fit's. On a stream,
     localize_stream reads it from the fit's own last kernel call instead,
     at Levenberg-Marquardt's final heading before the estimate renormalizes
-    it, so the two differ in rounding only."""
+    it, so the two differ in rounding only. This function is a test oracle
+    that no pipeline path calls."""
     h = est.heading
     _, W = _lm_rows(est.position, h, _tangent_basis(h), target_flat, dipole.moment_magnitude)
     return _fit_covariance(W, est.residual, target_flat.size)

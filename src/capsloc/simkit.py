@@ -325,7 +325,9 @@ def sample_hall_array(
     noise_sd: float,
     rng,
 ) -> HallArrayReading:
-    """One 8x8 reading: normal (z) component of dipole + actuator field + noise."""
+    """One 8x8 reading: normal (z) component of dipole + actuator field + noise.
+    A test oracle (criterion 4 and the solver tests); no pipeline path
+    calls it."""
     pos = sensor_positions().reshape(-1, 3)
     bz = dipole_field(capsule_pose, dipole, pos)[:, 2]
     bz = bz + actuator.field(pos)[:, 2]

@@ -117,7 +117,6 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         worst["loss"] = max(worst["loss"], _rel_err({"pred": grad}, fd))
 
         # Full fusion network (tiny instance: hidden 4, window 3).
-        hp = Hyperparams(hidden_size=4, dropout_rate=0.0)
         net = fn.init_network(4, rng)
         steps = [
             (rng.normal(0, 1, (2, 5)), rng.normal(0, 1, 6), rng.normal(0, 1, 6))
@@ -126,10 +125,12 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         window = fn.FusedSet(
             np.arange(1, 4) / 25.0, *(np.array(a) for a in zip(*steps))
         )
-        _, _, _, grads = fn._window_pass(net, window, 2.5, hp, None)
+        outputs, caches = fn.forward(net, window, training=True)
+        dys = nc.pose_loss(outputs, window.target, 2.5)[1]
+        grads = dict(fn.gradient_stream(net, caches, dys))
 
         def net_loss(params):
-            return fn._window_pass(params, window, 2.5, hp, None, training=False)[0]
+            return nc.pose_loss(fn.forward(params, window)[0], window.target, 2.5)[0]
 
         # A slightly larger step keeps float64 cancellation error in the
         # central differences below the 1e-5 relative budget.

@@ -164,7 +164,7 @@ def test_forward_zero_weights_outputs_head_bias():
     bias = np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.6])
     net["head.b"] = bias
     samples = toy_samples(7, np.random.default_rng(1))
-    outputs, _, _ = fn.forward(net, samples)
+    outputs, _ = fn.forward(net, samples)
     assert outputs.shape == (7, 6)
     for y in outputs:
         assert np.allclose(y, bias, atol=1e-15)
@@ -173,39 +173,36 @@ def test_forward_zero_weights_outputs_head_bias():
 def test_forward_output_length_matches_input():
     net = fn.init_network(4, np.random.default_rng(2))
     for n in (1, 3, 11):
-        outputs, caches, _ = fn.forward(net, toy_samples(n, np.random.default_rng(3)),
-                                        training=True)
+        outputs, caches = fn.forward(net, toy_samples(n, np.random.default_rng(3)),
+                                     training=True)
         assert outputs.shape == (n, 6)
-        grads = fn.backward(net, caches, np.zeros((n, 6)))
-        assert list(grads) == list(net)
+        grads = dict(fn.gradient_stream(net, caches, np.zeros((n, 6))))
+        assert sorted(grads) == sorted(net)
         for k, p in net.items():
             assert grads[k].shape == p.shape, k
 
 
 def test_inference_forward_keeps_no_caches():
     # Inference skips dropout, whatever the rate, and draws nothing; its
-    # outputs and states are training's at rate zero, bit for bit.
+    # outputs are training's at rate zero, bit for bit.
     net = fn.init_network(5, np.random.default_rng(6))
     for samples in (toy_samples(11, np.random.default_rng(7)),
                     toy_samples(24, np.random.default_rng(8)).windows(8)):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
-        outputs, caches, final = fn.forward(net, samples, rng=rng, dropout_rate=0.5)
+        outputs, caches = fn.forward(net, samples, rng=rng, dropout_rate=0.5)
         assert caches is None
         assert rng.bit_generator.state == state
-        train_out, train_caches, train_final = fn.forward(net, samples, training=True)
+        train_out, train_caches = fn.forward(net, samples, training=True)
         assert train_caches is not None
         assert np.array_equal(outputs, train_out)
-        for name in ("mag", "vis", "core"):
-            assert np.array_equal(final[name].h, train_final[name].h), name
-            assert np.array_equal(final[name].c, train_final[name].c), name
 
 
 def test_forward_matches_step_by_step_oracle():
     rng = np.random.default_rng(4)
     net = fn.init_network(3, rng)
     samples = toy_samples(5, rng)
-    outputs, _, _ = fn.forward(net, samples)
+    outputs, _ = fn.forward(net, samples)
 
     mag_s = nc.LstmState.zeros(3)
     vis_s = nc.LstmState.zeros(3)
@@ -220,17 +217,6 @@ def test_forward_matches_step_by_step_oracle():
         assert np.allclose(outputs[k], y, atol=1e-12)
 
 
-def test_forward_statefulness_chunking():
-    rng = np.random.default_rng(5)
-    net = fn.init_network(6, rng)
-    samples = toy_samples(10, rng)
-    whole, _, _ = fn.forward(net, samples)
-    first, _, states = fn.forward(net, samples[:4])
-    second, _, _ = fn.forward(net, samples[4:], initial_states=states)
-    chunked = np.vstack([first, second])
-    assert np.array_equal(whole, chunked)
-
-
 def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     # H = 7: the magnetic (5) and visual (6) inputs are narrower than H and
     # the core's (14) wider. Three magnetic inputs per step, dropout on.
@@ -238,7 +224,7 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     rng = np.random.default_rng(40)
     net = fn.init_network(H, rng)
     samples = toy_samples(5, rng, rate_ratio=r)
-    outputs, caches, states = fn.forward(
+    outputs, caches = fn.forward(
         net, samples, training=True, rng=np.random.default_rng(41),
         dropout_rate=rate,
     )
@@ -254,20 +240,17 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
         core_s = cell(z, core_s, net["core.W"])
         assert np.allclose(outputs[k], net["head.W"] @ core_s.h + net["head.b"],
                            rtol=0, atol=1e-12)
-    for name, s in (("mag", mag_s), ("vis", vis_s), ("core", core_s)):
-        assert np.allclose(states[name].h, s.h, rtol=0, atol=1e-12)
-        assert np.allclose(states[name].c, s.c, rtol=0, atol=1e-12)
 
     targets = samples.target
 
     def loss_fn(params):
-        y, _, _ = fn.forward(params, samples, training=True,
-                             rng=np.random.default_rng(41), dropout_rate=rate)
+        y, _ = fn.forward(params, samples, training=True,
+                          rng=np.random.default_rng(41), dropout_rate=rate)
         return nc.pose_loss(y, targets, 2.5)[0]
 
-    grads = fn.backward(net, caches, nc.pose_loss(outputs, targets, 2.5)[1])
+    grads = dict(fn.gradient_stream(net, caches, nc.pose_loss(outputs, targets, 2.5)[1]))
     fd = nc.finite_difference_gradient(loss_fn, net, step=1e-5)
-    assert list(grads) == list(fd)
+    assert sorted(grads) == sorted(fd)
     inputs = {"mag.W": 5, "vis.W": 6, "core.W": 2 * H}
     fd, grads = gate_blocks(fd, inputs), gate_blocks(grads, inputs)
     for k in fd:
@@ -284,25 +267,22 @@ def test_batched_forward_matches_per_window_forward():
     rng = np.random.default_rng(42)
     net = fn.init_network(5, rng)
     windows = toy_samples(24, rng).windows(8)
-    outputs, _, states = fn.forward(net, windows)
-    assert outputs.shape == (3, 8, 6) and states["core"].h.shape == (3, 5)
+    outputs, _ = fn.forward(net, windows)
+    assert outputs.shape == (3, 8, 6)
     for b in range(3):
-        one, _, one_states = fn.forward(net, windows[b])
+        one, _ = fn.forward(net, windows[b])
         assert np.allclose(outputs[b], one, rtol=BATCH_RTOL, atol=0)
-        assert np.allclose(states["core"].c[b], one_states["core"].c,
-                           rtol=BATCH_RTOL, atol=0)
 
 
 def test_eval_loss_and_head_bias_refit_match_per_window_loops():
     rng = np.random.default_rng(43)
-    hp = nc.Hyperparams(hidden_size=5, dropout_rate=0.25)
     net = fn.init_network(5, rng)
     # One batch, and more windows than one batched pass takes.
     for n_windows in (5, fn._INFERENCE_CHUNK + 3):
         windows = toy_samples(8 * n_windows, rng).windows(8)
-        per_window = [fn._window_pass(net, windows[b], 2.5, hp, None, training=False)[0]
+        per_window = [nc.pose_loss(fn.forward(net, windows[b])[0], windows.target[b], 2.5)[0]
                       for b in range(n_windows)]
-        loss = fn._eval_loss(net, windows, 2.5, hp)
+        loss = fn._eval_loss(net, windows, 2.5)
         assert np.isclose(loss, sum(per_window) / (8 * n_windows), rtol=BATCH_RTOL, atol=0)
 
         refit = fn._refit_head_bias(net, windows)
@@ -351,7 +331,7 @@ def test_forward_shape_asymmetry_contract():
     assert net["mag.W"].shape == (16, 5 + 4)
     assert net["vis.W"].shape == (16, 6 + 4)
     assert net["head.W"].shape[0] == 6
-    outputs, _, _ = fn.forward(net, toy_samples(3, np.random.default_rng(7)))
+    outputs, _ = fn.forward(net, toy_samples(3, np.random.default_rng(7)))
     assert outputs.shape[1] == 6
 
 
@@ -360,14 +340,15 @@ def test_forward_shape_asymmetry_contract():
 
 def test_end_to_end_gradient_check(gate_blocks):
     rng = np.random.default_rng(8)
-    hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0)
     net = fn.init_network(4, rng)
     window = toy_samples(3, rng)
 
-    _, _, _, grads = fn._window_pass(net, window, 2.5, hp, None, training=True)
+    outputs, caches = fn.forward(net, window, training=True)
+    dy = nc.pose_loss(outputs, window.target, 2.5)[1]
+    grads = dict(fn.gradient_stream(net, caches, dy))
 
     def loss_fn(params):
-        return fn._window_pass(params, window, 2.5, hp, None, training=False)[0]
+        return nc.pose_loss(fn.forward(params, window)[0], window.target, 2.5)[0]
 
     fd = nc.finite_difference_gradient(loss_fn, net)
     inputs = {"mag.W": 5, "vis.W": 6, "core.W": 8}
@@ -377,25 +358,23 @@ def test_end_to_end_gradient_check(gate_blocks):
         assert np.max(np.abs(grads[k] - fd[k])) / denom < 1e-4, k
 
 
-def test_gradient_stream_order_and_backward_view():
-    # BPTT hands over the gradients in the order it makes them, and
-    # backward is the same pairs in params key order.
+def test_gradient_stream_order():
+    # BPTT hands over the gradients in the order it makes them, each shaped
+    # as its array.
     rng = np.random.default_rng(15)
     net = fn.init_network(4, rng)
     window = toy_samples(6, rng).windows(3)
-    outputs, caches, _ = fn.forward(net, window, training=True, rng=rng, dropout_rate=0.25)
+    outputs, caches = fn.forward(net, window, training=True, rng=rng, dropout_rate=0.25)
     dy = nc.pose_loss(outputs, window.target, 2.5)[1]
     pairs = list(fn.gradient_stream(net, caches, dy))
     assert [k for k, _ in pairs] == ["head.W", "head.b", "core.W", "vis.W", "mag.W"]
-    grads = fn.backward(net, caches, dy)
-    assert list(grads) == list(net)
     for k, g in pairs:
-        assert np.array_equal(grads[k], g), k
+        assert g.shape == net[k].shape, k
 
 
 def test_streamed_adam_step_equals_whole_gradient_step():
     # train's step (_train_step: each array stepped as BPTT makes its
-    # gradient, the norm squared in place afterwards) against _window_pass's
+    # gradient, the norm squared in place afterwards) against the whole
     # gradient dict fed to adam_step, from the same weights, Adam state and
     # dropout draws: weights, moments, t and every window's norm agree bit
     # for bit.
@@ -410,9 +389,12 @@ def test_streamed_adam_step_equals_whole_gradient_step():
     for k in range(len(windows)):
         window = windows[k : k + 1]
         loss_s, trans_s, rot_s, norm_s = fn._train_step(streamed, window, 2.5, hp, rng_s, adam_s)
-        loss_w, trans_w, rot_w, grads = fn._window_pass(whole, window, 2.5, hp, rng_w)
+        outputs, caches = fn.forward(whole, window, training=True, rng=rng_w,
+                                     dropout_rate=hp.dropout_rate)
+        loss_w, dy, trans_w, rot_w = nc.pose_loss(outputs, window.target, 2.5)
+        grads = dict(fn.gradient_stream(whole, caches, dy))
         nc.adam_step(whole, grads, adam_w, hp)
-        norm_w = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+        norm_w = np.sqrt(sum(np.sum(grads[key] * grads[key]) for key in net))
         assert loss_s == loss_w and norm_s == norm_w, k
         assert np.array_equal(trans_s, trans_w) and np.array_equal(rot_s, rot_w)
         assert adam_s.t == adam_w.t == k + 1
@@ -550,7 +532,7 @@ def test_train_deterministic():
 
 def test_train_holds_each_parameter_array_once():
     # Paper size: the weights, Adam's m and v and the best epoch are four
-    # parameter sets. Adam steps each array as backward makes its gradient,
+    # parameter sets. Adam steps each array as BPTT makes its gradient,
     # so one array's gradient (core.W's, 0.59 of a set) with a window's
     # caches and temporaries comes on top: 5.02 sets. A whole gradient set,
     # or a gradient or best copy that outlives its use, breaks the bound.
@@ -584,6 +566,17 @@ def test_train_rejects_split_without_training_datasets():
         fn.train(sets, cfg, hp)
 
 
+@pytest.mark.parametrize("odd", [1, 3])
+def test_train_rejects_datasets_whose_rate_ratios_differ(odd):
+    # Dataset 3 is the validation set at validation_fraction 0.25; dataset 1
+    # is a training set.
+    rng = np.random.default_rng(14)
+    sets = [toy_samples(32, rng, rate_ratio=3 if k == odd else 2) for k in range(4)]
+    cfg = fn.TrainingConfig(max_epochs=1, window_length=8)
+    with pytest.raises(ValueError, match=f"dataset {odd} has rate ratio 3, dataset 0 has 2"):
+        fn.train(sets, cfg, nc.Hyperparams(hidden_size=4))
+
+
 def test_train_refits_head_bias_to_zero_mean_residual():
     # The returned head bias is refit so that, in inference mode, the mean
     # per-step residual over the training windows is zero.
@@ -598,7 +591,7 @@ def test_train_refits_head_bias_to_zero_mean_residual():
         normed = ckpt.stats.normalize(ds)
         for k in range(0, len(normed) - cfg.window_length + 1, cfg.window_length):
             window = normed[k : k + cfg.window_length]
-            outputs, _, _ = fn.forward(ckpt.params, window)
+            outputs, _ = fn.forward(ckpt.params, window)
             residuals.extend(outputs - window.target)
     residuals = np.array(residuals)
     assert np.all(np.std(residuals, axis=0) > 0.1)
@@ -782,7 +775,27 @@ def test_checkpoint_missing_meta_key_is_named(tmp_path, key):
     meta_line = next(l for l in text.splitlines() if l.startswith("META "))
     cut = " ".join(tok for tok in meta_line.split() if not tok.startswith(key + "="))
     path.write_text(text.replace(meta_line, cut))
-    with pytest.raises(ValueError, match=f"missing META key '{key}'"):
+    with pytest.raises(ValueError, match=f"META record: missing config key '{key}'"):
+        fn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("rate_ratio=2 beta_loss=1.0 beta_loss=5.0", "repeated config key 'beta_loss'"),
+    ("rate_ratio=2 beta_loss=1.0 foo=1", "unknown config key 'foo'"),
+    ("rate_ratio=2 beta_loss=nan", "beta_loss must be finite and > 0, got nan"),
+    ("rate_ratio=2 beta_loss=-3.0", r"beta_loss must be finite and > 0, got -3\.0"),
+    ("rate_ratio=0 beta_loss=1.0", "rate_ratio must be >= 1, got 0"),
+], ids=["repeated-key", "unknown-key", "nan-beta", "negative-beta", "zero-rate-ratio"])
+def test_checkpoint_meta_record_it_cannot_use_is_refused(tmp_path, meta, message):
+    # Each value is checked where it is read: rate_ratio 0 would otherwise
+    # fail only inside predict_trajectory, as an AlignmentError.
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    lines = path.read_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("META "))
+    lines[k] = f"META {meta}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^checkpoint line {k + 1}, META record: {message}"):
         fn.load_checkpoint(path)
 
 

@@ -1,6 +1,8 @@
 """Static checks: every name a capsloc module imports is used in that module,
 every private name a module or its classes define is read somewhere in the
-package, and every name a module lists in __all__ is defined in it."""
+package, every name a module lists in __all__ is defined in it, and every
+such name is read by a pipeline (the package, scripts/ or perfbench/) or
+says in its docstring that it is a test oracle."""
 
 import ast
 import pathlib
@@ -8,7 +10,10 @@ from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "capsloc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "capsloc"
+# The code that runs the pipelines: what reads an export outside tests.
+PIPELINE = [SRC, ROOT / "scripts", ROOT / "perfbench"]
 
 
 def unused_imports(source: str) -> list:
@@ -137,3 +142,50 @@ def test_export_scan_flags_undefined_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_exports_only_defined_names(path):
     assert undefined_exports(path.read_text()) == []
+
+
+def unread_exports(sources: dict) -> list:
+    """(module, name) of each name in a module's __all__ that none of the
+    sources reads outside its own definition, unless the def or class
+    docstring says it is a test oracle. sources maps module -> text."""
+    exported, read = [], Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read += _reads(tree)
+        nodes = {n: node for node in tree.body for n in _bound_names(node)}
+        if "__all__" in nodes:
+            exported += [(module, n, nodes[n])
+                         for n in ast.literal_eval(nodes["__all__"].value)]
+    return sorted((module, n) for module, n, node in exported
+                  if read[n] == _reads(node)[n] and not _is_test_oracle(node))
+
+
+def _is_test_oracle(node) -> bool:
+    """Whether a def or class docstring says it is a test oracle."""
+    if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return False
+    return "test oracle" in " ".join((ast.get_docstring(node) or "").split())
+
+
+def test_export_scan_flags_names_no_pipeline_reads():
+    # An export read only by itself, or by nobody, is flagged; one read by
+    # another module or by a sibling, or one whose docstring calls it a test
+    # oracle, is not.
+    sources = {
+        "a": (
+            "__all__ = ['used', 'orphan', 'oracle', 'recurse', 'K', 'Z']\n"
+            "K = 1\nZ = 2\n"
+            "def used():\n    return K\n"
+            "def orphan():\n    pass\n"
+            "def oracle():\n    \"\"\"A test\n    oracle for used.\"\"\"\n"
+            "def recurse(n):\n    return recurse(n - 1) if n else 0\n"
+        ),
+        "b": "import a\nx = a.used()\n",
+    }
+    assert unread_exports(sources) == [("a", "Z"), ("a", "orphan"), ("a", "recurse")]
+
+
+def test_every_export_is_read_by_a_pipeline_or_is_a_test_oracle():
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for d in PIPELINE for p in sorted(d.glob("*.py"))}
+    assert unread_exports(sources) == []
