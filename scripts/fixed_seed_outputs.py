@@ -2,7 +2,8 @@
 """Write the CLI's outputs on fixed seeds and print one sha256 per file.
 
 Two trees that should give the same results can be compared with `cmp` on
-their OUT_DIRs, or on the printed hashes:
+their OUT_DIRs, or with `diff` on the printed hashes, which are all that
+goes to stdout (the CLI's own messages go to stderr):
 
     python3 scripts/fixed_seed_outputs.py OUT_DIR
 
@@ -21,6 +22,7 @@ It runs, with the config it writes to OUT_DIR/run.cfg:
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -50,7 +52,9 @@ train.warmup_epochs = 1
 
 
 def run(*argv):
-    if capsloc(list(argv)) != 0:
+    with contextlib.redirect_stdout(sys.stderr):
+        status = capsloc(list(argv))
+    if status != 0:
         sys.exit(f"capsloc {argv[0]} failed")
 
 

@@ -65,6 +65,21 @@ KNOWN_KEYS = {
 }
 
 
+def _bucket_lengths(text: str) -> tuple:
+    """The eval.bucket_lengths value as floats; ValueError unless they are
+    finite, positive and strictly increasing."""
+    try:
+        lengths = tuple(float(x) for x in text.split(","))
+        ok = (all(np.isfinite(L) and L > 0 for L in lengths)
+              and all(a < b for a, b in zip(lengths, lengths[1:])))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError("eval.bucket_lengths: expected increasing positive "
+                         f"comma-separated lengths, got {text!r}")
+    return lengths
+
+
 class RunConfig:
     def __init__(self, values=None):
         self.values = {k: v for k, (_, v) in KNOWN_KEYS.items()}
@@ -75,7 +90,8 @@ class RunConfig:
     def set(self, key, raw):
         """Set key from a config-file string, or from a value that its type
         does not change: an int may set a float key, 8.5 may not set an int.
-        No key is a bool, so a bool sets none, although True == 1."""
+        No key is a bool, so a bool sets none, although True == 1. The
+        eval.bucket_lengths text is checked here, not when evaluate reads it."""
         if key not in KNOWN_KEYS:
             raise KeyError(f"unknown config key: {key}")
         typ, _ = KNOWN_KEYS[key]
@@ -85,6 +101,8 @@ class RunConfig:
                 raise ValueError
         except (TypeError, ValueError):
             raise ValueError(f"{key}: expected {typ.__name__}, got {raw!r}") from None
+        if key == "eval.bucket_lengths":
+            _bucket_lengths(value)
         self.values[key] = value
 
     def __getitem__(self, key):
@@ -131,7 +149,7 @@ class RunConfig:
         return Hyperparams(**self._section_values("train", Hyperparams))
 
     def bucket_lengths(self):
-        return tuple(float(x) for x in self.values["eval.bucket_lengths"].split(","))
+        return _bucket_lengths(self.values["eval.bucket_lengths"])
 
 
 def _load_config(args) -> RunConfig:

@@ -230,14 +230,13 @@ def compute_norm_stats(samples: FusedSet) -> NormStats:
 
 def forward(
     params: dict,
-    samples: FusedSet,
+    windows: FusedSet,
     training: bool = False,
     rng=None,
     dropout_rate: float = 0.0,
 ):
-    """Run the fusion network over a normalized FusedSet, one sequence or B
-    windows, each LSTM from a zero state. Returns (outputs (N, 6) or
-    (B, T, 6), caches).
+    """Run the fusion network over B normalized windows of T steps, each
+    LSTM from a zero state. Returns (outputs (B, T, 6), caches).
 
     Training draws dropout at dropout_rate from rng and returns the caches
     gradient_stream needs. Inference (training=False) calls no dropout and
@@ -245,17 +244,13 @@ def forward(
     core runs, and its outputs are training's at dropout_rate 0, bit for
     bit."""
     hs = params["head.W"].shape[1]
-    r = samples.mag.shape[-2]
-    *batch, T = samples.vis.shape[:-1]  # batch is [] or [B]
-    zero = LstmState.zeros(*batch, hs)
-    # The LSTMs run time-major, on (steps, [B,] input) arrays.
+    B, T, r = windows.mag.shape[:3]
+    zero = LstmState.zeros(B, hs)
+    # The LSTMs run time-major, on (steps, B, input) arrays.
     _, mag_cache = lstm_sequence_forward(
-        np.moveaxis(samples.mag.reshape(*batch, T * r, MAG_INPUT), -2, 0),
-        zero, params["mag.W"],
+        windows.mag.reshape(B, T * r, MAG_INPUT).swapaxes(0, 1), zero, params["mag.W"]
     )
-    _, vis_cache = lstm_sequence_forward(
-        np.moveaxis(samples.vis, -2, 0), zero, params["vis.W"]
-    )
+    _, vis_cache = lstm_sequence_forward(windows.vis.swapaxes(0, 1), zero, params["vis.W"])
     # The core sees the magnetic state after every rate_ratio-th input.
     z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=-1)
     if training:
@@ -264,15 +259,15 @@ def forward(
         mag_cache = vis_cache = None
     _, core_cache = lstm_sequence_forward(z, zero, params["core.W"])
     y = linear_forward(core_cache.h[1:].reshape(-1, hs), params["head.W"], params["head.b"])
-    outputs = np.moveaxis(y.reshape(T, *batch, OUT_DIM), 0, -2)
+    outputs = y.reshape(T, B, OUT_DIM).swapaxes(0, 1)
     caches = (mag_cache, vis_cache, core_cache, mask) if training else None
     return outputs, caches
 
 
 def gradient_stream(params: dict, caches, dy):
     """BPTT through the full fusion network, from a training forward's
-    caches. dy, shaped as forward's outputs, holds the upstream gradient on
-    each step's output. Yields the parameter gradients (summed over
+    caches. dy, (B, T, 6) as forward's outputs, holds the upstream gradient
+    on each step's output. Yields the parameter gradients (summed over
     windows) as (key, gradient) pairs, in the order BPTT makes them:
     head.W, head.b, core.W, vis.W, mag.W.
 
@@ -284,7 +279,7 @@ def gradient_stream(params: dict, caches, dy):
     hs = params["head.W"].shape[1]
     r = len(mag_cache.x) // len(core_cache.x)
     h = core_cache.h[1:]
-    dy = np.moveaxis(np.asarray(dy, dtype=float), -2, 0).reshape(-1, OUT_DIM)
+    dy = np.asarray(dy, dtype=float).swapaxes(0, 1).reshape(-1, OUT_DIM)
     dW, db, dh = linear_backward(h.reshape(-1, hs), params["head.W"], dy)
     yield "head.W", dW
     yield "head.b", db
@@ -380,13 +375,10 @@ def _chunks(windows: FusedSet):
         yield windows[k : k + _INFERENCE_CHUNK]
 
 
-def _infer(params, samples: FusedSet) -> np.ndarray:
-    """Inference outputs from zero states: (N, 6) for one flat sequence, run
-    whole as predict_trajectory runs it, or (B, T, 6) for B windows, each
-    run from its own zero states."""
-    if samples.vis.ndim == 2:
-        return forward(params, samples)[0]
-    return np.concatenate([forward(params, chunk)[0] for chunk in _chunks(samples)])
+def _infer(params, windows: FusedSet) -> np.ndarray:
+    """Inference outputs (B, T, 6) of B windows, chunk by chunk, each window
+    from its own zero states."""
+    return np.concatenate([forward(params, chunk)[0] for chunk in _chunks(windows)])
 
 
 def _eval_loss(params, windows, beta):
@@ -399,8 +391,8 @@ def _eval_loss(params, windows, beta):
 
 def calibrate_beta(params: dict, val_windows: FusedSet, stats: NormStats):
     """beta = mean translational / mean rotational residual norm (raw units)
-    over the validation windows, run as _eval_loss runs them, or over one
-    flat sequence run whole; clamped to _BETA_CLAMP. Returns (beta, flagged)."""
+    over the validation windows, run as _eval_loss runs them; clamped to
+    _BETA_CLAMP. Returns (beta, flagged)."""
     trans, rot = pose_residual_norms(
         stats.denormalize_output(_infer(params, val_windows)),
         stats.denormalize_output(val_windows.target),
@@ -466,7 +458,7 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     if len(datasets) == 1:
         # Single trajectory: fall back to a window-level split.
         all_raw = datasets[0]
-        cut = max(T, int(len(all_raw) * 0.75))
+        cut = max(T, int(len(all_raw) * (1.0 - cfg.validation_fraction)))
         train_sets, val_sets = [all_raw[:cut]], [all_raw[cut:]]
         if len(val_sets[0]) < T:
             val_sets = [all_raw[-T:]]
@@ -561,10 +553,11 @@ def write_training_log(path, log) -> None:
 def predict_trajectory(
     ckpt: Checkpoint, mag, vis, initial_pose: Pose
 ) -> Trajectory:
-    """align_streams -> inference forward -> de-normalize -> integrate."""
+    """align_streams -> inference forward over the whole sequence as one
+    window -> de-normalize -> integrate."""
     samples = align_streams(mag, vis, gt=None, rate_ratio=ckpt.rate_ratio)
-    outputs, _ = forward(ckpt.params, ckpt.stats.normalize(samples))
-    deltas = ckpt.stats.denormalize_output(outputs)
+    outputs, _ = forward(ckpt.params, ckpt.stats.normalize(samples).windows(len(samples)))
+    deltas = ckpt.stats.denormalize_output(outputs[0])
     return integrate_deltas(initial_pose.as_vector(), samples.times, deltas)
 
 
@@ -583,12 +576,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file. A malformed record raises ValueError
-    naming its line and kind: parse_config reads HP and META, which reject
-    a missing, repeated or unknown key, and _MetaRecord an out-of-range
-    value. Every W record is checked against one shape table, the
-    network's arrays and the NormStats arrays alike."""
-    hp = meta = None
-    arrays = {}
+    naming its line and kind. A repeated HP or META record is refused;
+    parse_config reads each, refusing a missing, repeated or unknown key,
+    and _MetaRecord refuses an out-of-range value. Every W record is checked
+    against one shape table, the network's arrays and the NormStats arrays
+    alike."""
+    records, arrays = {}, {}
     with open(path) as f:
         first = f.readline().strip()
         if first != f"# {CHECKPOINT_VERSION}":
@@ -599,10 +592,11 @@ def load_checkpoint(path) -> Checkpoint:
                 continue
             kind, *words = line.split()
             try:
-                if kind == "HP":
-                    (hp,) = parse_config(" ".join(words), Hyperparams)
-                elif kind == "META":
-                    (meta,) = parse_config(" ".join(words), _MetaRecord)
+                if kind in ("HP", "META"):
+                    if kind in records:
+                        raise ValueError(f"repeated {kind} record")
+                    cls = Hyperparams if kind == "HP" else _MetaRecord
+                    (records[kind],) = parse_config(" ".join(words), cls)
                 elif kind == "W":
                     if len(words) < 3:
                         raise ValueError("expected fields: name shape values")
@@ -620,6 +614,7 @@ def load_checkpoint(path) -> Checkpoint:
             except ValueError as err:
                 msg = f"checkpoint line {lineno}, {kind} record: {err}"
                 raise ValueError(msg) from None
+    hp, meta = records.get("HP"), records.get("META")
     if hp is None or meta is None:
         raise ValueError("corrupt checkpoint: missing HP/META records")
     shapes = {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}

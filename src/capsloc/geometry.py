@@ -323,10 +323,13 @@ def parse_config(text: str, *classes) -> tuple:
     """One instance per config dataclass in classes, from format_config text.
 
     Each value is parsed as the type of its field's default. Raises
-    ValueError naming a missing, repeated or unknown key."""
+    ValueError naming a token without '=' or a missing, repeated or unknown
+    key."""
     kv = {}
     for tok in text.split():
-        key, _, val = tok.partition("=")
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
         if key in kv:
             raise ValueError(f"repeated config key {key!r}")
         kv[key] = val

@@ -478,18 +478,6 @@ class _PositionTrack:
         self.P = I_K @ self.P @ I_K.T + K @ R @ K.T
 
 
-def _carried(prev, est):
-    """est's frame at prev's pose, unconverged: a diverged or gated frame."""
-    return MagMeasurement5DoF(
-        est.timestamp,
-        prev.position,
-        prev.heading,
-        converged=False,
-        residual=est.residual,
-        iterations=est.iterations,
-    )
-
-
 def localize_stream(
     readings,
     actuator: ActuatorFieldModel,
@@ -553,7 +541,8 @@ def localize_stream(
                 gated = med > 0 and gate_val > _OUTLIER_GATE * med
             gate_window.push(gate_val)
             if diverged or gated:
-                est = _carried(prev, est)
+                est = replace(est, position=prev.position, heading=prev.heading,
+                              converged=False)
 
             track.predict(reading.timestamp)
             if est.converged:  # so est and W are the fit's

@@ -36,10 +36,10 @@ v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
 adam_step updates parameters and moments in place, in that formula's
 operation order, a block of rows at a time through two work arrays of
 _ADAM_BLOCK elements kept in the AdamState. It takes the gradients as a
-dict or as a stream of (key, gradient) pairs, one array at a time, so that
-training can step each array as soon as backward makes its gradient and
-never hold a whole gradient set. The update is elementwise, so the order
-of the arrays moves no bit.
+stream of (key, gradient) pairs, one array at a time, so that training can
+step each array as soon as backward makes its gradient and never hold a
+whole gradient set; a caller holding a dict passes its items(). The update
+is elementwise, so the order of the arrays moves no bit.
 """
 
 from __future__ import annotations
@@ -283,19 +283,12 @@ def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
     """One update of every parameter array, in place, as are the moments in
     state; returns (params, state).
 
-    grads is a dict keyed as params, whose shapes are all checked before any
-    array is updated, or a stream of (key, gradient) pairs, one per array in
-    any order. A streamed pair is checked and applied as it arrives, and
-    adam_step holds no reference to it once it asks for the next, so the
-    stream may then reuse or free it. A repeated or unknown key raises
-    ValueError when it arrives, and a missing key when the stream ends;
-    either way the arrays stepped before stay stepped."""
-    pairs = grads
-    if isinstance(grads, dict):
-        for k, p in params.items():
-            if grads[k].shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for {k}")
-        pairs = ((k, grads[k]) for k in params)
+    grads is a stream of (key, gradient) pairs, one per array in any order.
+    Each pair is checked and applied as it arrives, and adam_step holds no
+    reference to it once it asks for the next, so the stream may then reuse
+    or free it. A repeated or unknown key or a wrong shape raises ValueError
+    when it arrives, and a missing key when the stream ends; either way the
+    arrays stepped before stay stepped."""
     state.t += 1
     # Epsilon belongs inside the square root of the bias-corrected second
     # moment. The popular "efficient" rewrite (folding the corrections
@@ -305,7 +298,7 @@ def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
     m_scale = 1.0 - _BETA1**state.t
     v_scale = 1.0 - _BETA2**state.t
     stepped = set()
-    for k, g in pairs:
+    for k, g in grads:
         if k in stepped or k not in params:
             raise ValueError(f"{'repeated' if k in stepped else 'unknown'} gradient key {k!r}")
         p = params[k]

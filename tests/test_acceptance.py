@@ -125,6 +125,7 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         window = fn.FusedSet(
             np.arange(1, 4) / 25.0, *(np.array(a) for a in zip(*steps))
         )
+        window = window.windows(len(window))
         outputs, caches = fn.forward(net, window, training=True)
         dys = nc.pose_loss(outputs, window.target, 2.5)[1]
         grads = dict(fn.gradient_stream(net, caches, dys))
@@ -166,7 +167,7 @@ def test_criterion_2_adam_fidelity(verdict):
 
     # Hand-computed scalar example: w=1, g=2, defaults -> 0.999000.
     params = {"w": np.array([1.0])}
-    out, _ = nc.adam_step(params, {"w": np.array([2.0])}, nc.adam_init(params), hp)
+    out, _ = nc.adam_step(params, {"w": np.array([2.0])}.items(), nc.adam_init(params), hp)
     hand_w = out["w"][0]
     hand_ok = abs(hand_w - 0.999000) < 5e-7
 
@@ -175,7 +176,7 @@ def test_criterion_2_adam_fidelity(verdict):
     for g in np.logspace(-3, 3, 25):
         params = {"w": np.array([0.0])}
         out, _ = nc.adam_step(
-            params, {"w": np.array([g])}, nc.adam_init(params), hp
+            params, {"w": np.array([g])}.items(), nc.adam_init(params), hp
         )
         step = abs(out["w"][0])
         worst_dev = max(worst_dev, abs(step - hp.learning_rate) / hp.learning_rate)
@@ -661,7 +662,7 @@ def test_criterion_10_training_smoke(verdict):
         np.arange(1, 11) / 25.0, np.zeros((10, 2, 5)), np.zeros((10, 6)),
         np.tile([0.01, 0, 0, 1e-4, 0, 0], (10, 1)),
     )
-    beta, flagged = fn.calibrate_beta(zero, val, stats)
+    beta, flagged = fn.calibrate_beta(zero, val.windows(len(val)), stats)
     beta_ok = abs(beta - 100.0) < 1e-9 and not flagged
 
     ok = drop_ok and stop_ok and beta_ok

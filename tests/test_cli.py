@@ -116,6 +116,22 @@ def test_config_malformed_line(tmp_path):
         RunConfig.load(path)
 
 
+def test_config_bad_bucket_lengths_are_named_at_load(tmp_path):
+    # Checked when the file loads, not once evaluate has read the checkpoint
+    # and localized every dataset; a good value keeps its header bytes.
+    path = tmp_path / "run.cfg"
+    for value in ("0.1,abc", "0.2,0.1", "0.1,0.1", "0,0.1", "0.1,nan", "0.1,inf", ""):
+        path.write_text(f"seed = 1\neval.bucket_lengths = {value}\n")
+        message = (f"{path}:2: eval.bucket_lengths: expected increasing positive "
+                   f"comma-separated lengths, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.load(path)
+    path.write_text("eval.bucket_lengths = 0.05,0.1,0.2\n")
+    cfg = RunConfig.load(path)
+    assert cfg.bucket_lengths() == (0.05, 0.1, 0.2)
+    assert "config eval.bucket_lengths=0.05,0.1,0.2" in cfg.header_lines()
+
+
 def test_profile_overrides():
     class A:
         config = None
@@ -347,7 +363,8 @@ def test_script_help_runs_from_any_directory(script, tmp_path):
 def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
     # Byte-identity checks rest on this script: two runs, from a directory
     # outside the repository and without PYTHONPATH, hash the same files
-    # to the same digests.
+    # to the same digests, and stdout holds nothing but those hash lines,
+    # so that two runs into different directories diff equal.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     listings = []
     for run in ("a", "b"):
@@ -356,7 +373,8 @@ def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        hashed = re.findall(r"^[0-9a-f]{64}  \S.*$", result.stdout, re.MULTILINE)
+        hashed = result.stdout.splitlines()
         assert len(hashed) == 17
+        assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in hashed), hashed
         listings.append(hashed)
     assert listings[0] == listings[1]

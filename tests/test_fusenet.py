@@ -50,6 +50,12 @@ def toy_samples(n, rng, rate_ratio=2):
     )
 
 
+def one_window(samples):
+    """samples as one window, the form in which forward runs a whole
+    sequence."""
+    return samples.windows(len(samples))
+
+
 def cell(x, prev, w):
     """One LSTM step: the one-step sequence's final state."""
     return nc.lstm_sequence_forward([x], prev, w)[0]
@@ -163,20 +169,20 @@ def test_forward_zero_weights_outputs_head_bias():
     net = zero_network()
     bias = np.array([0.1, -0.2, 0.3, 0.0, 0.5, -0.6])
     net["head.b"] = bias
-    samples = toy_samples(7, np.random.default_rng(1))
+    samples = one_window(toy_samples(7, np.random.default_rng(1)))
     outputs, _ = fn.forward(net, samples)
-    assert outputs.shape == (7, 6)
-    for y in outputs:
+    assert outputs.shape == (1, 7, 6)
+    for y in outputs[0]:
         assert np.allclose(y, bias, atol=1e-15)
 
 
 def test_forward_output_length_matches_input():
     net = fn.init_network(4, np.random.default_rng(2))
     for n in (1, 3, 11):
-        outputs, caches = fn.forward(net, toy_samples(n, np.random.default_rng(3)),
+        outputs, caches = fn.forward(net, one_window(toy_samples(n, np.random.default_rng(3))),
                                      training=True)
-        assert outputs.shape == (n, 6)
-        grads = dict(fn.gradient_stream(net, caches, np.zeros((n, 6))))
+        assert outputs.shape == (1, n, 6)
+        grads = dict(fn.gradient_stream(net, caches, np.zeros((1, n, 6))))
         assert sorted(grads) == sorted(net)
         for k, p in net.items():
             assert grads[k].shape == p.shape, k
@@ -186,7 +192,7 @@ def test_inference_forward_keeps_no_caches():
     # Inference skips dropout, whatever the rate, and draws nothing; its
     # outputs are training's at rate zero, bit for bit.
     net = fn.init_network(5, np.random.default_rng(6))
-    for samples in (toy_samples(11, np.random.default_rng(7)),
+    for samples in (one_window(toy_samples(11, np.random.default_rng(7))),
                     toy_samples(24, np.random.default_rng(8)).windows(8)):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
@@ -202,7 +208,7 @@ def test_forward_matches_step_by_step_oracle():
     rng = np.random.default_rng(4)
     net = fn.init_network(3, rng)
     samples = toy_samples(5, rng)
-    outputs, _ = fn.forward(net, samples)
+    outputs, _ = fn.forward(net, one_window(samples))
 
     mag_s = nc.LstmState.zeros(3)
     vis_s = nc.LstmState.zeros(3)
@@ -214,7 +220,7 @@ def test_forward_matches_step_by_step_oracle():
         z = np.concatenate([mag_s.h, vis_s.h])
         core_s = cell(z, core_s, net["core.W"])
         y = net["head.W"] @ core_s.h + net["head.b"]
-        assert np.allclose(outputs[k], y, atol=1e-12)
+        assert np.allclose(outputs[0, k], y, atol=1e-12)
 
 
 def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
@@ -224,8 +230,9 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     rng = np.random.default_rng(40)
     net = fn.init_network(H, rng)
     samples = toy_samples(5, rng, rate_ratio=r)
+    window = one_window(samples)
     outputs, caches = fn.forward(
-        net, samples, training=True, rng=np.random.default_rng(41),
+        net, window, training=True, rng=np.random.default_rng(41),
         dropout_rate=rate,
     )
 
@@ -238,13 +245,13 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
         keep = (mask_rng.random(2 * H) >= rate) / (1.0 - rate)
         z = np.concatenate([mag_s.h, vis_s.h]) * keep
         core_s = cell(z, core_s, net["core.W"])
-        assert np.allclose(outputs[k], net["head.W"] @ core_s.h + net["head.b"],
+        assert np.allclose(outputs[0, k], net["head.W"] @ core_s.h + net["head.b"],
                            rtol=0, atol=1e-12)
 
-    targets = samples.target
+    targets = window.target
 
     def loss_fn(params):
-        y, _ = fn.forward(params, samples, training=True,
+        y, _ = fn.forward(params, window, training=True,
                           rng=np.random.default_rng(41), dropout_rate=rate)
         return nc.pose_loss(y, targets, 2.5)[0]
 
@@ -270,8 +277,8 @@ def test_batched_forward_matches_per_window_forward():
     outputs, _ = fn.forward(net, windows)
     assert outputs.shape == (3, 8, 6)
     for b in range(3):
-        one, _ = fn.forward(net, windows[b])
-        assert np.allclose(outputs[b], one, rtol=BATCH_RTOL, atol=0)
+        one, _ = fn.forward(net, windows[b : b + 1])
+        assert np.allclose(outputs[b], one[0], rtol=BATCH_RTOL, atol=0)
 
 
 def test_eval_loss_and_head_bias_refit_match_per_window_loops():
@@ -280,13 +287,14 @@ def test_eval_loss_and_head_bias_refit_match_per_window_loops():
     # One batch, and more windows than one batched pass takes.
     for n_windows in (5, fn._INFERENCE_CHUNK + 3):
         windows = toy_samples(8 * n_windows, rng).windows(8)
-        per_window = [nc.pose_loss(fn.forward(net, windows[b])[0], windows.target[b], 2.5)[0]
+        per_window = [nc.pose_loss(fn.forward(net, windows[b : b + 1])[0], windows.target[b],
+                                   2.5)[0]
                       for b in range(n_windows)]
         loss = fn._eval_loss(net, windows, 2.5)
         assert np.isclose(loss, sum(per_window) / (8 * n_windows), rtol=BATCH_RTOL, atol=0)
 
         refit = fn._refit_head_bias(net, windows)
-        residuals = [fn.forward(net, windows[b])[0] - windows.target[b]
+        residuals = [fn.forward(net, windows[b : b + 1])[0][0] - windows.target[b]
                      for b in range(n_windows)]
         expected = net["head.b"] - np.mean(np.concatenate(residuals), axis=0)
         assert np.allclose(refit["head.b"], expected, rtol=BATCH_RTOL, atol=1e-15)
@@ -303,23 +311,8 @@ def test_calibrate_beta_matches_per_window_loop():
     stats = identity_stats()
     stats.target_sd = np.repeat([10.0, 1.0], 3)
     beta, flagged = fn.calibrate_beta(net, windows, stats)
-    residuals = np.concatenate([fn.forward(net, windows[b])[0] - windows.target[b]
+    residuals = np.concatenate([fn.forward(net, windows[b : b + 1])[0][0] - windows.target[b]
                                 for b in range(len(windows))])
-    trans, rot = nc.pose_residual_norms(residuals * stats.target_sd, np.zeros(6))
-    assert 1.0 < beta < 1000.0 and not flagged
-    assert np.isclose(beta, trans.mean() / rot.mean(), rtol=BATCH_RTOL, atol=0)
-
-
-def test_calibrate_beta_runs_a_flat_set_as_one_sequence():
-    # A flat (N, ·) set is one sequence from zero states, as
-    # predict_trajectory runs it, not consecutive pieces of the batch chunk.
-    rng = np.random.default_rng(44)
-    net = fn.init_network(5, rng)
-    samples = toy_samples(8 * (fn._INFERENCE_CHUNK + 3), rng)
-    stats = identity_stats()
-    stats.target_sd = np.repeat([10.0, 1.0], 3)
-    beta, flagged = fn.calibrate_beta(net, samples, stats)
-    residuals = fn.forward(net, samples)[0] - samples.target
     trans, rot = nc.pose_residual_norms(residuals * stats.target_sd, np.zeros(6))
     assert 1.0 < beta < 1000.0 and not flagged
     assert np.isclose(beta, trans.mean() / rot.mean(), rtol=BATCH_RTOL, atol=0)
@@ -331,8 +324,8 @@ def test_forward_shape_asymmetry_contract():
     assert net["mag.W"].shape == (16, 5 + 4)
     assert net["vis.W"].shape == (16, 6 + 4)
     assert net["head.W"].shape[0] == 6
-    outputs, _ = fn.forward(net, toy_samples(3, np.random.default_rng(7)))
-    assert outputs.shape[1] == 6
+    outputs, _ = fn.forward(net, one_window(toy_samples(3, np.random.default_rng(7))))
+    assert outputs.shape[-1] == 6
 
 
 # --- gradients -------------------------------------------------------------
@@ -341,7 +334,7 @@ def test_forward_shape_asymmetry_contract():
 def test_end_to_end_gradient_check(gate_blocks):
     rng = np.random.default_rng(8)
     net = fn.init_network(4, rng)
-    window = toy_samples(3, rng)
+    window = one_window(toy_samples(3, rng))
 
     outputs, caches = fn.forward(net, window, training=True)
     dy = nc.pose_loss(outputs, window.target, 2.5)[1]
@@ -375,8 +368,8 @@ def test_gradient_stream_order():
 def test_streamed_adam_step_equals_whole_gradient_step():
     # train's step (_train_step: each array stepped as BPTT makes its
     # gradient, the norm squared in place afterwards) against the whole
-    # gradient dict fed to adam_step, from the same weights, Adam state and
-    # dropout draws: weights, moments, t and every window's norm agree bit
+    # gradient dict's items fed to adam_step, from the same weights, Adam
+    # state and dropout draws: weights, moments, t and every window's norm agree bit
     # for bit.
     rng = np.random.default_rng(16)
     hp = nc.Hyperparams(hidden_size=8, dropout_rate=0.25)
@@ -393,7 +386,7 @@ def test_streamed_adam_step_equals_whole_gradient_step():
                                      dropout_rate=hp.dropout_rate)
         loss_w, dy, trans_w, rot_w = nc.pose_loss(outputs, window.target, 2.5)
         grads = dict(fn.gradient_stream(whole, caches, dy))
-        nc.adam_step(whole, grads, adam_w, hp)
+        nc.adam_step(whole, grads.items(), adam_w, hp)
         norm_w = np.sqrt(sum(np.sum(grads[key] * grads[key]) for key in net))
         assert loss_s == loss_w and norm_s == norm_w, k
         assert np.array_equal(trans_s, trans_w) and np.array_equal(rot_s, rot_w)
@@ -456,7 +449,7 @@ def beta_case(trans_norm, rot_norm):
     t[0] = trans_norm
     t[5] = rot_norm
     samples = fused_set((np.zeros((2, 5)), np.zeros(6), t.copy()) for _ in range(4))
-    return fn.calibrate_beta(net, samples, stats)
+    return fn.calibrate_beta(net, one_window(samples), stats)
 
 
 def test_calibrate_beta_equal_scale():
@@ -591,8 +584,8 @@ def test_train_refits_head_bias_to_zero_mean_residual():
         normed = ckpt.stats.normalize(ds)
         for k in range(0, len(normed) - cfg.window_length + 1, cfg.window_length):
             window = normed[k : k + cfg.window_length]
-            outputs, _ = fn.forward(ckpt.params, window)
-            residuals.extend(outputs - window.target)
+            outputs, _ = fn.forward(ckpt.params, one_window(window))
+            residuals.extend(outputs[0] - window.target)
     residuals = np.array(residuals)
     assert np.all(np.std(residuals, axis=0) > 0.1)
     assert np.max(np.abs(residuals.mean(axis=0))) < 1e-12
@@ -636,6 +629,18 @@ def test_train_single_dataset_short_tail_validates_on_last_window():
     _, log = fn.train([constant_delta_dataset(n=40)], cfg, hp)
     assert [r["epoch"] for r in log] == [1, 2]
     assert all(np.isfinite(r["val_loss"]) for r in log)
+
+
+@pytest.mark.parametrize("fraction, cut", [(0.25, 48), (0.5, 32)])
+def test_train_single_dataset_split_honours_validation_fraction(fraction, cut):
+    # One dataset is cut at 1 - validation_fraction of its steps, and the
+    # norm statistics come from the steps before the cut.
+    data = toy_samples(64, np.random.default_rng(18))
+    cfg = fn.TrainingConfig(max_epochs=1, window_length=8, validation_fraction=fraction)
+    ckpt, _ = fn.train([data], cfg, nc.Hyperparams(hidden_size=4))
+    expected = fn.compute_norm_stats(data[:cut])
+    for name, value in vars(expected).items():
+        assert np.array_equal(getattr(ckpt.stats, name), value), name
 
 
 def test_training_log_format(tmp_path):
@@ -785,7 +790,9 @@ def test_checkpoint_missing_meta_key_is_named(tmp_path, key):
     ("rate_ratio=2 beta_loss=nan", "beta_loss must be finite and > 0, got nan"),
     ("rate_ratio=2 beta_loss=-3.0", r"beta_loss must be finite and > 0, got -3\.0"),
     ("rate_ratio=0 beta_loss=1.0", "rate_ratio must be >= 1, got 0"),
-], ids=["repeated-key", "unknown-key", "nan-beta", "negative-beta", "zero-rate-ratio"])
+    ("rate_ratio beta_loss=1.0", "expected key=value, got 'rate_ratio'$"),
+], ids=["repeated-key", "unknown-key", "nan-beta", "negative-beta", "zero-rate-ratio",
+        "token-without-equals"])
 def test_checkpoint_meta_record_it_cannot_use_is_refused(tmp_path, meta, message):
     # Each value is checked where it is read: rate_ratio 0 would otherwise
     # fail only inside predict_trajectory, as an AlignmentError.
@@ -796,6 +803,23 @@ def test_checkpoint_meta_record_it_cannot_use_is_refused(tmp_path, meta, message
     lines[k] = f"META {meta}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"^checkpoint line {k + 1}, META record: {message}"):
+        fn.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, record", [
+    ("HP", "HP learning_rate=0.5 dropout_rate=0.0 hidden_size=4"),
+    ("META", "META rate_ratio=3 beta_loss=7.0"),
+], ids=["HP", "META"])
+def test_checkpoint_repeated_hp_or_meta_record_is_refused(tmp_path, kind, record):
+    # A second record would otherwise silently replace the first.
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    lines = path.read_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith(kind + " "))
+    lines.insert(k + 1, record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"^checkpoint line {k + 2}, {kind} record: repeated {kind} record$"):
         fn.load_checkpoint(path)
 
 

@@ -362,6 +362,7 @@ def test_config_text_roundtrip():
         ("rate=0.1 count=3 name=a axis=1,0,0 spin=2", "unknown config key 'spin'"),
         ("rate=0.1 rate=0.2 count=3 name=a axis=1,0,0", "repeated config key 'rate'"),
         ("rate=x count=3 name=a axis=1,0,0", "could not convert"),
+        ("rate=0.1 count name=a axis=1,0,0", "^expected key=value, got 'count'$"),
     ],
 )
 def test_parse_config_rejects_malformed_text(text, message):

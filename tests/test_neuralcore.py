@@ -356,7 +356,7 @@ def test_adam_zero_gradient_fixed_point():
     params = {"w": np.array([1.0, -2.0, 3.0])}
     before = params["w"].copy()
     state = nc.adam_init(params)
-    out, state = nc.adam_step(params, {"w": np.zeros(3)}, state, hp)
+    out, state = nc.adam_step(params, {"w": np.zeros(3)}.items(), state, hp)
     assert np.array_equal(out["w"], before)
     assert state.t == 1
 
@@ -387,7 +387,7 @@ def test_adam_in_place_matches_formula():
     for t in range(1, 21):
         grads = {k: rng.normal(0, 10.0 ** rng.integers(-4, 3), p.shape)
                  for k, p in params.items()}
-        out, out_state = nc.adam_step(params, grads, state, hp)
+        out, out_state = nc.adam_step(params, grads.items(), state, hp)
         assert out is params and out_state is state and state.t == t
         for k in params:
             ref[k], ref_m[k], ref_v[k] = adam_formula(
@@ -414,7 +414,7 @@ def test_adam_reuses_scratch_without_per_step_temporaries():
     for t in range(1, 6):
         grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
         tracemalloc.start()
-        nc.adam_step(params, grads, state, hp)
+        nc.adam_step(params, grads.items(), state, hp)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         if t > 1:  # the first step allocates the scratch arrays
@@ -429,9 +429,9 @@ def test_adam_reuses_scratch_without_per_step_temporaries():
             assert np.array_equal(state.v[k], ref[k][2]), (k, t)
 
 
-def test_adam_stream_equals_dict_in_any_order():
-    # A stream of (key, gradient) pairs, in any order, steps each array as
-    # the dict form does, with one t per call.
+def test_adam_pair_order_moves_no_bit():
+    # (key, gradient) pairs in any order step each array alike, with one t
+    # per call.
     hp = nc.Hyperparams()
     rng = np.random.default_rng(29)
     params = {"a": rng.normal(0, 1, (300, 200)), "b": rng.normal(0, 1, 7)}
@@ -439,7 +439,7 @@ def test_adam_stream_equals_dict_in_any_order():
     state, ref_state = nc.adam_init(params), nc.adam_init(ref)
     for t in range(1, 4):
         grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
-        nc.adam_step(ref, grads, ref_state, hp)
+        nc.adam_step(ref, grads.items(), ref_state, hp)
         out, out_state = nc.adam_step(params, iter([("b", grads["b"]), ("a", grads["a"])]),
                                       state, hp)
         assert out is params and out_state is state and state.t == t
@@ -476,7 +476,7 @@ def test_adam_scalar_hand_case():
     hp = nc.Hyperparams()
     params = {"w": np.array([1.0])}
     state = nc.adam_init(params)
-    out, _ = nc.adam_step(params, {"w": np.array([2.0])}, state, hp)
+    out, _ = nc.adam_step(params, {"w": np.array([2.0])}.items(), state, hp)
     expected = 1.0 - 0.001 * (0.2 / (1 - 0.9)) / np.sqrt(
         0.004 / (1 - 0.999) + 1e-8
     )
@@ -489,7 +489,7 @@ def test_adam_first_step_magnitude_near_alpha():
     for g in (0.1, 1.0, 1e4):
         params = {"w": np.array([0.0])}
         state = nc.adam_init(params)
-        out, _ = nc.adam_step(params, {"w": np.array([g])}, state, hp)
+        out, _ = nc.adam_step(params, {"w": np.array([g])}.items(), state, hp)
         assert abs(abs(out["w"][0]) - hp.learning_rate) / hp.learning_rate < 1e-2
 
 
@@ -502,7 +502,7 @@ def test_adam_deterministic_trajectory():
         params = {"w": np.ones(4)}
         state = nc.adam_init(params)
         for g in grads_seq:
-            params, state = nc.adam_step(params, g, state, hp)
+            params, state = nc.adam_step(params, g.items(), state, hp)
         return params["w"]
 
     assert np.array_equal(run(), run())

@@ -373,6 +373,14 @@ def test_dataset_header_unknown_key_is_rejected(tmp_path):
         sk.read_dataset(path)
 
 
+def test_dataset_header_token_without_equals_is_named(tmp_path):
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=15)))
+    _edit_header(path, lambda h: h.replace("duration=", "duration "))
+    with pytest.raises(ValueError, match=r"ds\.txt:1: expected key=value, got 'duration'$"):
+        sk.read_dataset(path)
+
+
 def test_simulate_dataset_deterministic():
     cfg = sk.SimConfig(duration=1.0, seed=12)
     a = sk.simulate_dataset(cfg)
