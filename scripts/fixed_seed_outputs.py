@@ -17,7 +17,9 @@ It runs, with the config it writes to OUT_DIR/run.cfg:
   which writes paper.ckpt and its log. The BLAS kernels that H 200 runs
   differ from H 16's, so byte-identity at one size says nothing of the
   other;
-- `evaluate` of that checkpoint on the held-out seed-3 dataset;
+- `evaluate` of each checkpoint on the held-out seed-3 dataset, which
+  writes report.txt and, for paper.ckpt, paper_report.txt, so that H 200
+  inference has an output of its own;
 - `align-demo --seed 2 --out`.
 """
 
@@ -81,7 +83,10 @@ def main():
     run("evaluate", "--config", cfg, datasets[2], "--checkpoint", ckpt,
         "--out", os.path.join(out, "report.txt"))
     run("align-demo", "--config", cfg, "--seed", "2", "--out", os.path.join(out, "align.txt"))
-    run("train", "--config", paper_cfg, *datasets[:2], "--out", os.path.join(out, "paper.ckpt"))
+    paper_ckpt = os.path.join(out, "paper.ckpt")
+    run("train", "--config", paper_cfg, *datasets[:2], "--out", paper_ckpt)
+    run("evaluate", "--config", paper_cfg, datasets[2], "--checkpoint", paper_ckpt,
+        "--out", os.path.join(out, "paper_report.txt"))
 
     for root, _, files in sorted(os.walk(out)):
         for name in sorted(files):

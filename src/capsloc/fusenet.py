@@ -45,6 +45,7 @@ from .neuralcore import (
     linear_backward,
     linear_forward,
     lstm_backward,
+    lstm_hidden_states,
     lstm_sequence_forward,
     pose_loss,
     pose_residual_norms,
@@ -85,10 +86,11 @@ _STATS_SHAPES = {
 }
 
 _BETA_CLAMP = (1.0, 1000.0)  # calibrate_beta's range
-# Windows per batched inference pass. An inference forward holds the branch
-# LSTMs' caches until the core runs, and then the core's: 16 windows of 32
-# steps at H = 200 peak at 15.9 MiB traced, 1.0 MiB per window, two thirds
-# of it the magnetic LSTM's cache.
+# Windows per batched inference pass. An inference forward keeps each
+# LSTM's input projection while it runs and the hidden states read back:
+# 16 windows of 32 steps at H = 200 peak at 7.4 MiB traced, 0.46 MiB per
+# window, 6.25 MiB of it the magnetic LSTM's (T * rate_ratio, B, 4H)
+# projection.
 _INFERENCE_CHUNK = 16
 
 
@@ -239,29 +241,43 @@ def forward(
     LSTM from a zero state. Returns (outputs (B, T, 6), caches).
 
     Training draws dropout at dropout_rate from rng and returns the caches
-    gradient_stream needs. Inference (training=False) calls no dropout and
-    returns None for caches: it drops the branch LSTMs' caches before the
-    core runs, and its outputs are training's at dropout_rate 0, bit for
-    bit."""
+    gradient_stream needs. Inference (training=False) calls no dropout,
+    runs each LSTM through lstm_hidden_states, which keeps only the hidden
+    states read here (every rate_ratio-th magnetic one, every visual and
+    core one), and returns None for caches; its outputs are training's at
+    dropout_rate 0, bit for bit."""
     hs = params["head.W"].shape[1]
     B, T, r = windows.mag.shape[:3]
     zero = LstmState.zeros(B, hs)
-    # The LSTMs run time-major, on (steps, B, input) arrays.
-    _, mag_cache = lstm_sequence_forward(
-        windows.mag.reshape(B, T * r, MAG_INPUT).swapaxes(0, 1), zero, params["mag.W"]
-    )
-    _, vis_cache = lstm_sequence_forward(windows.vis.swapaxes(0, 1), zero, params["vis.W"])
+    caches = []
+
+    def hidden_states(x, key, stride=1):
+        """The h after every stride-th step of the LSTM params[key] over
+        time-major (steps, B, input) inputs."""
+        if not training:
+            return lstm_hidden_states(x, zero, params[key], stride)
+        _, cache = lstm_sequence_forward(x, zero, params[key])
+        caches.append(cache)
+        return cache.h[stride::stride]
+
     # The core sees the magnetic state after every rate_ratio-th input.
-    z = np.concatenate([mag_cache.h[r::r], vis_cache.h[1:]], axis=-1)
+    z = np.concatenate([
+        hidden_states(windows.mag.reshape(B, T * r, MAG_INPUT).swapaxes(0, 1), "mag.W", r),
+        hidden_states(windows.vis.swapaxes(0, 1), "vis.W"),
+    ], axis=-1)
     if training:
         z, mask = dropout(z, dropout_rate, rng)
-    else:
-        mag_cache = vis_cache = None
-    _, core_cache = lstm_sequence_forward(z, zero, params["core.W"])
-    y = linear_forward(core_cache.h[1:].reshape(-1, hs), params["head.W"], params["head.b"])
+    h = hidden_states(z, "core.W")
+    y = linear_forward(h.reshape(-1, hs), params["head.W"], params["head.b"])
     outputs = y.reshape(T, B, OUT_DIM).swapaxes(0, 1)
-    caches = (mag_cache, vis_cache, core_cache, mask) if training else None
-    return outputs, caches
+    return outputs, (*caches, mask) if training else None
+
+
+def _keyed(key, blocks):
+    """(key, block) pairs, holding no block once resumed."""
+    for block in blocks:
+        yield key, block
+        del block
 
 
 def gradient_stream(params: dict, caches, dy):
@@ -269,13 +285,17 @@ def gradient_stream(params: dict, caches, dy):
     caches. dy, (B, T, 6) as forward's outputs, holds the upstream gradient
     on each step's output. Yields the parameter gradients (summed over
     windows) as (key, gradient) pairs, in the order BPTT makes them:
-    head.W, head.b, core.W, vis.W, mag.W.
+    head.W and head.b whole, then core.W, vis.W and mag.W as lstm_backward's
+    consecutive row blocks.
 
     It reads an array's weights only before handing over that array's
-    gradient (dh comes from head.W and dz from core.W inside
-    linear_backward and lstm_backward), so the consumer may step each array
-    as its pair arrives, and it holds no gradient once it resumes."""
+    first block (dh comes from head.W and dz from core.W inside
+    linear_backward and lstm_backward), so the consumer may step each block
+    as its pair arrives, and it holds no gradient once it resumes. It drops
+    each LSTM's cache after that LSTM's backward, so the caller should hold
+    none."""
     mag_cache, vis_cache, core_cache, mask = caches
+    del caches
     hs = params["head.W"].shape[1]
     r = len(mag_cache.x) // len(core_cache.x)
     h = core_cache.h[1:]
@@ -284,16 +304,19 @@ def gradient_stream(params: dict, caches, dy):
     yield "head.W", dW
     yield "head.b", db
     del dW, db
-    dW, _, dz = lstm_backward(core_cache, params["core.W"], dh.reshape(h.shape))
-    yield "core.W", dW
-    del dW
+    blocks, _, dz = lstm_backward(core_cache, params["core.W"], dh.reshape(h.shape))
+    del core_cache, h, dh
+    yield from _keyed("core.W", blocks)
     dz *= mask
-    dW, _, _ = lstm_backward(vis_cache, params["vis.W"], dz[..., hs:])
-    yield "vis.W", dW
-    del dW
+    blocks, _, _ = lstm_backward(vis_cache, params["vis.W"], dz[..., hs:])
+    del vis_cache
+    yield from _keyed("vis.W", blocks)
     dh_mag = np.zeros(mag_cache.h[1:].shape)
     dh_mag[r - 1 :: r] = dz[..., :hs]
-    yield "mag.W", lstm_backward(mag_cache, params["mag.W"], dh_mag)[0]
+    del dz, mask
+    blocks, _, _ = lstm_backward(mag_cache, params["mag.W"], dh_mag)
+    del mag_cache, dh_mag
+    yield from _keyed("mag.W", blocks)
 
 
 @dataclass(frozen=True)
@@ -312,8 +335,8 @@ class TrainingConfig:
             raise ValueError("early_stop_patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if not (0.0 <= self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in [0, 1)")
+        if not (0.0 < self.validation_fraction < 1.0):
+            raise ValueError("validation_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -342,31 +365,34 @@ class _MetaRecord:
 
 def _train_step(params, window, beta, hp, rng, adam):
     """Training forward and pose loss over a batch of windows, then one Adam
-    step, which steps each array as gradient_stream makes its gradient:
-    (loss, per-step translational and rotational residual norms, the
-    gradient's L2 norm). A non-finite loss steps nothing and gives the norm
-    None. The caches live until the stream ends.
+    step, which steps each block as gradient_stream makes it: (loss,
+    per-step translational and rotational residual norms, the gradient's L2
+    norm). A non-finite loss steps nothing and gives the norm None.
 
-    Once adam_step asks for the next pair, it is done with the last
-    gradient, which is then squared in place for the norm and dropped, so
-    no whole gradient set ever exists. The norm sums the per-array sums in
-    params key order."""
+    Once the stream starts, only gradient_stream holds the caches. Once
+    adam_step asks for the next pair, it is done with the last block, which
+    is then squared in place for the norm and dropped, so no whole weight
+    gradient ever exists. The norm adds up each array's per-block sums,
+    then the arrays' sums in params key order."""
     outputs, caches = forward(
         params, window, training=True, rng=rng, dropout_rate=hp.dropout_rate
     )
     loss, dys, trans, rot = pose_loss(outputs, window.target, beta)
+    del outputs
     if not np.isfinite(loss):
         return loss, trans, rot, None
-    sums = {}
+    stream = gradient_stream(params, caches, dys)
+    del caches, dys
+    sums = dict.fromkeys(params, 0.0)
 
     def squared_after_use(pairs):
         for k, g in pairs:
             yield k, g
-            sums[k] = np.multiply(g, g, out=g).sum()
-            del g  # before the stream makes the next gradient
+            sums[k] += np.multiply(g, g, out=g).sum()
+            del g  # before the stream makes the next block
 
-    adam_step(params, squared_after_use(gradient_stream(params, caches, dys)), adam, hp)
-    return loss, trans, rot, np.sqrt(sum(sums[k] for k in params))
+    adam_step(params, squared_after_use(stream), adam, hp)
+    return loss, trans, rot, np.sqrt(sum(sums.values()))
 
 
 def _chunks(windows: FusedSet):
@@ -431,12 +457,14 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
     Training holds four parameter-sized sets (P, 6.18 MiB at H = 200): the
     weights, Adam's m and v and the best epoch, all allocated before epoch
-    1 and updated in place. Adam steps each array as soon as
-    gradient_stream makes its gradient (_train_step), so at most one
-    array's gradient exists at a time: core.W's, 0.59 P, is the largest.
-    On top come one window's caches during an Adam step, or an inference
-    chunk's (see _INFERENCE_CHUNK) during validation and the refit. At
-    H = 200 and window 32 the traced peak is 5.02 P.
+    1 and updated in place. Adam steps each block of rows as soon as
+    gradient_stream makes it (_train_step), so no whole weight gradient
+    exists: head.W's (0.003 P) is the largest array handed over whole, and
+    a weight block holds at most neuralcore's _ADAM_BLOCK elements
+    (0.01 P). On top come one window's caches and BPTT temporaries during
+    an Adam step, or an inference chunk (see _INFERENCE_CHUNK) during
+    validation and the refit. At H = 200 and window 32 the traced peak is
+    4.34 P.
 
     Every dataset must have the same rate ratio, which the checkpoint
     records."""
@@ -456,12 +484,15 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
 
     n_val = max(1, int(round(len(datasets) * cfg.validation_fraction)))
     if len(datasets) == 1:
-        # Single trajectory: fall back to a window-level split.
+        # Single trajectory: a step-level split, with at least one window
+        # on each side of the cut.
         all_raw = datasets[0]
+        if len(all_raw) < 2 * T:
+            raise ValueError(f"a single dataset of {len(all_raw)} steps cannot hold a "
+                             f"training and a validation window of {T} steps")
         cut = max(T, int(len(all_raw) * (1.0 - cfg.validation_fraction)))
+        cut = min(cut, len(all_raw) - T)
         train_sets, val_sets = [all_raw[:cut]], [all_raw[cut:]]
-        if len(val_sets[0]) < T:
-            val_sets = [all_raw[-T:]]
     else:
         train_sets = datasets[: len(datasets) - n_val]
         val_sets = datasets[len(datasets) - n_val:]

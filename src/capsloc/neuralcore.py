@@ -15,8 +15,11 @@ gradients, Adam moments and checkpoints all hold W whole. The sequence
 kernels run a (T, X) sequence as a batch of one, or B sequences as a
 time-major (T, B, X) batch:
 lstm_sequence_forward takes all input projections in one GEMM, then one
-h[t] W_h^T product per step; lstm_backward does one dA[t] W_h product per
-step, then dW as one GEMM dA^T [X | H_prev] and the input gradients dA W_x.
+h[t] W_h^T product per step; lstm_hidden_states runs the same steps
+(_lstm_step) for inference and keeps only the hidden states its caller
+reads; lstm_backward does one dA[t] W_h product per step, then the input
+gradients dA W_x, and hands out dW = dA^T [X | H_prev] as row blocks, one
+GEMM each.
 
 Adam variant with epsilon inside the square root of the bias-corrected
 second moment:
@@ -36,10 +39,11 @@ v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
 adam_step updates parameters and moments in place, in that formula's
 operation order, a block of rows at a time through two work arrays of
 _ADAM_BLOCK elements kept in the AdamState. It takes the gradients as a
-stream of (key, gradient) pairs, one array at a time, so that training can
-step each array as soon as backward makes its gradient and never hold a
-whole gradient set; a caller holding a dict passes its items(). The update
-is elementwise, so the order of the arrays moves no bit.
+stream of (key, gradient) pairs, each an array's whole gradient or the next
+block of its rows, so that training can step each block as soon as
+backward makes it and never hold a whole weight gradient; a caller holding
+a dict passes its items(). The update is elementwise, so neither the order
+of the arrays nor their blocking moves a bit.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "sigmoid",
     "init_lstm_weights",
     "lstm_sequence_forward",
+    "lstm_hidden_states",
     "lstm_backward",
     "linear_forward",
     "linear_backward",
@@ -120,10 +125,10 @@ def init_lstm_weights(input_size: int, hidden_size: int, rng) -> np.ndarray:
     return W
 
 
-def lstm_sequence_forward(xs, init: LstmState, W: np.ndarray):
-    """Run the LSTM from init over a nonempty (T, X) sequence with (H,) states
-    or a (T, B, X) batch with (B, H) states. Returns (the LstmState after the
-    last step, the LstmCache for lstm_backward, holding every step's h and c)."""
+def _projected(xs, init: LstmState, W: np.ndarray):
+    """A nonempty (T, X) sequence with (H,) states or a (T, B, X) batch with
+    (B, H) states, checked against init and W: returns (xs as an array, the
+    input projections of all steps, (T, B, 4H), from one GEMM, W_h^T)."""
     x = np.asarray(xs, dtype=float)
     if x.ndim not in (2, 3) or x.size == 0:
         raise ValueError("expected a nonempty (steps, [batch,] input) sequence")
@@ -133,28 +138,67 @@ def lstm_sequence_forward(xs, init: LstmState, W: np.ndarray):
         raise ValueError(f"input size {n} != weights {X}")
     if init.h.shape != x.shape[1:-1] + (H,):
         raise ValueError("state shape mismatch")
+    gates = (x.reshape(T * B, n) @ W[:, :n].T).reshape(T, B, 4 * H)
+    return x, gates, W[:, n:].T
+
+
+def _lstm_step(a, h, c, W_h_T, h_out, c_out):
+    """One cell update of B (H,) states: a, the step's (B, 4H) input
+    projection, becomes its activations i, f, g, o in place, and the state
+    after the step goes to h_out and c_out."""
+    H = h.shape[-1]
+    a += h @ W_h_T
+    g = np.tanh(a[:, 2 * H : 3 * H])
+    a[:] = sigmoid(a)
+    a[:, 2 * H : 3 * H] = g
+    np.multiply(a[:, H : 2 * H], c, out=c_out)
+    c_out += a[:, :H] * g
+    np.multiply(a[:, 3 * H :], np.tanh(c_out), out=h_out)
+
+
+def lstm_sequence_forward(xs, init: LstmState, W: np.ndarray):
+    """Run the LSTM from init over a nonempty (T, X) sequence with (H,) states
+    or a (T, B, X) batch with (B, H) states. Returns (the LstmState after the
+    last step, the LstmCache for lstm_backward, holding every step's h and c)."""
+    x, gates, W_h_T = _projected(xs, init, W)
+    T, B, H = len(gates), gates.shape[1], W_h_T.shape[0]
     h, c = np.empty((2, T + 1, B, H))
     h[0], c[0] = init.h, init.c
-    W_h_T = W[:, n:].T
-    gates = (x.reshape(T * B, n) @ W[:, :n].T).reshape(T, B, 4 * H)
     for t in range(T):
-        a = gates[t]
-        a += h[t] @ W_h_T
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        a[:] = sigmoid(a)
-        a[:, 2 * H : 3 * H] = g
-        np.multiply(a[:, H : 2 * H], c[t], out=c[t + 1])
-        c[t + 1] += a[:, :H] * g
-        np.multiply(a[:, 3 * H :], np.tanh(c[t + 1]), out=h[t + 1])
+        _lstm_step(gates[t], h[t], c[t], W_h_T, h[t + 1], c[t + 1])
     h, c, gates = (a.reshape(len(a), *x.shape[1:-1], -1) for a in (h, c, gates))
     return LstmState(h[T], c[T]), LstmCache(x, h, c, gates)
+
+
+def lstm_hidden_states(xs, init: LstmState, W: np.ndarray, stride: int = 1):
+    """The hidden states after steps stride, 2 stride, ... of
+    lstm_sequence_forward's run, (T // stride, [B,] H), bit for bit, for
+    inference: besides the input projections it keeps two (B, H) state
+    pairs and the states it returns, and no cell or gate history."""
+    x, gates, W_h_T = _projected(xs, init, W)
+    T, B, H = len(gates), gates.shape[1], W_h_T.shape[0]
+    h, c, h_out, c_out = np.empty((4, B, H))  # the states before and after a step
+    h[:], c[:] = init.h.reshape(B, H), init.c.reshape(B, H)
+    hs = np.empty((T // stride, B, H))
+    for t in range(T):
+        _lstm_step(gates[t], h, c, W_h_T, h_out, c_out)
+        h, c, h_out, c_out = h_out, c_out, h, c
+        if (t + 1) % stride == 0:
+            hs[t // stride] = h
+    return hs.reshape(len(hs), *x.shape[1:-1], H)
 
 
 def lstm_backward(cache: LstmCache, W: np.ndarray, dh_list):
     """Full BPTT over a forward pass; dh_list holds the upstream gradient on
     every step's h, shaped as the cache's h[1:], zeros allowed. Returns (the
-    (4H, X + H) gradient on W, summed over a batch; the gradient on the
-    initial state; the input gradients)."""
+    (4H, X + H) gradient on W, summed over a batch, as a generator of
+    consecutive row blocks of at most _ADAM_BLOCK elements, one GEMM each;
+    the gradient on the initial state; the input gradients).
+
+    The state and input gradients are made before it returns, and the
+    blocks read no W, so a caller may step W as each block arrives. The
+    blocks hold on to the pre-activation gradients and the GEMM's right
+    operand, but not to the cache or the per-step temporaries."""
     x, h, c, gates = cache
     T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
     H, _ = _lstm_shape(W)
@@ -166,23 +210,33 @@ def lstm_backward(cache: LstmCache, W: np.ndarray, dh_list):
     tc = np.tanh(c[1:])
     dc_per_dh = o * (1.0 - tc * tc)
     # Pre-activation gradient of each gate per unit of the total gradient on
-    # its step's c (gates i, f, g) or h (gate o).
-    per_unit = gates * (1.0 - gates)
-    per_unit[..., 2 * H : 3 * H] = 1.0 - g * g
-    per_unit *= np.concatenate([g, c[:-1], i, tc], axis=-1)
-    d_pre = np.empty((T, B, 4 * H))
+    # its step's c (gates i, f, g) or h (gate o); the loop scales step t's
+    # row by that gradient in place, which gives d_pre[t].
+    d_pre = 1.0 - gates
+    d_pre *= gates
+    d_pre[..., 2 * H : 3 * H] = 1.0 - g * g
+    d_pre *= np.concatenate([g, c[:-1], i, tc], axis=-1)
+    del tc
     W_h = W[:, n:]
     dh_next, dc = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_up[t] + dh_next
         dc = dc + dh * dc_per_dh[t]
-        np.multiply(per_unit[t], np.concatenate([dc, dc, dc, dh], 1), out=d_pre[t])
+        d_pre[t] *= np.concatenate([dc, dc, dc, dh], 1)
         dc = dc * f[t]
         dh_next = d_pre[t] @ W_h
+    del dc_per_dh
     d_pre = d_pre.reshape(T * B, 4 * H)
-    dW = d_pre.T @ np.concatenate([x.reshape(T * B, n), h[:-1].reshape(T * B, H)], 1)
+    xh = np.concatenate([x.reshape(T * B, n), h[:-1].reshape(T * B, H)], 1)
     dinit = LstmState(dh_next.reshape(cache.h[0].shape), dc.reshape(cache.h[0].shape))
-    return dW, dinit, (d_pre @ W[:, :n]).reshape(x.shape)
+    return _weight_blocks(d_pre, xh), dinit, (d_pre @ W[:, :n]).reshape(x.shape)
+
+
+def _weight_blocks(d_pre, xh):
+    """d_pre^T xh, one GEMM per block of _block_rows rows."""
+    rows = _block_rows(xh.shape[1])
+    for r in range(0, d_pre.shape[1], rows):
+        yield d_pre[:, r : r + rows].T @ xh
 
 
 def linear_forward(x, W, b):
@@ -256,10 +310,21 @@ _EPSILON = 1e-8
 
 # adam_step updates each parameter in blocks of whole rows of about this
 # many elements, so that its two work arrays stay small whatever the
-# model's size. At H = 200 the core LSTM's W holds 480k elements; work
-# arrays the size of each W raised the peak memory of H = 200 training by
-# 8 MiB. A block's operands also stay in cache across the update's passes.
-_ADAM_BLOCK = 1 << 15
+# model's size, and lstm_backward makes its weight gradient in blocks of
+# the same rows, so that no whole weight gradient exists. At H = 200 the
+# core LSTM's W holds 480k elements; work arrays the size of each W raised
+# the peak memory of H = 200 training by 8 MiB, and its whole gradient
+# made 0.59 of a parameter set. Blocks of 8k elements (64 KiB) gave
+# fusion-train-paper a peak RSS about 1.8 MiB below blocks of 32k, at
+# about 4% more time per pass. A block's operands also stay in cache
+# across the update's passes.
+_ADAM_BLOCK = 1 << 13
+
+
+def _block_rows(row_size: int) -> int:
+    """Rows per block of an array whose rows hold row_size elements: about
+    _ADAM_BLOCK elements, at least one row."""
+    return max(1, _ADAM_BLOCK // row_size)
 
 
 @dataclass
@@ -283,12 +348,19 @@ def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
     """One update of every parameter array, in place, as are the moments in
     state; returns (params, state).
 
-    grads is a stream of (key, gradient) pairs, one per array in any order.
-    Each pair is checked and applied as it arrives, and adam_step holds no
-    reference to it once it asks for the next, so the stream may then reuse
-    or free it. A repeated or unknown key or a wrong shape raises ValueError
-    when it arrives, and a missing key when the stream ends; either way the
-    arrays stepped before stay stepped."""
+    grads is a stream of (key, gradient) pairs, in any order of keys. A
+    pair may hold an array's whole gradient or a block of its rows: an
+    array's blocks arrive in row order, and a dict's items() give one block
+    per array. Each pair is checked and applied as it arrives, and
+    adam_step holds no reference to it once it asks for the next, so the
+    stream may then reuse or free it.
+
+    A ValueError names the key when its pair arrives: an unknown key; a key
+    whose array is already complete ("repeated"); a block whose trailing
+    shape differs from its array's, or whose rows run past the array's end
+    ("shape mismatch"). When the stream ends, one names each array that
+    got no rows or not all of them. Either way the rows stepped before stay
+    stepped."""
     state.t += 1
     # Epsilon belongs inside the square root of the bias-corrected second
     # moment. The popular "efficient" rewrite (folding the corrections
@@ -297,25 +369,31 @@ def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
     # 1 / (1 - beta2**t), distorting updates for small gradients.
     m_scale = 1.0 - _BETA1**state.t
     v_scale = 1.0 - _BETA2**state.t
-    stepped = set()
+    filled = {}  # key -> rows stepped
     for k, g in grads:
-        if k in stepped or k not in params:
-            raise ValueError(f"{'repeated' if k in stepped else 'unknown'} gradient key {k!r}")
+        if k not in params:
+            raise ValueError(f"unknown gradient key {k!r}")
         p = params[k]
-        if g.shape != p.shape:
+        start = filled.get(k, 0)
+        if start == len(p):
+            raise ValueError(f"repeated gradient key {k!r}")
+        if g.shape[1:] != p.shape[1:] or g.ndim != p.ndim or start + len(g) > len(p):
             raise ValueError(f"gradient shape mismatch for {k}")
-        stepped.add(k)
+        filled[k] = start + len(g)
         row = int(np.prod(p.shape[1:]))
-        rows = max(1, _ADAM_BLOCK // row)
-        size = min(rows, len(p)) * row
+        rows = _block_rows(row)
+        size = min(rows, len(g)) * row
         if not state.scratch or state.scratch[0].size < size:
             state.scratch = (np.empty(size), np.empty(size))
-        for r in range(0, len(p), rows):
-            block = slice(r, r + rows)
-            _adam_update(p[block], g[block], state.m[k][block],
+        for r in range(0, len(g), rows):
+            g_rows = g[r : r + rows]
+            block = slice(start + r, start + r + len(g_rows))
+            _adam_update(p[block], g_rows, state.m[k][block],
                          state.v[k][block], state.scratch, hp, m_scale, v_scale)
+            del g_rows
         del g  # before the stream makes the next gradient
-    missing = [k for k in params if k not in stepped]
+    missing = [k if k not in filled else f"{k} rows {filled[k]}:{len(p)}"
+               for k, p in params.items() if filled.get(k, 0) < len(p)]
     if missing:
         raise ValueError(f"no gradient for {', '.join(missing)}")
     return params, state

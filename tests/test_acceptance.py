@@ -62,7 +62,8 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         init = nc.LstmState(h=rng.normal(0, 0.5, 5), c=rng.normal(0, 0.5, 5))
         target = rng.normal(0, 1, 5)
         _, caches = nc.lstm_sequence_forward([x], init, w)
-        grads, _, _ = nc.lstm_backward(caches, w, [target])
+        blocks, _, _ = nc.lstm_backward(caches, w, [target])
+        grads = np.concatenate(list(blocks))
 
         def cell_loss(params):
             final, _ = nc.lstm_sequence_forward([x], init, params["W"])
@@ -78,7 +79,8 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         xs = [rng.normal(0, 1, 3) for _ in range(5)]
         targets = [rng.normal(0, 1, 5) for _ in range(5)]
         _, caches = nc.lstm_sequence_forward(xs, init, w)
-        grads, _, _ = nc.lstm_backward(caches, w, targets)
+        blocks, _, _ = nc.lstm_backward(caches, w, targets)
+        grads = np.concatenate(list(blocks))
 
         def seq_loss(params):
             _, cache = nc.lstm_sequence_forward(xs, init, params["W"])

@@ -296,7 +296,7 @@ def test_bad_training_config_errors_to_stderr(tmp_path, capsys):
     capsys.readouterr()
     for line, message in [
         ("train.hidden_size = 0", "hidden_size must be >= 1"),
-        ("train.validation_fraction = 1.0", "validation_fraction must be in [0, 1)"),
+        ("train.validation_fraction = 1.0", "validation_fraction must be in (0, 1)"),
     ]:
         rc = main(["train", "--config", fast_cfg(tmp_path, line + "\n"),
                    str(data / "dataset_seed1.txt"), "--out", str(tmp_path / "m.ckpt")])
@@ -374,7 +374,7 @@ def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         hashed = result.stdout.splitlines()
-        assert len(hashed) == 17
+        assert len(hashed) == 18
         assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in hashed), hashed
         listings.append(hashed)
     assert listings[0] == listings[1]

@@ -204,6 +204,38 @@ def test_inference_forward_keeps_no_caches():
         assert np.array_equal(outputs, train_out)
 
 
+def paper_size_windows(n_windows=16, T=32):
+    """n_windows normalized windows of T steps and an H = 200 network."""
+    net = fn.init_network(200, np.random.default_rng(19))
+    return net, toy_samples(n_windows * T, np.random.default_rng(20)).windows(T)
+
+
+def test_inference_forward_is_training_forward_at_paper_size():
+    # H = 200 runs other BLAS kernels than the small networks above; the
+    # cache-free inference pass still gives training's outputs at dropout
+    # rate zero, bit for bit.
+    net, windows = paper_size_windows(n_windows=4)
+    outputs, _ = fn.forward(net, windows)
+    train_out, _ = fn.forward(net, windows, training=True)
+    assert np.array_equal(outputs, train_out)
+
+
+def test_inference_chunk_keeps_only_the_hidden_states_it_reads():
+    # One _INFERENCE_CHUNK of 16 windows of 32 steps at H = 200 peaks at
+    # 7.4 MiB traced: the magnetic LSTM's input projection (6.25 MiB) and
+    # the hidden states read back. Every step's h, c and gates, kept as
+    # training keeps them, peak at 15.8 MiB.
+    net, windows = paper_size_windows()
+    assert len(windows) == fn._INFERENCE_CHUNK
+    tracemalloc.start()
+    try:
+        fn._infer(net, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20, peak / 2**20
+
+
 def test_forward_matches_step_by_step_oracle():
     rng = np.random.default_rng(4)
     net = fn.init_network(3, rng)
@@ -398,6 +430,32 @@ def test_streamed_adam_step_equals_whole_gradient_step():
     assert not np.array_equal(streamed["core.W"], net["core.W"])
 
 
+def test_streamed_blocks_at_paper_size_equal_joined_gradient_step():
+    # At H = 200 the LSTM weights' gradients come in row blocks. Stepping
+    # each block as it arrives (_train_step) gives the weights and moments
+    # of one step on the joined gradients, bit for bit, and the norm adds
+    # up the per-block sums.
+    hp = nc.Hyperparams(hidden_size=200, dropout_rate=0.25)
+    net, windows = paper_size_windows(n_windows=1)
+    streamed = {k: v.copy() for k, v in net.items()}
+    adam_s, adam_j = nc.adam_init(streamed), nc.adam_init(net)
+    rng_s, rng_j = np.random.default_rng(5), np.random.default_rng(5)
+    _, _, _, norm_s = fn._train_step(streamed, windows, 2.5, hp, rng_s, adam_s)
+    outputs, caches = fn.forward(net, windows, training=True, rng=rng_j,
+                                 dropout_rate=hp.dropout_rate)
+    dy = nc.pose_loss(outputs, windows.target, 2.5)[1]
+    pairs = list(fn.gradient_stream(net, caches, dy))
+    assert [k for k, _ in pairs].count("core.W") > 1
+    joined = {k: np.concatenate([g for key, g in pairs if key == k]) for k in net}
+    nc.adam_step(net, joined.items(), adam_j, hp)
+    norm_j = np.sqrt(sum(np.sum(g * g) for g in joined.values()))
+    assert np.isclose(norm_s, norm_j, rtol=1e-14, atol=0)
+    for key in net:
+        assert np.array_equal(streamed[key], net[key]), key
+        assert np.array_equal(adam_s.m[key], adam_j.m[key]), key
+        assert np.array_equal(adam_s.v[key], adam_j.v[key]), key
+
+
 def test_train_step_with_nonfinite_loss_steps_nothing():
     rng = np.random.default_rng(17)
     hp = nc.Hyperparams(hidden_size=4)
@@ -525,10 +583,11 @@ def test_train_deterministic():
 
 def test_train_holds_each_parameter_array_once():
     # Paper size: the weights, Adam's m and v and the best epoch are four
-    # parameter sets. Adam steps each array as BPTT makes its gradient,
-    # so one array's gradient (core.W's, 0.59 of a set) with a window's
-    # caches and temporaries comes on top: 5.02 sets. A whole gradient set,
-    # or a gradient or best copy that outlives its use, breaks the bound.
+    # parameter sets. Adam steps each block of rows as BPTT makes it, so
+    # no whole weight gradient exists, and a window's caches and
+    # temporaries, or an inference chunk, come on top: 4.34 sets. A whole
+    # core.W gradient (0.59 of a set), or a gradient, cache or best copy
+    # that outlives its use, breaks the bound.
     # Two 149-step sets of four 32-step windows, three epochs.
     rng = np.random.default_rng(13)
     sets = [toy_samples(149, rng) for _ in range(2)]
@@ -540,11 +599,12 @@ def test_train_holds_each_parameter_array_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.25 * param_bytes, peak / param_bytes
+    assert peak < 4.6 * param_bytes, peak / param_bytes
 
 
 @pytest.mark.parametrize("field, value", [("max_epochs", 0), ("validation_fraction", 1.0),
-                                          ("validation_fraction", -0.25)])
+                                          ("validation_fraction", -0.25),
+                                          ("validation_fraction", 0.0)])
 def test_training_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         fn.TrainingConfig(**{field: value})
@@ -622,8 +682,9 @@ def test_train_rejects_non_finite_inputs(field, value):
 
 
 def test_train_single_dataset_short_tail_validates_on_last_window():
-    # 40 samples hold two 16-step windows. The 75% cut leaves a 10-sample
-    # tail, too short for a window, so the last 16 samples validate.
+    # 40 samples hold two 16-step windows. The 75% cut would leave a
+    # 10-sample tail, too short for a window, so the cut moves to step 24
+    # and the last 16 samples validate.
     cfg = fn.TrainingConfig(max_epochs=2, window_length=16, warmup_epochs=0)
     hp = nc.Hyperparams(hidden_size=4, dropout_rate=0.0)
     _, log = fn.train([constant_delta_dataset(n=40)], cfg, hp)
@@ -631,16 +692,27 @@ def test_train_single_dataset_short_tail_validates_on_last_window():
     assert all(np.isfinite(r["val_loss"]) for r in log)
 
 
-@pytest.mark.parametrize("fraction, cut", [(0.25, 48), (0.5, 32)])
+@pytest.mark.parametrize("fraction, cut", [(0.25, 48), (0.5, 32), (0.1, 56)])
 def test_train_single_dataset_split_honours_validation_fraction(fraction, cut):
-    # One dataset is cut at 1 - validation_fraction of its steps, and the
-    # norm statistics come from the steps before the cut.
+    # One dataset is cut at 1 - validation_fraction of its steps, but at
+    # most one window before its end, and the norm statistics come from
+    # the steps before the cut: at 0.1, the cut at step 57 would leave a
+    # 7-step tail, so it moves to 56 and no step both trains and validates.
     data = toy_samples(64, np.random.default_rng(18))
     cfg = fn.TrainingConfig(max_epochs=1, window_length=8, validation_fraction=fraction)
     ckpt, _ = fn.train([data], cfg, nc.Hyperparams(hidden_size=4))
     expected = fn.compute_norm_stats(data[:cut])
     for name, value in vars(expected).items():
         assert np.array_equal(getattr(ckpt.stats, name), value), name
+
+
+def test_train_single_dataset_shorter_than_two_windows_is_refused():
+    # 15 steps cannot hold a training and a validation window of 8 steps
+    # that share no step.
+    cfg = fn.TrainingConfig(max_epochs=1, window_length=8)
+    with pytest.raises(ValueError, match="single dataset of 15 steps"):
+        fn.train([toy_samples(15, np.random.default_rng(21))], cfg,
+                 nc.Hyperparams(hidden_size=4))
 
 
 def test_training_log_format(tmp_path):

@@ -23,6 +23,12 @@ def cell(x, prev, w):
     return nc.lstm_sequence_forward([x], prev, w)[0]
 
 
+def backward(cache, w, dh):
+    """lstm_backward with its weight gradient's row blocks joined."""
+    blocks, dinit, dx = nc.lstm_backward(cache, w, dh)
+    return np.concatenate(list(blocks)), dinit, dx
+
+
 def scalar_cell_oracle(x, h_prev, c_prev, w):
     """Naive loop re-implementation of the cell equations."""
     hidden = len(w) // 4
@@ -116,7 +122,7 @@ def test_backward_zero_upstream():
     w = make_weights(rng, 4, 3)
     xs = [rng.normal(0, 1, 3) for _ in range(3)]
     _, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(4), w)
-    grads, dinit, dxs = nc.lstm_backward(caches, w, [np.zeros(4)] * 3)
+    grads, dinit, dxs = backward(caches, w, [np.zeros(4)] * 3)
     assert grads.shape == w.shape and np.array_equal(grads, 0 * grads)
     assert all(np.array_equal(dx, np.zeros(3)) for dx in dxs)
     assert np.array_equal(dinit.h, np.zeros(4))
@@ -134,7 +140,7 @@ def test_backward_scalar_two_steps_hand_derived():
     w[2, 0] = a  # W_gx: the g row block, the x column block
     xs = [np.array([x1]), np.array([x2])]
     final, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1), w)
-    grads, _, _ = nc.lstm_backward(caches, w, [np.zeros(1), np.ones(1)])
+    grads, _, _ = backward(caches, w, [np.zeros(1), np.ones(1)])
 
     c1 = 0.5 * np.tanh(a * x1)
     c2 = 0.5 * c1 + 0.5 * np.tanh(a * x2)
@@ -157,7 +163,7 @@ def test_backward_matches_finite_differences(trial, gate_blocks):
     targets = [rng.normal(0, 1, hidden) for _ in range(T)]
 
     _, caches = nc.lstm_sequence_forward(xs, init, w)
-    grads, _, _ = nc.lstm_backward(caches, w, targets)
+    grads, _, _ = backward(caches, w, targets)
 
     def loss_fn(params):
         _, cache = nc.lstm_sequence_forward(xs, init, params["W"])
@@ -180,7 +186,7 @@ def test_backward_input_and_state_gradients_fd():
     targets = [rng.normal(0, 1, hidden) for _ in range(T)]
 
     _, caches = nc.lstm_sequence_forward(xs, init, w)
-    _, dinit, dxs = nc.lstm_backward(caches, w, targets)
+    _, dinit, dxs = backward(caches, w, targets)
 
     def loss_of(inputs_flat):
         xs2 = [inputs_flat[f"x{k}"] for k in range(T)]
@@ -217,8 +223,8 @@ def test_sequence_is_a_batch_of_one_bit_for_bit():
     for a, b in zip(cache, cache_b):
         assert np.array_equal(a, b.reshape(a.shape))
     assert np.array_equal(final.h, final_b.h[0]) and np.array_equal(final.c, final_b.c[0])
-    dW, dinit, dx = nc.lstm_backward(cache, w, dh)
-    dW_b, dinit_b, dx_b = nc.lstm_backward(cache_b, w, dh[:, None])
+    dW, dinit, dx = backward(cache, w, dh)
+    dW_b, dinit_b, dx_b = backward(cache_b, w, dh[:, None])
     assert np.array_equal(dW, dW_b)
     assert np.array_equal(dinit.h, dinit_b.h[0]) and np.array_equal(dinit.c, dinit_b.c[0])
     assert np.array_equal(dx, dx_b[:, 0])
@@ -232,18 +238,57 @@ def test_batch_matches_per_sequence_calls():
     init = nc.LstmState(h=rng.normal(0, 0.5, (B, hidden)), c=rng.normal(0, 0.5, (B, hidden)))
     dh = rng.normal(0, 1, (T, B, hidden))
     final, cache = nc.lstm_sequence_forward(xs, init, w)
-    dW, dinit, dx = nc.lstm_backward(cache, w, dh)
+    dW, dinit, dx = backward(cache, w, dh)
     dW_sum = np.zeros_like(dW)
     for b in range(B):
         one = nc.LstmState(init.h[b], init.c[b])
         final_1, cache_1 = nc.lstm_sequence_forward(xs[:, b], one, w)
-        dW_1, dinit_1, dx_1 = nc.lstm_backward(cache_1, w, dh[:, b])
+        dW_1, dinit_1, dx_1 = backward(cache_1, w, dh[:, b])
         dW_sum += dW_1
         for got, want in ((cache.h[:, b], cache_1.h), (cache.c[:, b], cache_1.c),
                           (final.h[b], final_1.h), (dinit.h[b], dinit_1.h),
                           (dinit.c[b], dinit_1.c), (dx[:, b], dx_1)):
             assert np.allclose(got, want, rtol=BATCH_RTOL, atol=0)
     assert np.allclose(dW, dW_sum, rtol=BATCH_RTOL, atol=1e-15 * np.abs(dW).max())
+
+
+@pytest.mark.parametrize("hidden, inp, batch, stride", [
+    (16, 5, None, 1), (16, 5, 3, 2), (200, 5, 4, 2), (200, 400, 4, 1),
+])
+def test_hidden_states_are_the_sequence_forwards_bit_for_bit(hidden, inp, batch, stride):
+    # The cache-free pass runs the same cell steps on the same one-GEMM
+    # input projection; H = 200 runs other BLAS kernels than H = 16.
+    rng = np.random.default_rng(203)
+    w = make_weights(rng, hidden, inp)
+    lead = (6,) if batch is None else (6, batch)
+    xs = rng.normal(0, 1, lead + (inp,))
+    init = nc.LstmState(h=rng.normal(0, 0.5, lead[1:] + (hidden,)),
+                        c=rng.normal(0, 0.5, lead[1:] + (hidden,)))
+    _, cache = nc.lstm_sequence_forward(xs, init, w)
+    hs = nc.lstm_hidden_states(xs, init, w, stride)
+    assert hs.shape == (6 // stride,) + lead[1:] + (hidden,)
+    assert np.array_equal(hs, cache.h[stride::stride])
+
+
+@pytest.mark.parametrize("hidden, inp", [(16, 32), (200, 5), (200, 400)])
+def test_weight_gradient_comes_in_row_blocks_of_one_product(hidden, inp, monkeypatch):
+    # Consecutive row blocks of at most _ADAM_BLOCK elements, one GEMM each,
+    # that join to the whole product; a weight that fits one block is the
+    # whole product's single GEMM, bit for bit.
+    rng = np.random.default_rng(204)
+    w = make_weights(rng, hidden, inp)
+    xs = rng.normal(0, 1, (8, 2, inp))
+    _, cache = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(2, hidden), w)
+    dh = rng.normal(0, 1, (8, 2, hidden))
+    blocks = list(nc.lstm_backward(cache, w, dh)[0])
+    assert all(b.shape[1:] == w.shape[1:] and b.size <= nc._ADAM_BLOCK for b in blocks)
+    assert len(blocks) == -(-len(w) // (nc._ADAM_BLOCK // w.shape[1]))
+    monkeypatch.setattr(nc, "_ADAM_BLOCK", w.size)
+    (whole,) = nc.lstm_backward(cache, w, dh)[0]
+    joined = np.concatenate(blocks)
+    if len(blocks) == 1:
+        assert np.array_equal(joined, whole)
+    assert np.allclose(joined, whole, rtol=BATCH_RTOL, atol=1e-15 * np.abs(whole).max())
 
 
 def test_batch_state_shape_must_match_inputs():
@@ -470,6 +515,49 @@ def test_adam_stream_errors_name_the_key(pairs, message):
         assert np.array_equal(state.m["a"], np.full(2, 1.0 - 0.9))  # stepped once
     if "shape" in message:
         assert np.array_equal(params["b"], np.ones(3))
+
+
+def test_adam_row_blocks_equal_one_whole_array_step():
+    # An array's gradient fed as consecutive row blocks, in uneven sizes and
+    # interleaved with other arrays, steps it as its whole gradient does,
+    # bit for bit: rows 0-39, 40-239 (more than adam_step's own block) and
+    # 240-299 of a (300, 200) array; a 1-D array in two pieces.
+    hp = nc.Hyperparams()
+    rng = np.random.default_rng(30)
+    params = {"a": rng.normal(0, 1, (300, 200)), "b": rng.normal(0, 1, 7)}
+    ref = {k: p.copy() for k, p in params.items()}
+    state, ref_state = nc.adam_init(params), nc.adam_init(ref)
+    assert 200 > nc._ADAM_BLOCK // 200
+    for t in range(1, 4):
+        grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
+        nc.adam_step(ref, grads.items(), ref_state, hp)
+        a, b = grads["a"], grads["b"]
+        pairs = [("a", a[:40]), ("b", b[:3]), ("a", a[40:240]), ("b", b[3:]), ("a", a[240:])]
+        nc.adam_step(params, iter(pairs), state, hp)
+        for k in params:
+            assert np.array_equal(params[k], ref[k]), (k, t)
+            assert np.array_equal(state.m[k], ref_state.m[k]), (k, t)
+            assert np.array_equal(state.v[k], ref_state.v[k]), (k, t)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([2, 3], "^gradient shape mismatch for a$"),
+    ([4, 1], "^repeated gradient key 'a'$"),
+    ([1, 2], "^no gradient for a rows 3:4$"),
+])
+def test_adam_block_errors_name_the_key(rows, message):
+    # Blocks of a (4, 3) array: one that runs past its last row, a block
+    # after the array is complete, and an array left short at the end.
+    # The rows stepped before the error stay stepped, and no others.
+    hp = nc.Hyperparams()
+    params = {"a": np.ones((4, 3)), "b": np.ones(2)}
+    state = nc.adam_init(params)
+    stream = iter([("b", np.ones(2))] + [("a", np.ones((n, 3))) for n in rows])
+    with pytest.raises(ValueError, match=message):
+        nc.adam_step(params, stream, state, hp)
+    stepped = min(rows[0] + (rows[1] if "no gradient" in message else 0), 4)
+    assert not np.array_equal(params["a"][:stepped], np.ones((stepped, 3)))
+    assert np.array_equal(params["a"][stepped:], np.ones((4 - stepped, 3)))
 
 
 def test_adam_scalar_hand_case():
