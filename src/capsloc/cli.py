@@ -1,15 +1,15 @@
 """Command-line entry point wiring the modules into reproducible pipelines.
 
 Config files are flat `key = value` text with `#` comments and section
-prefixes (sim., train., eval., align.). An unknown key, or a value that
-does not parse as its key's type, is an error naming the file, line and key.
+prefixes (sim., train., eval.). An unknown key, or a value that does not
+parse as its key's type, is an error naming the file, line and key.
 The sim.* keys are the scalar fields of simkit.SimConfig and
 simkit.DipoleParams, with their types and defaults, except seed (set by
-the top-level seed key) and slow_speed_cap. The train.* keys are the
-fields of fusenet.TrainingConfig and neuralcore.Hyperparams except seed,
-with their types, and their defaults overlaid by the desk profile. The
-magnetic inversion has no keys: its solver settings are constants of
-magloc, as Adam's decay rates and epsilon are of neuralcore.
+the top-level seed key). The train.* keys are the fields of
+fusenet.TrainingConfig and neuralcore.Hyperparams except seed, with their
+types, and their defaults overlaid by the desk profile. The magnetic
+inversion has no keys: its solver settings are constants of magloc, as
+Adam's decay rates and epsilon are of neuralcore.
 Every output file starts with a header echoing the effective configuration.
 """
 
@@ -33,7 +33,7 @@ _SIM_FIELDS = [
     f
     for cls in (simkit.SimConfig, simkit.DipoleParams)
     for f in fields(cls)
-    if f.name not in ("seed", "slow_speed_cap") and not isinstance(f.default, tuple)
+    if f.name != "seed" and not isinstance(f.default, tuple)
 ]
 
 # The training fields a config file may set, by key; the seed comes from
@@ -61,7 +61,6 @@ KNOWN_KEYS = {
     **{key: (type(f.default), PROFILES["desk"].get(key, f.default))
        for key, f in _TRAIN_FIELDS.items()},
     "eval.bucket_lengths": (str, "0.05,0.1,0.2,0.4,0.8"),
-    "align.noise_sd": (float, 0.0),
 }
 
 
@@ -251,13 +250,11 @@ def cmd_align_demo(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0xA11]))
     true_R = rotation_exp(rng.normal(0, 0.01, 3))
     true_t = rng.normal(0, 0.002, 3)
-    # Points in a box in front of frame 0, seen from both frames, optionally
-    # noisy; frame 1 sits at (true_R, true_t) in frame 0's coordinates.
+    # Points in a box in front of frame 0, seen exactly from both frames;
+    # frame 1 sits at (true_R, true_t) in frame 0's coordinates.
     pts = rng.uniform((-0.1, -0.1, 0.4), (0.1, 0.1, 0.6), (40, 3))
-    # Per point: frame 0's noise, then frame 1's.
-    noise = rng.normal(0, cfg["align.noise_sd"], (len(pts), 2, 3))
     in_frame1 = (pts - true_t) @ true_R
-    pairs = zip(pts + noise[:, 0], in_frame1 + noise[:, 1])
+    pairs = zip(pts, in_frame1)
     state, info = evoalign.minimize_alignment(
         evoalign.CorrespondenceSet([(0, 1, p0, p1) for p0, p1 in pairs])
     )

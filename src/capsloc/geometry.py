@@ -1,6 +1,6 @@
 """SE(3) pose algebra, trajectory containers, and error metrics, plus the
 `name=value` text form that dataset headers and checkpoints use for flat
-config dataclasses.
+config dataclasses, and the finiteness check those dataclasses share.
 
 Conventions used everywhere in this repo:
   * A pose is a 6-vector [tx ty tz roll pitch yaw]: translation in metres,
@@ -39,6 +39,7 @@ __all__ = [
     "resample_trajectory",
     "format_config",
     "parse_config",
+    "require_finite",
 ]
 
 GIMBAL_EPS = 1e-3
@@ -344,3 +345,13 @@ def parse_config(text: str, *classes) -> tuple:
     if kv:
         raise ValueError(f"unknown config key {next(iter(kv))!r}")
     return tuple(out)
+
+
+def require_finite(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose
+    default is a float or a tuple and whose value, or an entry of it, is not
+    finite: nan passes every `<= 0` range check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(f.default, (float, tuple)) and not np.all(np.isfinite(value)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")

@@ -53,6 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import require_finite
+
 __all__ = [
     "LstmState",
     "LstmCache",
@@ -295,6 +297,7 @@ class Hyperparams:
     hidden_size: int = 200
 
     def __post_init__(self):
+        require_finite(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.hidden_size < 1:

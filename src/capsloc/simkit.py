@@ -20,6 +20,7 @@ from .geometry import (
     format_config,
     parse_config,
     relative_pose,
+    require_finite,
     resample_trajectory,
     wrap_angle,
 )
@@ -51,15 +52,18 @@ SENSOR_GRID_N = 8
 SENSOR_PITCH = 0.02  # m
 EXCLUSION_RADIUS = 1e-3  # m, dipole model breaks down at the magnet itself
 
-MOTION_PROFILES = ("slow_incremental", "comprehensive_scan", "fast_complex")
-
 # Per profile: peak translational speed (m/s), peak rotational speed (rad/s),
-# sinusoid term count, translational and rotational frequency ranges (Hz).
-_PROFILE_SPEEDS = {
-    "slow_incremental": (0.004, 0.05, 3, (0.01, 0.05), (0.02, 0.08)),
-    "comprehensive_scan": (0.025, 0.30, 4, (0.03, 0.10), (0.06, 0.20)),
-    "fast_complex": (0.045, 0.60, 5, (0.05, 0.18), (0.10, 0.30)),
+# sinusoid term count, translational and rotational frequency ranges (Hz),
+# and the stationary actuation-jitter sds (position in m, pitch/yaw in rad).
+# Roll carries no jitter (magnetically unobservable axis). The slow
+# profile's peak speed is half its 5 mm/s speed cap, and its jitter is kept
+# small enough that its velocity contribution respects that cap.
+_PROFILES = {
+    "slow_incremental": (0.0025, 0.05, 3, (0.01, 0.05), (0.02, 0.08), 2e-5, 2e-4),
+    "comprehensive_scan": (0.025, 0.30, 4, (0.03, 0.10), (0.06, 0.20), 1e-3, 1e-2),
+    "fast_complex": (0.045, 0.60, 5, (0.05, 0.18), (0.10, 0.30), 2e-3, 2e-2),
 }
+MOTION_PROFILES = tuple(_PROFILES)
 
 # Rotation amplitude caps (rad): roll, pitch, yaw. Roll (the rotation about
 # the capsule's magnetic axis) is kept near zero: it is the magnetically
@@ -69,15 +73,7 @@ _PROFILE_SPEEDS = {
 # pi/2.
 _ROT_AMP_CAP = np.array([0.02, 0.30, 0.35])
 
-# Stationary actuation-jitter amplitudes per profile: (position sd in m,
-# pitch/yaw sd in rad). Roll carries no jitter (magnetically unobservable
-# axis), and the slow profile's jitter is kept small enough that its
-# velocity contribution respects the profile's speed cap.
-_PROFILE_JITTER = {
-    "slow_incremental": (2e-5, 2e-4),
-    "comprehensive_scan": (1e-3, 1e-2),
-    "fast_complex": (2e-3, 2e-2),
-}
+_JITTER_TAU = 0.5  # s, correlation time of the actuation jitter
 
 
 @dataclass(frozen=True)
@@ -113,15 +109,17 @@ class SimConfig:
     # the fine structure of the motion cannot be extrapolated from history
     # alone — it must be read off the sensors.
     jitter_scale: float = 1.0
-    jitter_tau: float = 0.5  # seconds, jitter correlation time
-    slow_speed_cap: float = 0.005
     # Actuator field: uniform component (T) plus linear gradient (T/m).
     actuator_uniform: tuple = (2e-6, -1e-6, 3e-6)
     actuator_gradient: tuple = (1e-5, -2e-5, 3e-5)
 
     def __post_init__(self):
+        require_finite(self)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        for name in ("mag_noise_sd", "vis_trans_noise_sd", "vis_rot_noise_sd"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.mag_rate <= 0 or self.vis_rate <= 0:
             raise ValueError("rates must be positive")
         ratio = self.mag_rate / self.vis_rate
@@ -147,6 +145,7 @@ class DipoleParams:
     moment_axis: tuple = (1.0, 0.0, 0.0)  # body frame, unit
 
     def __post_init__(self):
+        require_finite(self)
         axis = np.asarray(self.moment_axis, dtype=float).reshape(3)
         if self.moment_magnitude <= 0:
             raise ValueError("moment_magnitude must be positive")
@@ -234,36 +233,26 @@ def generate_trajectory(cfg: SimConfig) -> Trajectory:
     Sampled at mag_rate; deterministic for a fixed (config, seed).
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5117]))
-    v_peak, w_peak, n_terms, freq_range, rot_freq_range = _PROFILE_SPEEDS[
-        cfg.motion_profile
-    ]
-    if cfg.motion_profile == "slow_incremental":
-        # Keep total speed under the configured cap with margin.
-        v_peak = min(v_peak, 0.5 * cfg.slow_speed_cap)
+    (v_peak, w_peak, n_terms, freq_range, rot_freq_range,
+     pos_sd, rot_sd) = _PROFILES[cfg.motion_profile]
 
     n = int(round(cfg.duration * cfg.mag_rate))
     times = np.arange(n) / cfg.mag_rate
     poses = np.zeros((n, 6))
-    center = np.asarray(cfg.workspace_center, dtype=float)
 
-    # Translation: per-axis amplitude budget bounded by both workspace size
-    # and the peak-speed budget (speed of A sin(2 pi f t) is 2 pi f A).
-    amp_cap = 0.55 * cfg.workspace_half_extent
-    for axis in range(3):
-        f_mid = np.mean(freq_range)
-        amp_budget = min(amp_cap, v_peak / (2.0 * np.pi * f_mid * np.sqrt(3.0)))
-        amps, freqs, phases = _seeded_sinusoids(rng, n_terms, amp_budget, freq_range)
-        poses[:, axis] = center[axis] + _eval_sinusoids(times, amps, freqs, phases)
-
-    for axis in range(3):
-        f_mid = np.mean(rot_freq_range)
-        amp_budget = min(
-            _ROT_AMP_CAP[axis], w_peak / (2.0 * np.pi * f_mid * np.sqrt(3.0))
-        )
-        amps, freqs, phases = _seeded_sinusoids(
-            rng, n_terms, amp_budget, rot_freq_range
-        )
-        poses[:, 3 + axis] = _eval_sinusoids(times, amps, freqs, phases)
+    # Per DoF, translation axes then rotation axes: an amplitude budget
+    # bounded by both the workspace size (or rotation cap) and the
+    # peak-speed budget (speed of A sin(2 pi f t) is 2 pi f A).
+    trans_cap = 0.55 * cfg.workspace_half_extent
+    dofs = [(trans_cap, v_peak, freq_range)] * 3 + [
+        (cap, w_peak, rot_freq_range) for cap in _ROT_AMP_CAP
+    ]
+    for dof, (amp_cap, peak, f_range) in enumerate(dofs):
+        f_mid = np.mean(f_range)
+        amp_budget = min(amp_cap, peak / (2.0 * np.pi * f_mid * np.sqrt(3.0)))
+        amps, freqs, phases = _seeded_sinusoids(rng, n_terms, amp_budget, f_range)
+        poses[:, dof] = _eval_sinusoids(times, amps, freqs, phases)
+    poses[:, :3] += cfg.workspace_center
 
     # Actuation jitter: stationary Ornstein-Uhlenbeck perturbations on the
     # position axes and the two non-roll rotation axes. Sinusoids alone are
@@ -271,20 +260,16 @@ def generate_trajectory(cfg: SimConfig) -> Trajectory:
     # without consulting its inputs; the jitter's white innovations exceed
     # the per-frame sensor noise, making measurement use the only way to
     # follow the fine structure of the motion.
-    pos_sd, rot_sd = _PROFILE_JITTER[cfg.motion_profile]
-    sds = cfg.jitter_scale * np.array(
-        [pos_sd, pos_sd, pos_sd, 0.0, rot_sd, rot_sd]
-    )
-    if np.any(sds > 0):
-        dt = 1.0 / cfg.mag_rate
-        decay = np.exp(-dt / cfg.jitter_tau)
-        innov = np.sqrt(1.0 - decay * decay)
-        noise = rng.normal(size=(n, 6)) * sds
-        jitter = np.empty((n, 6))
-        jitter[0] = noise[0]  # draw the stationary distribution directly
-        for k in range(1, n):
-            jitter[k] = decay * jitter[k - 1] + innov * noise[k]
-        poses += jitter
+    sds = cfg.jitter_scale * np.array([pos_sd, pos_sd, pos_sd, 0.0, rot_sd, rot_sd])
+    dt = 1.0 / cfg.mag_rate
+    decay = np.exp(-dt / _JITTER_TAU)
+    innov = np.sqrt(1.0 - decay * decay)
+    noise = rng.normal(size=(n, 6)) * sds
+    jitter = np.empty((n, 6))
+    jitter[0] = noise[0]  # draw the stationary distribution directly
+    for k in range(1, n):
+        jitter[k] = decay * jitter[k - 1] + innov * noise[k]
+    poses += jitter
 
     return Trajectory(times, poses)
 
@@ -362,10 +347,14 @@ def simulate_mag_stream(
 
 
 def emulate_evo_stream(gt: Trajectory, cfg: SimConfig, rng) -> list:
-    """Visual-odometry deltas at vis_rate with Gaussian noise plus a seeded
-    slowly-varying drift bias proportional to distance traveled.
+    """Visual-odometry deltas at vis_rate: each ground-truth delta plus
+    three error sources, a scale-like drift (vis_drift_rate and
+    vis_rot_drift_rate, with a seeded slowly-varying part along a fixed
+    direction), a constant instrument bias (vis_trans_bias_rate and
+    vis_rot_bias_rate) and Gaussian noise (vis_trans_noise_sd and
+    vis_rot_noise_sd).
 
-    With zero noise and drift, integrating the deltas reproduces gt exactly.
+    With all three zero, integrating the deltas reproduces gt exactly.
     """
     n = int(round(cfg.duration * cfg.vis_rate))
     ts = np.arange(n + 1) / cfg.vis_rate

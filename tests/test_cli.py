@@ -68,6 +68,27 @@ def test_train_keys_are_the_training_fields():
         max_epochs=7, window_length=16, seed=3)
 
 
+def test_sim_keys_are_the_scalar_simulation_fields():
+    # Every SimConfig and DipoleParams field but the seed and the tuples,
+    # typed as its default. The jitter's correlation time, the slow
+    # profile's speed cap and align-demo's noise are constants, not keys.
+    sim = {k: v for k, v in cli.KNOWN_KEYS.items() if k.startswith("sim.")}
+    scalars = {f.name: f.default for cls in (simkit.SimConfig, simkit.DipoleParams)
+               for f in fields(cls) if not isinstance(f.default, tuple)}
+    assert sim == {f"sim.{name}": (type(default), default)
+                   for name, default in scalars.items() if name != "seed"}
+    assert list(sim) == [
+        "sim.duration", "sim.motion_profile", "sim.workspace_half_extent",
+        "sim.mag_rate", "sim.vis_rate", "sim.mag_noise_sd", "sim.vis_trans_noise_sd",
+        "sim.vis_rot_noise_sd", "sim.vis_drift_rate", "sim.vis_rot_drift_rate",
+        "sim.vis_trans_bias_rate", "sim.vis_rot_bias_rate", "sim.jitter_scale",
+        "sim.moment_magnitude",
+    ]
+    for key in ("sim.jitter_tau", "sim.slow_speed_cap", "align.noise_sd"):
+        with pytest.raises(KeyError, match=f"^'unknown config key: {key}'$"):
+            RunConfig({key: "0.5"})
+
+
 def test_config_value_that_its_type_would_change_is_rejected():
     # A Python value is checked, not coerced: 8.5 is no int, 0.5 no str.
     for key, raw, message in [
@@ -283,6 +304,7 @@ def test_bad_config_errors_to_stderr(tmp_path, capsys):
         ("sim.antigravity = on", "unknown config key: sim.antigravity"),
         ("train.hidden_size = 8.5", "train.hidden_size: expected int, got '8.5'"),
         ("sim.duration = fast", "sim.duration: expected float, got 'fast'"),
+        ("sim.jitter_tau = 0", "unknown config key: sim.jitter_tau"),
     ]:
         path.write_text("seed = 4\n" + line + "\n")
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "d")])
@@ -297,12 +319,30 @@ def test_bad_training_config_errors_to_stderr(tmp_path, capsys):
     for line, message in [
         ("train.hidden_size = 0", "hidden_size must be >= 1"),
         ("train.validation_fraction = 1.0", "validation_fraction must be in (0, 1)"),
+        ("train.learning_rate = nan", "learning_rate must be finite, got nan"),
+        ("train.dropout_rate = -inf", "dropout_rate must be finite, got -inf"),
     ]:
         rc = main(["train", "--config", fast_cfg(tmp_path, line + "\n"),
                    str(data / "dataset_seed1.txt"), "--out", str(tmp_path / "m.ckpt")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_bad_simulation_config_errors_to_stderr(tmp_path, capsys):
+    # Each value parses, but SimConfig or DipoleParams refuses it, naming
+    # the field, before any dataset is written.
+    for line, message in [
+        ("sim.duration = inf", "duration must be finite, got inf"),
+        ("sim.duration = nan", "duration must be finite, got nan"),
+        ("sim.moment_magnitude = nan", "moment_magnitude must be finite, got nan"),
+        ("sim.mag_noise_sd = -1e-7", "mag_noise_sd must be >= 0, got -1e-07"),
+    ]:
+        rc = main(["simulate", "--config", fast_cfg(tmp_path, line + "\n"),
+                   "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list((tmp_path / "d").iterdir())
 
 
 def test_bad_checkpoint_errors(tmp_path, capsys):

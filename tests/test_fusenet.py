@@ -895,6 +895,15 @@ def test_checkpoint_repeated_hp_or_meta_record_is_refused(tmp_path, kind, record
         fn.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind", ["HP", "META"])
+def test_checkpoint_missing_hp_or_meta_record_is_refused(tmp_path, kind):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    _drop_lines(path, kind + " ")
+    with pytest.raises(ValueError, match="^corrupt checkpoint: missing HP/META records$"):
+        fn.load_checkpoint(path)
+
+
 def test_checkpoint_missing_stat_record_is_named(tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
@@ -948,6 +957,18 @@ def test_checkpoint_wrong_shape_w_record_is_named(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("W head.b 6 ", "W head.b 2x3 "))
     with pytest.raises(ValueError, match=r"'head.b' has shape \(2, 3\), expected \(6,\)"):
+        fn.load_checkpoint(path)
+
+
+def test_checkpoint_w_record_value_count_is_named(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    lines = path.read_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("W head.b "))
+    lines[k] = "W head.b 6 1.0 2.0"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"checkpoint line {k + 1}, W record: W record 'head.b' holds 2 values for shape 6"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         fn.load_checkpoint(path)
 
 

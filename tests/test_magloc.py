@@ -274,6 +274,38 @@ def test_localize_stream_keeps_per_frame_fields():
     assert not np.array_equal(streamed[-1].position, prev.position)
 
 
+def test_localize_stream_singular_covariance_only_predicts(monkeypatch):
+    # A converged frame whose J^T J cannot be inverted keeps its own fit's
+    # heading, residual, iterations and flag, but does not update the
+    # filter: its position is the previous filtered one.
+    dipole = sk.DipoleParams()
+    pose = Pose([0.0, 0.01, -0.09], [0.0, -0.1, 0.2])
+    readings = [
+        make_reading(pose, dipole, noise_sd=5e-7, seed=100 + k, t=k / 50.0)
+        for k in range(5)
+    ]
+    plain = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
+    fit_covariance, calls = ml._fit_covariance, []
+
+    def singular_on_third_call(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("singular matrix")
+        return fit_covariance(*args)
+
+    monkeypatch.setattr(ml, "_fit_covariance", singular_on_third_call)
+    out = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
+    assert len(calls) == len(readings)
+    for est, ref in zip(out, plain):
+        assert np.array_equal(est.heading, ref.heading)
+        assert (est.residual, est.iterations, est.converged) == (
+            ref.residual, ref.iterations, True)
+    assert np.array_equal(out[1].position, plain[1].position)
+    assert np.array_equal(out[2].position, out[1].position)
+    assert not np.array_equal(out[3].position, out[2].position)
+    assert not np.array_equal(out[4].position, out[3].position)
+
+
 def test_position_covariance_matches_per_frame_scatter():
     # sigma^2 (J^T J)^-1 predicts the scatter of repeated noisy fits.
     dipole = sk.DipoleParams()

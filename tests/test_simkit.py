@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -294,17 +296,35 @@ def test_dataset_empty_mag_stream(tmp_path):
     assert len(back.vis) == len(ds.vis)
 
 
-def test_dataset_truncated_file_reports_line(tmp_path):
+@pytest.mark.parametrize("kind, fields", [("GT", 7), ("MAG", 65), ("VIS", 7)])
+def test_dataset_truncated_file_reports_line(tmp_path, kind, fields):
     cfg = sk.SimConfig(duration=1.0, seed=11)
     ds = sk.simulate_dataset(cfg)
     path = tmp_path / "trunc.txt"
     sk.write_dataset(path, ds)
     lines = path.read_text().splitlines()
-    # Chop a MAG record down to half its fields.
-    idx = next(i for i, l in enumerate(lines) if l.startswith("MAG"))
-    lines[idx] = " ".join(lines[idx].split()[:10])
+    # Chop the first record of the kind down to its kind and four values.
+    idx = next(i for i, l in enumerate(lines) if l.startswith(kind + " "))
+    lines[idx] = " ".join(lines[idx].split()[:5])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=str(idx + 1)):
+    with pytest.raises(ValueError,
+                       match=rf"trunc\.txt:{idx + 1}: {kind} record needs {fields} fields$"):
+        sk.read_dataset(path)
+
+
+@pytest.mark.parametrize("prefix, edit, message", [
+    ("VIS ", lambda l: "IMU" + l[3:], "unknown record kind 'IMU'"),
+    ("# ", lambda l: l.replace("v1", "v9", 1), "unrecognized dataset header: '# capsloc-dataset v9 "),
+    ("# ", lambda l: "", "missing dataset header"),
+], ids=["unknown-kind", "unrecognized-header", "missing-header"])
+def test_dataset_bad_header_or_record_kind_reports_line(tmp_path, prefix, edit, message):
+    path = tmp_path / "ds.txt"
+    sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=12)))
+    lines = path.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    lines[idx] = edit(lines[idx])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{idx + 1}: {message}')}"):
         sk.read_dataset(path)
 
 
@@ -340,7 +360,7 @@ def test_dataset_out_of_order_record_reports_line(tmp_path, kind):
 
 def test_dataset_header_roundtrips_every_config_field(tmp_path):
     cfg = sk.SimConfig(duration=1.0, seed=13, motion_profile="slow_incremental",
-                       workspace_center=(0.01, -0.02, -0.07), slow_speed_cap=0.004,
+                       workspace_center=(0.01, -0.02, -0.07),
                        actuator_uniform=(1e-6, 0.0, 2.5e-6))
     dipole = sk.DipoleParams(0.01, (0.0, 0.6, 0.8))
     path = tmp_path / "ds.txt"
@@ -398,6 +418,26 @@ def test_simulate_dataset_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         sk.SimConfig(duration=0.0, seed=0)
+    # nan passes every `<= 0` check, and inf overflows the frame count.
+    for kwargs, message in [
+        (dict(duration=np.inf), "duration must be finite, got inf"),
+        (dict(duration=np.nan), "duration must be finite, got nan"),
+        (dict(jitter_scale=np.nan), "jitter_scale must be finite, got nan"),
+        (dict(workspace_center=(0.0, np.nan, -0.08)),
+         "workspace_center must be finite, got (0.0, nan, -0.08)"),
+        (dict(actuator_gradient=(0.0, 0.0, -np.inf)),
+         "actuator_gradient must be finite, got (0.0, 0.0, -inf)"),
+        (dict(mag_noise_sd=-1e-7), "mag_noise_sd must be >= 0, got -1e-07"),
+        (dict(vis_rot_noise_sd=-0.5), "vis_rot_noise_sd must be >= 0, got -0.5"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sk.SimConfig(**kwargs)
+    for kwargs, message in [
+        (dict(moment_magnitude=np.nan), "moment_magnitude must be finite, got nan"),
+        (dict(moment_axis=(np.nan, 0.0, 0.0)), "moment_axis must be finite, got (nan, 0.0, 0.0)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sk.DipoleParams(**kwargs)
     with pytest.raises(ValueError):
         sk.SimConfig(duration=1.0, seed=0, mag_rate=50, vis_rate=30)
     with pytest.raises(ValueError):
