@@ -325,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as e:
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

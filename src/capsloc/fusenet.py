@@ -460,11 +460,11 @@ def train(datasets, cfg: TrainingConfig, hp: Hyperparams):
     1 and updated in place. Adam steps each block of rows as soon as
     gradient_stream makes it (_train_step), so no whole weight gradient
     exists: head.W's (0.003 P) is the largest array handed over whole, and
-    a weight block holds at most neuralcore's _ADAM_BLOCK elements
+    a weight block holds at most neuralcore's _GRADIENT_BLOCK elements
     (0.01 P). On top come one window's caches and BPTT temporaries during
     an Adam step, or an inference chunk (see _INFERENCE_CHUNK) during
     validation and the refit. At H = 200 and window 32 the traced peak is
-    4.34 P.
+    4.32 P.
 
     Every dataset must have the same rate ratio, which the checkpoint
     records."""
@@ -593,12 +593,15 @@ def predict_trajectory(
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """HP, META, then a W record per array, stats.<field> for NormStats."""
+    """HP, META, then a W record per array, stats.<field> for NormStats.
+    HP and META are written from the classes load_checkpoint parses them
+    with, so a value it would refuse is refused before the file is opened."""
     stats = {f"stats.{fld.name}": getattr(ckpt.stats, fld.name) for fld in fields(NormStats)}
+    meta = _MetaRecord(ckpt.rate_ratio, ckpt.beta_loss)
     with open(path, "w") as f:
         f.write(f"# {CHECKPOINT_VERSION}\n")
         f.write(f"HP {format_config(ckpt.hyperparams)}\n")
-        f.write(f"META rate_ratio={ckpt.rate_ratio} beta_loss={ckpt.beta_loss!r}\n")
+        f.write(f"META {format_config(meta)}\n")
         for name, arr in sorted({**ckpt.params, **stats}.items()):
             dims = "x".join(str(d) for d in arr.shape)
             vals = " ".join(repr(float(v)) for v in arr.ravel())

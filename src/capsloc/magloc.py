@@ -121,7 +121,9 @@ _SENSORS = sensor_positions().reshape(-1, 3)
 
 
 class DivergenceError(RuntimeError):
-    """Inversion failed to converge; carries the best estimate found."""
+    """Inversion failed to converge; carries the best estimate found. Part
+    of the test oracle estimate_pose_5dof, which alone raises it; the
+    pipeline marks such a frame converged=False instead."""
 
     def __init__(self, message, best: MagMeasurement5DoF):
         super().__init__(message)
@@ -149,6 +151,9 @@ def _retract(h, basis, ab) -> np.ndarray:
 def subtract_actuator_field(
     reading: HallArrayReading, actuator: ActuatorFieldModel
 ) -> HallArrayReading:
+    """The reading less the actuator field's z component at each sensor. A
+    test oracle (the subtraction tests, estimate_pose_5dof and
+    grid_search_init); localize_stream subtracts the same field itself."""
     bz = actuator.field(_SENSORS)[:, 2].reshape(SENSOR_GRID_N, SENSOR_GRID_N)
     return HallArrayReading(reading.timestamp, reading.values - bz)
 

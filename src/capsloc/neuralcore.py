@@ -12,14 +12,15 @@ LSTM cell with no bias terms:
 An LSTM's weights are one stacked array W (4H, X + H): row blocks i, f, g,
 o, columns [x | h], so W_gh above is W[2H:3H, X:]. The kernels, parameters,
 gradients, Adam moments and checkpoints all hold W whole. The sequence
-kernels run a (T, X) sequence as a batch of one, or B sequences as a
-time-major (T, B, X) batch:
+kernels run B sequences as one time-major (T, B, X) batch with (B, H)
+states, a single sequence being a batch of one:
 lstm_sequence_forward takes all input projections in one GEMM, then one
 h[t] W_h^T product per step; lstm_hidden_states runs the same steps
 (_lstm_step) for inference and keeps only the hidden states its caller
 reads; lstm_backward does one dA[t] W_h product per step, then the input
-gradients dA W_x, and hands out dW = dA^T [X | H_prev] as row blocks, one
-GEMM each.
+gradients dA W_x, and hands out dW = dA^T [X | H_prev] as row blocks of at
+most _GRADIENT_BLOCK elements, one GEMM each. The linear layers take (N, X)
+rows.
 
 Adam variant with epsilon inside the square root of the bias-corrected
 second moment:
@@ -37,13 +38,13 @@ v_hat >> eps, and at v_hat = 1e-10 (eps = 1e-8) sqrt(v_hat + eps) is about
 10x sqrt(v_hat) + eps.
 
 adam_step updates parameters and moments in place, in that formula's
-operation order, a block of rows at a time through two work arrays of
-_ADAM_BLOCK elements kept in the AdamState. It takes the gradients as a
-stream of (key, gradient) pairs, each an array's whole gradient or the next
-block of its rows, so that training can step each block as soon as
-backward makes it and never hold a whole weight gradient; a caller holding
-a dict passes its items(). The update is elementwise, so neither the order
-of the arrays nor their blocking moves a bit.
+operation order. It takes the gradients as a stream of (key, gradient)
+pairs, each an array's whole gradient or the next block of its rows, and
+steps each pair as it arrives, so that training can step each of BPTT's
+row blocks as soon as backward makes it and never hold a whole weight
+gradient; a caller holding a dict passes its items(). The update is
+elementwise, so neither the order of the arrays nor their blocking moves a
+bit.
 """
 
 from __future__ import annotations
@@ -90,29 +91,22 @@ def _lstm_shape(W) -> tuple:
     return rows // 4, cols - rows // 4
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray  # (H,), or (B, H) for a batch
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        if self.h.ndim not in (1, 2) or self.h.shape != self.c.shape:
-            raise ValueError("h and c must have equal (H,) or (B, H) shapes")
+class LstmState(NamedTuple):
+    h: np.ndarray  # (B, H)
+    c: np.ndarray  # (B, H)
 
     @staticmethod
-    def zeros(*shape) -> "LstmState":
-        return LstmState(np.zeros(shape), np.zeros(shape))
+    def zeros(B: int, H: int) -> "LstmState":
+        return LstmState(np.zeros((B, H)), np.zeros((B, H)))
 
 
 class LstmCache(NamedTuple):
-    """What lstm_backward needs of a forward pass; a batch adds a B axis after T."""
+    """What lstm_backward needs of a forward pass."""
 
-    x: np.ndarray  # (T, X) inputs
-    h: np.ndarray  # (T + 1, H) hidden states; h[0] is the initial one
-    c: np.ndarray  # (T + 1, H) cell states; c[0] is the initial one
-    gates: np.ndarray  # (T, 4H) activations i, f, g, o
+    x: np.ndarray  # (T, B, X) inputs
+    h: np.ndarray  # (T + 1, B, H) hidden states; h[0] is the initial one
+    c: np.ndarray  # (T + 1, B, H) cell states; c[0] is the initial one
+    gates: np.ndarray  # (T, B, 4H) activations i, f, g, o
 
 
 def init_lstm_weights(input_size: int, hidden_size: int, rng) -> np.ndarray:
@@ -128,18 +122,19 @@ def init_lstm_weights(input_size: int, hidden_size: int, rng) -> np.ndarray:
 
 
 def _projected(xs, init: LstmState, W: np.ndarray):
-    """A nonempty (T, X) sequence with (H,) states or a (T, B, X) batch with
-    (B, H) states, checked against init and W: returns (xs as an array, the
-    input projections of all steps, (T, B, 4H), from one GEMM, W_h^T)."""
+    """A nonempty time-major (T, B, X) batch with (B, H) states, checked
+    against init and W: returns (xs as an array, the input projections of
+    all steps, (T, B, 4H), from one GEMM, W_h^T)."""
     x = np.asarray(xs, dtype=float)
-    if x.ndim not in (2, 3) or x.size == 0:
-        raise ValueError("expected a nonempty (steps, [batch,] input) sequence")
-    T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
+    if x.ndim != 3 or x.size == 0:
+        raise ValueError(f"expected a nonempty (steps, batch, input) array, got {x.shape}")
+    T, B, n = x.shape
     H, X = _lstm_shape(W)
     if n != X:
         raise ValueError(f"input size {n} != weights {X}")
-    if init.h.shape != x.shape[1:-1] + (H,):
-        raise ValueError("state shape mismatch")
+    if init.h.shape != (B, H) or init.c.shape != (B, H):
+        raise ValueError(f"state shape mismatch: h {init.h.shape} and c "
+                         f"{init.c.shape}, expected {(B, H)}")
     gates = (x.reshape(T * B, n) @ W[:, :n].T).reshape(T, B, 4 * H)
     return x, gates, W[:, n:].T
 
@@ -159,55 +154,53 @@ def _lstm_step(a, h, c, W_h_T, h_out, c_out):
 
 
 def lstm_sequence_forward(xs, init: LstmState, W: np.ndarray):
-    """Run the LSTM from init over a nonempty (T, X) sequence with (H,) states
-    or a (T, B, X) batch with (B, H) states. Returns (the LstmState after the
-    last step, the LstmCache for lstm_backward, holding every step's h and c)."""
+    """Run the LSTM from init over a nonempty (T, B, X) batch with (B, H)
+    states. Returns (the LstmState after the last step, the LstmCache for
+    lstm_backward, holding every step's h and c)."""
     x, gates, W_h_T = _projected(xs, init, W)
-    T, B, H = len(gates), gates.shape[1], W_h_T.shape[0]
+    (T, B, _), H = gates.shape, len(W_h_T)
     h, c = np.empty((2, T + 1, B, H))
-    h[0], c[0] = init.h, init.c
+    h[0], c[0] = init
     for t in range(T):
         _lstm_step(gates[t], h[t], c[t], W_h_T, h[t + 1], c[t + 1])
-    h, c, gates = (a.reshape(len(a), *x.shape[1:-1], -1) for a in (h, c, gates))
     return LstmState(h[T], c[T]), LstmCache(x, h, c, gates)
 
 
 def lstm_hidden_states(xs, init: LstmState, W: np.ndarray, stride: int = 1):
     """The hidden states after steps stride, 2 stride, ... of
-    lstm_sequence_forward's run, (T // stride, [B,] H), bit for bit, for
+    lstm_sequence_forward's run, (T // stride, B, H), bit for bit, for
     inference: besides the input projections it keeps two (B, H) state
     pairs and the states it returns, and no cell or gate history."""
-    x, gates, W_h_T = _projected(xs, init, W)
-    T, B, H = len(gates), gates.shape[1], W_h_T.shape[0]
+    _, gates, W_h_T = _projected(xs, init, W)
+    (T, B, _), H = gates.shape, len(W_h_T)
     h, c, h_out, c_out = np.empty((4, B, H))  # the states before and after a step
-    h[:], c[:] = init.h.reshape(B, H), init.c.reshape(B, H)
+    h[:], c[:] = init
     hs = np.empty((T // stride, B, H))
     for t in range(T):
         _lstm_step(gates[t], h, c, W_h_T, h_out, c_out)
         h, c, h_out, c_out = h_out, c_out, h, c
         if (t + 1) % stride == 0:
             hs[t // stride] = h
-    return hs.reshape(len(hs), *x.shape[1:-1], H)
+    return hs
 
 
 def lstm_backward(cache: LstmCache, W: np.ndarray, dh_list):
     """Full BPTT over a forward pass; dh_list holds the upstream gradient on
-    every step's h, shaped as the cache's h[1:], zeros allowed. Returns (the
-    (4H, X + H) gradient on W, summed over a batch, as a generator of
-    consecutive row blocks of at most _ADAM_BLOCK elements, one GEMM each;
-    the gradient on the initial state; the input gradients).
+    every step's h, (T, B, H) as the cache's h[1:], zeros allowed. Returns
+    (the (4H, X + H) gradient on W, summed over the batch, as a generator of
+    consecutive row blocks of at most _GRADIENT_BLOCK elements, one GEMM
+    each; the gradient on the initial state; the input gradients).
 
     The state and input gradients are made before it returns, and the
     blocks read no W, so a caller may step W as each block arrives. The
     blocks hold on to the pre-activation gradients and the GEMM's right
     operand, but not to the cache or the per-step temporaries."""
     x, h, c, gates = cache
-    T, B, n = x.reshape(len(x), -1, x.shape[-1]).shape
+    T, B, n = x.shape
     H, _ = _lstm_shape(W)
     dh_up = np.asarray(dh_list, dtype=float)
     if dh_up.shape != h[1:].shape:
         raise ValueError("dh_list must hold one hidden-size gradient per step")
-    h, c, gates, dh_up = (a.reshape(len(a), B, -1) for a in (h, c, gates, dh_up))
     i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     tc = np.tanh(c[1:])
     dc_per_dh = o * (1.0 - tc * tc)
@@ -230,30 +223,42 @@ def lstm_backward(cache: LstmCache, W: np.ndarray, dh_list):
     del dc_per_dh
     d_pre = d_pre.reshape(T * B, 4 * H)
     xh = np.concatenate([x.reshape(T * B, n), h[:-1].reshape(T * B, H)], 1)
-    dinit = LstmState(dh_next.reshape(cache.h[0].shape), dc.reshape(cache.h[0].shape))
-    return _weight_blocks(d_pre, xh), dinit, (d_pre @ W[:, :n]).reshape(x.shape)
+    dx = (d_pre @ W[:, :n]).reshape(x.shape)
+    return _weight_blocks(d_pre, xh), LstmState(dh_next, dc), dx
+
+
+# lstm_backward hands out its weight gradient in blocks of whole rows of
+# about this many elements, and adam_step steps each block as it arrives,
+# so no whole weight gradient exists and Adam's temporaries stay the size
+# of a block. At H = 200 the core LSTM's W holds 480k elements, and its
+# whole gradient made 0.59 of a parameter set. Blocks of 8k elements
+# (64 KiB) gave fusion-train-paper a peak RSS about 1.8 MiB below blocks
+# of 32k, at about 4% more time per pass. A block's operands also stay in
+# cache across the update's passes.
+_GRADIENT_BLOCK = 1 << 13
 
 
 def _weight_blocks(d_pre, xh):
-    """d_pre^T xh, one GEMM per block of _block_rows rows."""
-    rows = _block_rows(xh.shape[1])
+    """d_pre^T xh, one GEMM per block of whole rows of at most
+    _GRADIENT_BLOCK elements (at least one row)."""
+    rows = max(1, _GRADIENT_BLOCK // xh.shape[1])
     for r in range(0, d_pre.shape[1], rows):
         yield d_pre[:, r : r + rows].T @ xh
 
 
 def linear_forward(x, W, b):
-    """y = W x + b for one input (X,), or for each row of a (T, X) batch."""
+    """y = W x + b for each row of an (N, X) array."""
     x = np.asarray(x, dtype=float)
-    if W.shape[1] != x.shape[-1] or W.shape[0] != b.shape[0]:
+    if x.ndim != 2 or W.shape[1] != x.shape[1] or W.shape[0] != b.shape[0]:
         raise ValueError("linear layer dimension mismatch")
     return x @ W.T + b
 
 
 def linear_backward(x, W, dy):
-    """Gradients of y = W x + b: returns (dW, db, dx). Over a (T, X) batch,
-    dW and db sum the rows' gradients and dx has one row per input."""
-    x2, dy2 = np.atleast_2d(np.asarray(x, dtype=float), np.asarray(dy, dtype=float))
-    return dy2.T @ x2, dy2.sum(axis=0), np.asarray(dy, dtype=float) @ W
+    """Gradients of y = W x + b over (N, X) rows x and (N, Y) rows dy:
+    returns (dW, db, dx), dW and db summed over the rows, dx one row per
+    input."""
+    return dy.T @ x, dy.sum(axis=0), dy @ W
 
 
 def dropout(x, rate: float, rng):
@@ -311,32 +316,11 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPSILON = 1e-8
 
-# adam_step updates each parameter in blocks of whole rows of about this
-# many elements, so that its two work arrays stay small whatever the
-# model's size, and lstm_backward makes its weight gradient in blocks of
-# the same rows, so that no whole weight gradient exists. At H = 200 the
-# core LSTM's W holds 480k elements; work arrays the size of each W raised
-# the peak memory of H = 200 training by 8 MiB, and its whole gradient
-# made 0.59 of a parameter set. Blocks of 8k elements (64 KiB) gave
-# fusion-train-paper a peak RSS about 1.8 MiB below blocks of 32k, at
-# about 4% more time per pass. A block's operands also stay in cache
-# across the update's passes.
-_ADAM_BLOCK = 1 << 13
-
-
-def _block_rows(row_size: int) -> int:
-    """Rows per block of an array whose rows hold row_size elements: about
-    _ADAM_BLOCK elements, at least one row."""
-    return max(1, _ADAM_BLOCK // row_size)
-
-
 @dataclass
 class AdamState:
     m: dict
     v: dict
     t: int = 0
-    # Two flat work arrays, which every adam_step reuses.
-    scratch: tuple = ()
 
 
 def adam_init(params: dict) -> AdamState:
@@ -383,17 +367,9 @@ def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
         if g.shape[1:] != p.shape[1:] or g.ndim != p.ndim or start + len(g) > len(p):
             raise ValueError(f"gradient shape mismatch for {k}")
         filled[k] = start + len(g)
-        row = int(np.prod(p.shape[1:]))
-        rows = _block_rows(row)
-        size = min(rows, len(g)) * row
-        if not state.scratch or state.scratch[0].size < size:
-            state.scratch = (np.empty(size), np.empty(size))
-        for r in range(0, len(g), rows):
-            g_rows = g[r : r + rows]
-            block = slice(start + r, start + r + len(g_rows))
-            _adam_update(p[block], g_rows, state.m[k][block],
-                         state.v[k][block], state.scratch, hp, m_scale, v_scale)
-            del g_rows
+        rows = slice(start, filled[k])
+        _adam_update(p[rows], g, state.m[k][rows], state.v[k][rows],
+                     hp.learning_rate, m_scale, v_scale)
         del g  # before the stream makes the next gradient
     missing = [k if k not in filled else f"{k} rows {filled[k]}:{len(p)}"
                for k, p in params.items() if filled.get(k, 0) < len(p)]
@@ -402,21 +378,13 @@ def adam_step(params: dict, grads, state: AdamState, hp: Hyperparams):
     return params, state
 
 
-def _adam_update(p, g, m, v, scratch, hp, m_scale, v_scale):
+def _adam_update(p, g, m, v, lr, m_scale, v_scale):
     """adam_step on one block of rows, in place."""
-    a, b = (s[: p.size].reshape(p.shape) for s in scratch)
     m *= _BETA1
-    m += np.multiply(1.0 - _BETA1, g, out=a)
+    m += (1.0 - _BETA1) * g
     v *= _BETA2
-    np.multiply(1.0 - _BETA2, g, out=a)
-    v += np.multiply(a, g, out=a)
-    # p -= lr * (m / m_scale) / sqrt(v / v_scale + eps)
-    np.divide(v, v_scale, out=b)
-    b += _EPSILON
-    np.sqrt(b, out=b)
-    np.divide(m, m_scale, out=a)
-    np.multiply(hp.learning_rate, a, out=a)
-    p -= np.divide(a, b, out=a)
+    v += (1.0 - _BETA2) * g * g
+    p -= lr * (m / m_scale) / np.sqrt(v / v_scale + _EPSILON)
 
 
 def finite_difference_gradient(loss_fn, params: dict, step: float = 1e-6) -> dict:

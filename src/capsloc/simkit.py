@@ -115,13 +115,15 @@ class SimConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
         for name in ("mag_noise_sd", "vis_trans_noise_sd", "vis_rot_noise_sd"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.mag_rate <= 0 or self.vis_rate <= 0:
             raise ValueError("rates must be positive")
+        # One visual frame at least, and so one magnetic frame at least.
+        if round(self.duration * self.vis_rate) < 1:
+            raise ValueError(f"duration {self.duration!r} s holds no frame at vis_rate "
+                             f"{self.vis_rate!r} Hz: duration * vis_rate must round to >= 1")
         ratio = self.mag_rate / self.vis_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("mag_rate must be an integer multiple of vis_rate")
@@ -295,6 +297,9 @@ def dipole_field(capsule_pose: Pose, dipole: DipoleParams, query_point) -> np.nd
     """Point-dipole field at query_point (world), tesla.
 
     B(r) = (mu0 / 4 pi) (3 (m.rhat) rhat - m) / |r|^3
+
+    A test oracle (the field tests and sample_hall_array);
+    simulate_mag_stream evaluates _dipole_fields over batches of frames.
     """
     q = np.asarray(query_point, dtype=float)
     B = _dipole_fields(capsule_pose.t[None], capsule_pose.r[None], dipole,

@@ -58,16 +58,16 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
 
         # LSTM cell (single-step BPTT).
         w = nc.init_lstm_weights(3, 5, rng)
-        x = rng.normal(0, 1, 3)
-        init = nc.LstmState(h=rng.normal(0, 0.5, 5), c=rng.normal(0, 0.5, 5))
-        target = rng.normal(0, 1, 5)
-        _, caches = nc.lstm_sequence_forward([x], init, w)
-        blocks, _, _ = nc.lstm_backward(caches, w, [target])
+        x = rng.normal(0, 1, (1, 1, 3))
+        init = nc.LstmState(h=rng.normal(0, 0.5, (1, 5)), c=rng.normal(0, 0.5, (1, 5)))
+        target = rng.normal(0, 1, (1, 1, 5))
+        _, caches = nc.lstm_sequence_forward(x, init, w)
+        blocks, _, _ = nc.lstm_backward(caches, w, target)
         grads = np.concatenate(list(blocks))
 
         def cell_loss(params):
-            final, _ = nc.lstm_sequence_forward([x], init, params["W"])
-            return float(np.dot(target, final.h))
+            final, _ = nc.lstm_sequence_forward(x, init, params["W"])
+            return float(np.dot(target[0, 0], final.h[0]))
 
         fd = nc.finite_difference_gradient(cell_loss, {"W": w})
         worst["cell"] = max(
@@ -76,15 +76,15 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         )
 
         # Sequence BPTT.
-        xs = [rng.normal(0, 1, 3) for _ in range(5)]
-        targets = [rng.normal(0, 1, 5) for _ in range(5)]
+        xs = np.array([rng.normal(0, 1, 3) for _ in range(5)])[:, None]
+        targets = np.array([rng.normal(0, 1, 5) for _ in range(5)])[:, None]
         _, caches = nc.lstm_sequence_forward(xs, init, w)
         blocks, _, _ = nc.lstm_backward(caches, w, targets)
         grads = np.concatenate(list(blocks))
 
         def seq_loss(params):
             _, cache = nc.lstm_sequence_forward(xs, init, params["W"])
-            return sum(float(np.dot(d, h)) for d, h in zip(targets, cache.h[1:]))
+            return sum(float(np.dot(d[0], h[0])) for d, h in zip(targets, cache.h[1:]))
 
         fd = nc.finite_difference_gradient(seq_loss, {"W": w})
         worst["bptt"] = max(
@@ -95,13 +95,13 @@ def test_criterion_1_gradient_suite(verdict, gate_blocks):
         # Linear head.
         W = rng.normal(0, 0.5, (4, 7))
         b = rng.normal(0, 0.5, 4)
-        xl = rng.normal(0, 1, 7)
-        dy = rng.normal(0, 1, 4)
+        xl = rng.normal(0, 1, (1, 7))
+        dy = rng.normal(0, 1, (1, 4))
         dW, db, dx = nc.linear_backward(xl, W, dy)
 
         def lin_loss(params):
             y = nc.linear_forward(params["x"], params["W"], params["b"])
-            return float(np.dot(dy, y))
+            return float(np.dot(dy[0], y[0]))
 
         fd = nc.finite_difference_gradient(lin_loss, {"W": W, "b": b, "x": xl})
         worst["linear"] = max(
@@ -223,22 +223,22 @@ def test_criterion_3_lstm_fidelity(verdict):
     # c' = 0.5 * 2 = 1 and h' = 0.5 * tanh(1) = 0.380797.
     w0 = np.zeros((4, 2))
     state, _ = nc.lstm_sequence_forward(
-        [[7.0]], nc.LstmState(h=np.zeros(1), c=np.array([2.0])), w0
+        [[[7.0]]], nc.LstmState(h=np.zeros((1, 1)), c=np.array([[2.0]])), w0
     )
-    hand_err = abs(state.h[0] - 0.380797)
+    hand_err = abs(state.h[0, 0] - 0.380797)
 
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([3000, trial]))
         w = nc.init_lstm_weights(4, 6, rng)
         x = rng.normal(0, 1, 4)
-        prev = nc.LstmState(h=rng.normal(0, 1, 6), c=rng.normal(0, 1, 6))
-        got, _ = nc.lstm_sequence_forward([x], prev, w)
-        h_ref, c_ref = _naive_cell(x, prev.h, prev.c, w)
+        prev = nc.LstmState(h=rng.normal(0, 1, (1, 6)), c=rng.normal(0, 1, (1, 6)))
+        got, _ = nc.lstm_sequence_forward(x[None, None], prev, w)
+        h_ref, c_ref = _naive_cell(x, prev.h[0], prev.c[0], w)
         worst = max(
             worst,
-            float(np.max(np.abs(got.h - h_ref))),
-            float(np.max(np.abs(got.c - c_ref))),
+            float(np.max(np.abs(got.h[0] - h_ref))),
+            float(np.max(np.abs(got.c[0] - c_ref))),
         )
 
     ok = hand_err < 1e-6 and worst < 1e-12

@@ -331,18 +331,32 @@ def test_bad_training_config_errors_to_stderr(tmp_path, capsys):
 
 def test_bad_simulation_config_errors_to_stderr(tmp_path, capsys):
     # Each value parses, but SimConfig or DipoleParams refuses it, naming
-    # the field, before any dataset is written.
+    # the field, before any dataset is written. A duration that holds no
+    # visual frame (0.02 s at 25 Hz holds one magnetic frame, 0.001 s none)
+    # is refused too, and one whose frames cannot be allocated is a
+    # MemoryError, reported as an error line.
+    no_frame = ("duration {} s holds no frame at vis_rate 25.0 Hz: "
+                "duration * vis_rate must round to >= 1")
     for line, message in [
-        ("sim.duration = inf", "duration must be finite, got inf"),
-        ("sim.duration = nan", "duration must be finite, got nan"),
-        ("sim.moment_magnitude = nan", "moment_magnitude must be finite, got nan"),
-        ("sim.mag_noise_sd = -1e-7", "mag_noise_sd must be >= 0, got -1e-07"),
+        ("sim.duration = inf", re.escape("duration must be finite, got inf")),
+        ("sim.duration = nan", re.escape("duration must be finite, got nan")),
+        ("sim.moment_magnitude = nan", re.escape("moment_magnitude must be finite, got nan")),
+        ("sim.mag_noise_sd = -1e-7", re.escape("mag_noise_sd must be >= 0, got -1e-07")),
+        ("sim.duration = 0.001", re.escape(no_frame.format(0.001))),
+        ("sim.duration = 0.02", re.escape(no_frame.format(0.02))),
+        ("sim.duration = 1e12", "Unable to allocate .+"),
     ]:
         rc = main(["simulate", "--config", fast_cfg(tmp_path, line + "\n"),
                    "--out", str(tmp_path / "d")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
     assert not list((tmp_path / "d").iterdir())
+    # The shortest duration allowed writes one visual record.
+    rc = main(["simulate", "--config", fast_cfg(tmp_path, "sim.duration = 0.04\n"),
+               "--seed", "3", "--out", str(tmp_path / "d")])
+    assert rc == 0
+    ds = simkit.read_dataset(tmp_path / "d" / "dataset_seed3.txt")
+    assert (len(ds.mag), len(ds.vis)) == (2, 1)
 
 
 def test_bad_checkpoint_errors(tmp_path, capsys):

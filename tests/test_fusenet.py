@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,8 +58,9 @@ def one_window(samples):
 
 
 def cell(x, prev, w):
-    """One LSTM step: the one-step sequence's final state."""
-    return nc.lstm_sequence_forward([x], prev, w)[0]
+    """One LSTM step of one (X,) input from (1, H) states: the one-step
+    batch of one's final state."""
+    return nc.lstm_sequence_forward(np.reshape(x, (1, 1, -1)), prev, w)[0]
 
 
 def zero_network(hidden=4):
@@ -242,16 +244,16 @@ def test_forward_matches_step_by_step_oracle():
     samples = toy_samples(5, rng)
     outputs, _ = fn.forward(net, one_window(samples))
 
-    mag_s = nc.LstmState.zeros(3)
-    vis_s = nc.LstmState.zeros(3)
-    core_s = nc.LstmState.zeros(3)
+    mag_s = nc.LstmState.zeros(1, 3)
+    vis_s = nc.LstmState.zeros(1, 3)
+    core_s = nc.LstmState.zeros(1, 3)
     for k in range(len(samples)):
         for r in range(2):
             mag_s = cell(samples.mag[k, r], mag_s, net["mag.W"])
         vis_s = cell(samples.vis[k], vis_s, net["vis.W"])
-        z = np.concatenate([mag_s.h, vis_s.h])
+        z = np.concatenate([mag_s.h[0], vis_s.h[0]])
         core_s = cell(z, core_s, net["core.W"])
-        y = net["head.W"] @ core_s.h + net["head.b"]
+        y = net["head.W"] @ core_s.h[0] + net["head.b"]
         assert np.allclose(outputs[0, k], y, atol=1e-12)
 
 
@@ -269,15 +271,15 @@ def test_sequence_kernel_matches_per_cell_loop(gate_blocks):
     )
 
     mask_rng = np.random.default_rng(41)
-    mag_s, vis_s, core_s = (nc.LstmState.zeros(H) for _ in range(3))
+    mag_s, vis_s, core_s = (nc.LstmState.zeros(1, H) for _ in range(3))
     for k in range(len(samples)):
         for x in samples.mag[k]:
             mag_s = cell(x, mag_s, net["mag.W"])
         vis_s = cell(samples.vis[k], vis_s, net["vis.W"])
         keep = (mask_rng.random(2 * H) >= rate) / (1.0 - rate)
-        z = np.concatenate([mag_s.h, vis_s.h]) * keep
+        z = np.concatenate([mag_s.h[0], vis_s.h[0]]) * keep
         core_s = cell(z, core_s, net["core.W"])
-        assert np.allclose(outputs[0, k], net["head.W"] @ core_s.h + net["head.b"],
+        assert np.allclose(outputs[0, k], net["head.W"] @ core_s.h[0] + net["head.b"],
                            rtol=0, atol=1e-12)
 
     targets = window.target
@@ -585,7 +587,7 @@ def test_train_holds_each_parameter_array_once():
     # Paper size: the weights, Adam's m and v and the best epoch are four
     # parameter sets. Adam steps each block of rows as BPTT makes it, so
     # no whole weight gradient exists, and a window's caches and
-    # temporaries, or an inference chunk, come on top: 4.34 sets. A whole
+    # temporaries, or an inference chunk, come on top: 4.32 sets. A whole
     # core.W gradient (0.59 of a set), or a gradient, cache or best copy
     # that outlives its use, breaks the bound.
     # Two 149-step sets of four 32-step windows, three epochs.
@@ -793,6 +795,16 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(back.params[k], ckpt.params[k])
     for f in ("mag_mean", "mag_sd", "vis_mean", "vis_sd", "target_mean", "target_sd"):
         assert np.array_equal(getattr(back.stats, f), getattr(ckpt.stats, f))
+    # A rate ratio or beta that load_checkpoint would refuse is refused
+    # before the file is opened.
+    for bad, message in [
+        (dict(beta_loss=np.nan), "beta_loss must be finite and > 0, got nan"),
+        (dict(beta_loss=-3.0), r"beta_loss must be finite and > 0, got -3\.0"),
+        (dict(rate_ratio=0), "rate_ratio must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn.save_checkpoint(tmp_path / "bad.txt", replace(ckpt, **bad))
+        assert not (tmp_path / "bad.txt").exists()
 
 
 def test_checkpoint_predictions_identical_after_roundtrip(tmp_path):

@@ -146,12 +146,16 @@ def test_module_exports_only_defined_names(path):
 
 def unread_exports(sources: dict) -> list:
     """(module, name) of each name in a module's __all__ that none of the
-    sources reads outside its own definition, unless the def or class
-    docstring says it is a test oracle. sources maps module -> text."""
+    sources reads outside its own definition and the bodies of top-level
+    test oracles, unless the def or class docstring says it is a test
+    oracle itself. sources maps module -> text."""
     exported, read = [], Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
         read += _reads(tree)
+        for node in tree.body:
+            if _is_test_oracle(node):
+                read -= _reads(node)
         nodes = {n: node for node in tree.body for n in _bound_names(node)}
         if "__all__" in nodes:
             exported += [(module, n, nodes[n])
@@ -168,21 +172,25 @@ def _is_test_oracle(node) -> bool:
 
 
 def test_export_scan_flags_names_no_pipeline_reads():
-    # An export read only by itself, or by nobody, is flagged; one read by
-    # another module or by a sibling, or one whose docstring calls it a test
-    # oracle, is not.
+    # An export read only by itself, by nobody, or only inside a test
+    # oracle's body is flagged; one read by another module or by a sibling,
+    # or one whose docstring calls it a test oracle, is not.
     sources = {
         "a": (
-            "__all__ = ['used', 'orphan', 'oracle', 'recurse', 'K', 'Z']\n"
+            "__all__ = ['used', 'orphan', 'oracle', 'recurse', 'K', 'Z', 'helper']\n"
             "K = 1\nZ = 2\n"
             "def used():\n    return K\n"
             "def orphan():\n    pass\n"
             "def oracle():\n    \"\"\"A test\n    oracle for used.\"\"\"\n"
+            "    return helper()\n"
+            "def helper():\n    pass\n"
             "def recurse(n):\n    return recurse(n - 1) if n else 0\n"
         ),
         "b": "import a\nx = a.used()\n",
     }
-    assert unread_exports(sources) == [("a", "Z"), ("a", "orphan"), ("a", "recurse")]
+    assert unread_exports(sources) == [
+        ("a", "Z"), ("a", "helper"), ("a", "orphan"), ("a", "recurse"),
+    ]
 
 
 def test_every_export_is_read_by_a_pipeline_or_is_a_test_oracle():

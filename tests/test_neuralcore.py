@@ -19,8 +19,9 @@ def zero_weights(hidden, inp):
 
 
 def cell(x, prev, w):
-    """One LSTM step: the one-step sequence's final state."""
-    return nc.lstm_sequence_forward([x], prev, w)[0]
+    """One LSTM step of one (X,) input from (1, H) states: the one-step
+    batch of one's final state."""
+    return nc.lstm_sequence_forward(np.reshape(x, (1, 1, -1)), prev, w)[0]
 
 
 def backward(cache, w, dh):
@@ -53,42 +54,42 @@ def scalar_cell_oracle(x, h_prev, c_prev, w):
 
 def test_cell_zero_weights_zero_state():
     w = zero_weights(4, 3)
-    state = cell(np.ones(3), nc.LstmState.zeros(4), w)
-    assert np.array_equal(state.h, np.zeros(4))
-    assert np.array_equal(state.c, np.zeros(4))
+    state = cell(np.ones(3), nc.LstmState.zeros(1, 4), w)
+    assert np.array_equal(state.h, np.zeros((1, 4)))
+    assert np.array_equal(state.c, np.zeros((1, 4)))
 
 
 def test_cell_zero_weights_carried_cell():
     w = zero_weights(1, 1)
-    prev = nc.LstmState(h=np.zeros(1), c=np.array([2.0]))
+    prev = nc.LstmState(h=np.zeros((1, 1)), c=np.array([[2.0]]))
     state = cell(np.array([7.0]), prev, w)
-    assert abs(state.c[0] - 1.0) < 1e-15
-    assert abs(state.h[0] - 0.5 * np.tanh(1.0)) < 1e-15
-    assert abs(state.h[0] - 0.380797) < 5e-7
+    assert abs(state.c[0, 0] - 1.0) < 1e-15
+    assert abs(state.h[0, 0] - 0.5 * np.tanh(1.0)) < 1e-15
+    assert abs(state.h[0, 0] - 0.380797) < 5e-7
 
 
 def test_cell_matches_scalar_oracle():
     rng = np.random.default_rng(11)
     w = make_weights(rng, 6, 4)
     x = rng.normal(0, 1, 4)
-    prev = nc.LstmState(h=rng.normal(0, 1, 6), c=rng.normal(0, 1, 6))
+    prev = nc.LstmState(h=rng.normal(0, 1, (1, 6)), c=rng.normal(0, 1, (1, 6)))
     state = cell(x, prev, w)
-    h_ref, c_ref = scalar_cell_oracle(x, prev.h, prev.c, w)
-    assert np.allclose(state.h, h_ref, atol=1e-12)
-    assert np.allclose(state.c, c_ref, atol=1e-12)
+    h_ref, c_ref = scalar_cell_oracle(x, prev.h[0], prev.c[0], w)
+    assert np.allclose(state.h[0], h_ref, atol=1e-12)
+    assert np.allclose(state.c[0], c_ref, atol=1e-12)
 
 
 def test_cell_dimension_mismatch():
     w = zero_weights(4, 3)
     with pytest.raises(ValueError):
-        cell(np.ones(5), nc.LstmState.zeros(4), w)
+        cell(np.ones(5), nc.LstmState.zeros(1, 4), w)
 
 
 def test_sequence_final_state_is_last_cached_step():
     rng = np.random.default_rng(12)
     w = make_weights(rng, 5, 3)
-    xs = rng.normal(0, 1, (4, 3))
-    init = nc.LstmState(h=rng.normal(0, 1, 5), c=rng.normal(0, 1, 5))
+    xs = rng.normal(0, 1, (4, 1, 3))
+    init = nc.LstmState(h=rng.normal(0, 1, (1, 5)), c=rng.normal(0, 1, (1, 5)))
     final, cache = nc.lstm_sequence_forward(xs, init, w)
     assert np.array_equal(cache.h[0], init.h) and np.array_equal(cache.c[0], init.c)
     assert np.array_equal(final.h, cache.h[-1])
@@ -98,8 +99,8 @@ def test_sequence_final_state_is_last_cached_step():
 def test_sequence_split_chaining():
     rng = np.random.default_rng(13)
     w = make_weights(rng, 5, 3)
-    xs = [rng.normal(0, 1, 3) for _ in range(7)]
-    init = nc.LstmState.zeros(5)
+    xs = np.array([rng.normal(0, 1, 3) for _ in range(7)])[:, None]
+    init = nc.LstmState.zeros(1, 5)
     _, full = nc.lstm_sequence_forward(xs, init, w)
     mid, first = nc.lstm_sequence_forward(xs[:3], init, w)
     _, second = nc.lstm_sequence_forward(xs[3:], mid, w)
@@ -110,7 +111,7 @@ def test_sequence_split_chaining():
 def test_cell_state_bound():
     rng = np.random.default_rng(14)
     w = make_weights(rng, 6, 3, scale=2.0)
-    state = nc.LstmState(h=rng.normal(0, 1, 6), c=rng.normal(0, 1, 6))
+    state = nc.LstmState(h=rng.normal(0, 1, (1, 6)), c=rng.normal(0, 1, (1, 6)))
     c0 = np.abs(state.c)
     for t in range(1, 20):
         state = cell(rng.normal(0, 2, 3), state, w)
@@ -120,13 +121,13 @@ def test_cell_state_bound():
 def test_backward_zero_upstream():
     rng = np.random.default_rng(15)
     w = make_weights(rng, 4, 3)
-    xs = [rng.normal(0, 1, 3) for _ in range(3)]
-    _, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(4), w)
-    grads, dinit, dxs = backward(caches, w, [np.zeros(4)] * 3)
+    xs = np.array([rng.normal(0, 1, 3) for _ in range(3)])[:, None]
+    _, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1, 4), w)
+    grads, dinit, dxs = backward(caches, w, np.zeros((3, 1, 4)))
     assert grads.shape == w.shape and np.array_equal(grads, 0 * grads)
-    assert all(np.array_equal(dx, np.zeros(3)) for dx in dxs)
-    assert np.array_equal(dinit.h, np.zeros(4))
-    assert np.array_equal(dinit.c, np.zeros(4))
+    assert np.array_equal(dxs, np.zeros((3, 1, 3)))
+    assert np.array_equal(dinit.h, np.zeros((1, 4)))
+    assert np.array_equal(dinit.c, np.zeros((1, 4)))
 
 
 def test_backward_scalar_two_steps_hand_derived():
@@ -138,9 +139,9 @@ def test_backward_scalar_two_steps_hand_derived():
     a, x1, x2 = 0.7, 0.3, -0.5
     w = zero_weights(1, 1)
     w[2, 0] = a  # W_gx: the g row block, the x column block
-    xs = [np.array([x1]), np.array([x2])]
-    final, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1), w)
-    grads, _, _ = backward(caches, w, [np.zeros(1), np.ones(1)])
+    xs = np.array([[[x1]], [[x2]]])
+    final, caches = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1, 1), w)
+    grads, _, _ = backward(caches, w, np.array([[[0.0]], [[1.0]]]))
 
     c1 = 0.5 * np.tanh(a * x1)
     c2 = 0.5 * c1 + 0.5 * np.tanh(a * x2)
@@ -149,7 +150,7 @@ def test_backward_scalar_two_steps_hand_derived():
         0.5 * (1 - np.tanh(a * x2) ** 2) * x2
         + 0.5 * 0.5 * (1 - np.tanh(a * x1) ** 2) * x1
     )
-    assert abs(final.h[0] - 0.5 * np.tanh(c2)) < 1e-15
+    assert abs(final.h[0, 0] - 0.5 * np.tanh(c2)) < 1e-15
     assert abs(grads[2, 0] - expected) < 1e-12
 
 
@@ -158,16 +159,16 @@ def test_backward_matches_finite_differences(trial, gate_blocks):
     rng = np.random.default_rng(100 + trial)
     hidden, inp, T = 8, 3, 5
     w = make_weights(rng, hidden, inp)
-    xs = [rng.normal(0, 1, inp) for _ in range(T)]
-    init = nc.LstmState(h=rng.normal(0, 0.5, hidden), c=rng.normal(0, 0.5, hidden))
-    targets = [rng.normal(0, 1, hidden) for _ in range(T)]
+    xs = np.array([rng.normal(0, 1, inp) for _ in range(T)])[:, None]
+    init = nc.LstmState(h=rng.normal(0, 0.5, (1, hidden)), c=rng.normal(0, 0.5, (1, hidden)))
+    targets = np.array([rng.normal(0, 1, hidden) for _ in range(T)])[:, None]
 
     _, caches = nc.lstm_sequence_forward(xs, init, w)
     grads, _, _ = backward(caches, w, targets)
 
     def loss_fn(params):
         _, cache = nc.lstm_sequence_forward(xs, init, params["W"])
-        return float(np.sum(np.array(targets) * cache.h[1:]))
+        return float(np.sum(targets * cache.h[1:]))
 
     fd = nc.finite_difference_gradient(loss_fn, {"W": w})
     assert grads.shape == w.shape
@@ -181,18 +182,18 @@ def test_backward_input_and_state_gradients_fd():
     rng = np.random.default_rng(200)
     hidden, inp, T = 5, 3, 4
     w = make_weights(rng, hidden, inp)
-    xs = [rng.normal(0, 1, inp) for _ in range(T)]
-    init = nc.LstmState(h=rng.normal(0, 0.5, hidden), c=rng.normal(0, 0.5, hidden))
-    targets = [rng.normal(0, 1, hidden) for _ in range(T)]
+    xs = np.array([rng.normal(0, 1, inp) for _ in range(T)])[:, None]
+    init = nc.LstmState(h=rng.normal(0, 0.5, (1, hidden)), c=rng.normal(0, 0.5, (1, hidden)))
+    targets = np.array([rng.normal(0, 1, hidden) for _ in range(T)])[:, None]
 
     _, caches = nc.lstm_sequence_forward(xs, init, w)
     _, dinit, dxs = backward(caches, w, targets)
 
     def loss_of(inputs_flat):
-        xs2 = [inputs_flat[f"x{k}"] for k in range(T)]
+        xs2 = np.stack([inputs_flat[f"x{k}"] for k in range(T)])
         init2 = nc.LstmState(h=inputs_flat["h0"], c=inputs_flat["c0"])
         _, cache = nc.lstm_sequence_forward(xs2, init2, w)
-        return float(np.sum(np.array(targets) * cache.h[1:]))
+        return float(np.sum(targets * cache.h[1:]))
 
     params = {f"x{k}": xs[k] for k in range(T)}
     params["h0"] = init.h
@@ -204,30 +205,9 @@ def test_backward_input_and_state_gradients_fd():
     assert np.allclose(dinit.c, fd["c0"], atol=1e-6)
 
 
-# A batch's GEMMs may sum in another order than a single sequence's
-# products, so batch results match per-sequence ones to this relative bound.
+# A batch's GEMMs may sum in another order than a batch of one's products,
+# so batch results match per-sequence ones to this relative bound.
 BATCH_RTOL = 1e-12
-
-
-def test_sequence_is_a_batch_of_one_bit_for_bit():
-    rng = np.random.default_rng(201)
-    w = make_weights(rng, 16, 5)
-    xs = rng.normal(0, 1, (9, 5))
-    init = nc.LstmState(h=rng.normal(0, 0.5, 16), c=rng.normal(0, 0.5, 16))
-    dh = rng.normal(0, 1, (9, 16))
-    final, cache = nc.lstm_sequence_forward(xs, init, w)
-    final_b, cache_b = nc.lstm_sequence_forward(
-        xs[:, None], nc.LstmState(init.h[None], init.c[None]), w
-    )
-    assert cache.h.shape == (10, 16) and cache_b.h.shape == (10, 1, 16)
-    for a, b in zip(cache, cache_b):
-        assert np.array_equal(a, b.reshape(a.shape))
-    assert np.array_equal(final.h, final_b.h[0]) and np.array_equal(final.c, final_b.c[0])
-    dW, dinit, dx = backward(cache, w, dh)
-    dW_b, dinit_b, dx_b = backward(cache_b, w, dh[:, None])
-    assert np.array_equal(dW, dW_b)
-    assert np.array_equal(dinit.h, dinit_b.h[0]) and np.array_equal(dinit.c, dinit_b.c[0])
-    assert np.array_equal(dx, dx_b[:, 0])
 
 
 def test_batch_matches_per_sequence_calls():
@@ -241,38 +221,37 @@ def test_batch_matches_per_sequence_calls():
     dW, dinit, dx = backward(cache, w, dh)
     dW_sum = np.zeros_like(dW)
     for b in range(B):
-        one = nc.LstmState(init.h[b], init.c[b])
-        final_1, cache_1 = nc.lstm_sequence_forward(xs[:, b], one, w)
-        dW_1, dinit_1, dx_1 = backward(cache_1, w, dh[:, b])
+        one = nc.LstmState(init.h[b : b + 1], init.c[b : b + 1])
+        final_1, cache_1 = nc.lstm_sequence_forward(xs[:, b : b + 1], one, w)
+        dW_1, dinit_1, dx_1 = backward(cache_1, w, dh[:, b : b + 1])
         dW_sum += dW_1
-        for got, want in ((cache.h[:, b], cache_1.h), (cache.c[:, b], cache_1.c),
-                          (final.h[b], final_1.h), (dinit.h[b], dinit_1.h),
-                          (dinit.c[b], dinit_1.c), (dx[:, b], dx_1)):
+        for got, want in ((cache.h[:, b], cache_1.h[:, 0]), (cache.c[:, b], cache_1.c[:, 0]),
+                          (final.h[b], final_1.h[0]), (dinit.h[b], dinit_1.h[0]),
+                          (dinit.c[b], dinit_1.c[0]), (dx[:, b], dx_1[:, 0])):
             assert np.allclose(got, want, rtol=BATCH_RTOL, atol=0)
     assert np.allclose(dW, dW_sum, rtol=BATCH_RTOL, atol=1e-15 * np.abs(dW).max())
 
 
 @pytest.mark.parametrize("hidden, inp, batch, stride", [
-    (16, 5, None, 1), (16, 5, 3, 2), (200, 5, 4, 2), (200, 400, 4, 1),
+    (16, 5, 1, 1), (16, 5, 3, 2), (200, 5, 4, 2), (200, 400, 4, 1),
 ])
 def test_hidden_states_are_the_sequence_forwards_bit_for_bit(hidden, inp, batch, stride):
     # The cache-free pass runs the same cell steps on the same one-GEMM
     # input projection; H = 200 runs other BLAS kernels than H = 16.
     rng = np.random.default_rng(203)
     w = make_weights(rng, hidden, inp)
-    lead = (6,) if batch is None else (6, batch)
-    xs = rng.normal(0, 1, lead + (inp,))
-    init = nc.LstmState(h=rng.normal(0, 0.5, lead[1:] + (hidden,)),
-                        c=rng.normal(0, 0.5, lead[1:] + (hidden,)))
+    xs = rng.normal(0, 1, (6, batch, inp))
+    init = nc.LstmState(h=rng.normal(0, 0.5, (batch, hidden)),
+                        c=rng.normal(0, 0.5, (batch, hidden)))
     _, cache = nc.lstm_sequence_forward(xs, init, w)
     hs = nc.lstm_hidden_states(xs, init, w, stride)
-    assert hs.shape == (6 // stride,) + lead[1:] + (hidden,)
+    assert hs.shape == (6 // stride, batch, hidden)
     assert np.array_equal(hs, cache.h[stride::stride])
 
 
 @pytest.mark.parametrize("hidden, inp", [(16, 32), (200, 5), (200, 400)])
 def test_weight_gradient_comes_in_row_blocks_of_one_product(hidden, inp, monkeypatch):
-    # Consecutive row blocks of at most _ADAM_BLOCK elements, one GEMM each,
+    # Consecutive row blocks of at most _GRADIENT_BLOCK elements, one GEMM each,
     # that join to the whole product; a weight that fits one block is the
     # whole product's single GEMM, bit for bit.
     rng = np.random.default_rng(204)
@@ -281,9 +260,9 @@ def test_weight_gradient_comes_in_row_blocks_of_one_product(hidden, inp, monkeyp
     _, cache = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(2, hidden), w)
     dh = rng.normal(0, 1, (8, 2, hidden))
     blocks = list(nc.lstm_backward(cache, w, dh)[0])
-    assert all(b.shape[1:] == w.shape[1:] and b.size <= nc._ADAM_BLOCK for b in blocks)
-    assert len(blocks) == -(-len(w) // (nc._ADAM_BLOCK // w.shape[1]))
-    monkeypatch.setattr(nc, "_ADAM_BLOCK", w.size)
+    assert all(b.shape[1:] == w.shape[1:] and b.size <= nc._GRADIENT_BLOCK for b in blocks)
+    assert len(blocks) == -(-len(w) // (nc._GRADIENT_BLOCK // w.shape[1]))
+    monkeypatch.setattr(nc, "_GRADIENT_BLOCK", w.size)
     (whole,) = nc.lstm_backward(cache, w, dh)[0]
     joined = np.concatenate(blocks)
     if len(blocks) == 1:
@@ -292,18 +271,35 @@ def test_weight_gradient_comes_in_row_blocks_of_one_product(hidden, inp, monkeyp
 
 
 def test_batch_state_shape_must_match_inputs():
+    # B = 5 sequences need (5, 4) states; a c whose shape differs from h's
+    # is refused too.
     w = zero_weights(4, 3)
-    with pytest.raises(ValueError, match="state shape"):
-        nc.lstm_sequence_forward(np.ones((2, 5, 3)), nc.LstmState.zeros(4), w)
+    for kernel in (nc.lstm_sequence_forward, nc.lstm_hidden_states):
+        for state in (nc.LstmState.zeros(1, 4),
+                      nc.LstmState(np.zeros((5, 4)), np.zeros((1, 4))),
+                      nc.LstmState(np.zeros((5, 4)), np.zeros(4))):
+            with pytest.raises(ValueError, match="state shape mismatch"):
+                kernel(np.ones((2, 5, 3)), state, w)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 1, 3), (2, 0, 3)],
+                         ids=["steps-input", "input", "no-steps", "no-batch"])
+def test_kernels_take_only_nonempty_time_major_batches(shape):
+    # A (T, X) sequence is refused, with (H,) states or (1, H) ones.
+    w = zero_weights(4, 3)
+    for kernel in (nc.lstm_sequence_forward, nc.lstm_hidden_states):
+        for state in (nc.LstmState(np.zeros(4), np.zeros(4)), nc.LstmState.zeros(1, 4)):
+            with pytest.raises(ValueError, match=r"expected a nonempty \(steps, batch, input\)"):
+                kernel(np.ones(shape), state, w)
 
 
 def test_linear_identity_and_bias():
-    x = np.array([1.0, 2.0, 3.0])
+    x = np.array([[1.0, 2.0, 3.0]])
     y = nc.linear_forward(x, np.eye(3), np.zeros(3))
     assert np.array_equal(y, x)
     b = np.array([4.0, 5.0])
-    y = nc.linear_forward(np.zeros(3), np.zeros((2, 3)), b)
-    assert np.array_equal(y, b)
+    y = nc.linear_forward(np.zeros((1, 3)), np.zeros((2, 3)), b)
+    assert np.array_equal(y, b[None])
 
 
 def test_linear_gradient_check():
@@ -311,13 +307,13 @@ def test_linear_gradient_check():
     for _ in range(20):
         W = rng.normal(0, 1, (4, 3))
         b = rng.normal(0, 1, 4)
-        x = rng.normal(0, 1, 3)
-        target = rng.normal(0, 1, 4)
+        x = rng.normal(0, 1, (1, 3))
+        target = rng.normal(0, 1, (1, 4))
         dW, db, dx = nc.linear_backward(x, W, target)
 
         def loss_fn(p):
             y2 = nc.linear_forward(p["x"], p["W"], p["b"])
-            return float(np.dot(target, y2))
+            return float(np.dot(target[0], y2[0]))
 
         fd = nc.finite_difference_gradient(loss_fn, {"W": W, "b": b, "x": x})
         assert np.allclose(dW, fd["W"], rtol=1e-7, atol=1e-7)
@@ -445,33 +441,37 @@ def test_adam_in_place_matches_formula():
     assert np.array_equal(base[3:40:2, 5:30], ref["view"])
 
 
-def test_adam_reuses_scratch_without_per_step_temporaries():
-    # Every parameter shares one scratch pair, smaller than the (300, 200)
-    # parameters, which are updated a block of rows at a time; the update
-    # stays the formula's bit for bit, and a step allocates no full-size
-    # array.
+def test_adam_steps_bptt_blocks_within_a_few_blocks_of_memory():
+    # The row blocks that lstm_backward makes for an H = 200 core.W,
+    # (800, 600), fed to adam_step as they are made: the step is the
+    # formula's bit for bit, and its traced peak stays within a few 64 KiB
+    # blocks. The block being made and the update's temporaries hold four
+    # 13-row blocks (61 KiB each) at once; one whole gradient is 3.7 MiB.
     hp = nc.Hyperparams()
     rng = np.random.default_rng(28)
-    params = {k: rng.normal(0, 1, (300, 200)) for k in ("a", "b")}
-    params["c"] = rng.normal(0, 1, 7)
-    ref = {k: (p.copy(), np.zeros(p.shape), np.zeros(p.shape)) for k, p in params.items()}
+    hidden, inp = 200, 400
+    params = {"core.W": make_weights(rng, hidden, inp)}
+    W = params["core.W"]
+    ref = (W.copy(), np.zeros(W.shape), np.zeros(W.shape))
     state = nc.adam_init(params)
-    for t in range(1, 6):
-        grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
+    xs = rng.normal(0, 1, (4, 1, inp))
+    for t in range(1, 4):
+        _, cache = nc.lstm_sequence_forward(xs, nc.LstmState.zeros(1, hidden), W)
+        dh = rng.normal(0, 1, (4, 1, hidden))
+        grad = backward(cache, W, dh)[0]
+        blocks = nc.lstm_backward(cache, W, dh)[0]
         tracemalloc.start()
-        nc.adam_step(params, grads.items(), state, hp)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        if t > 1:  # the first step allocates the scratch arrays
-            assert peak < params["a"].nbytes // 4, peak
-        assert len(state.scratch) == 2
-        assert all(s.size < params["a"].size for s in state.scratch)
-        for k in params:
-            p, m, v = ref[k]
-            ref[k] = adam_formula(p, grads[k], m, v, t, hp)
-            assert np.array_equal(params[k], ref[k][0]), (k, t)
-            assert np.array_equal(state.m[k], ref[k][1]), (k, t)
-            assert np.array_equal(state.v[k], ref[k][2]), (k, t)
+        try:
+            nc.adam_step(params, (("core.W", b) for b in blocks), state, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 64 * 2**10, peak
+        p, m, v = ref
+        ref = adam_formula(p, grad, m, v, t, hp)
+        assert np.array_equal(W, ref[0]), t
+        assert np.array_equal(state.m["core.W"], ref[1]), t
+        assert np.array_equal(state.v["core.W"], ref[2]), t
 
 
 def test_adam_pair_order_moves_no_bit():
@@ -520,14 +520,13 @@ def test_adam_stream_errors_name_the_key(pairs, message):
 def test_adam_row_blocks_equal_one_whole_array_step():
     # An array's gradient fed as consecutive row blocks, in uneven sizes and
     # interleaved with other arrays, steps it as its whole gradient does,
-    # bit for bit: rows 0-39, 40-239 (more than adam_step's own block) and
-    # 240-299 of a (300, 200) array; a 1-D array in two pieces.
+    # bit for bit: rows 0-39, 40-239 and 240-299 of a (300, 200) array; a
+    # 1-D array in two pieces.
     hp = nc.Hyperparams()
     rng = np.random.default_rng(30)
     params = {"a": rng.normal(0, 1, (300, 200)), "b": rng.normal(0, 1, 7)}
     ref = {k: p.copy() for k, p in params.items()}
     state, ref_state = nc.adam_init(params), nc.adam_init(ref)
-    assert 200 > nc._ADAM_BLOCK // 200
     for t in range(1, 4):
         grads = {k: rng.normal(0, 1, p.shape) for k, p in params.items()}
         nc.adam_step(ref, grads.items(), ref_state, hp)
@@ -636,12 +635,12 @@ def test_init_weights_match_per_block_draws(inp, hidden):
 @pytest.mark.parametrize("shape", [(0, 3), (6, 4), (8, 2), (8,)])
 def test_lstm_weights_reject_malformed_shapes(shape):
     W = np.zeros(shape)
-    _, cache = nc.lstm_sequence_forward(np.zeros((3, 1)), nc.LstmState.zeros(1),
+    _, cache = nc.lstm_sequence_forward(np.zeros((3, 1, 1)), nc.LstmState.zeros(1, 1),
                                         np.zeros((4, 2)))
     with pytest.raises(ValueError, match="expected \\(4H, X \\+ H\\)"):
-        nc.lstm_sequence_forward(np.zeros((3, 1)), nc.LstmState.zeros(1), W)
+        nc.lstm_sequence_forward(np.zeros((3, 1, 1)), nc.LstmState.zeros(1, 1), W)
     with pytest.raises(ValueError, match="expected \\(4H, X \\+ H\\)"):
-        nc.lstm_backward(cache, W, np.zeros((3, 1)))
+        nc.lstm_backward(cache, W, np.zeros((3, 1, 1)))
 
 
 @pytest.mark.parametrize("field, value", [("hidden_size", 0), ("dropout_rate", 1.0),
