@@ -21,6 +21,14 @@ It runs, with the config it writes to OUT_DIR/run.cfg:
   writes report.txt and, for paper.ckpt, paper_report.txt, so that H 200
   inference has an output of its own;
 - `align-demo --seed 2 --out`.
+
+After the file hashes, it prints one `<sha256>  <name> (loaded)` line per
+checkpoint, the hash of what `load_checkpoint` returns: the params by
+sorted key, the six statistics arrays (each as its shape and bytes), the
+hyperparams, the rate ratio and beta. It reads only `Checkpoint` fields that
+every checkpoint version has had, so this script, run in a copy of an
+older tree, shows whether a change of the checkpoint's file form changed
+the network it loads.
 """
 
 import argparse
@@ -32,6 +40,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from capsloc.cli import main as capsloc
+from capsloc.fusenet import load_checkpoint
 
 CONFIG = """\
 seed = 1
@@ -58,6 +67,19 @@ def run(*argv):
         status = capsloc(list(argv))
     if status != 0:
         sys.exit(f"capsloc {argv[0]} failed")
+
+
+def loaded_checkpoint_digest(path) -> str:
+    ckpt = load_checkpoint(path)
+    stats = ("mag_mean", "mag_sd", "vis_mean", "vis_sd", "target_mean", "target_sd")
+    arrays = [(k, ckpt.params[k]) for k in sorted(ckpt.params)]
+    arrays += [(f"stats.{k}", getattr(ckpt.stats, k)) for k in stats]
+    h = hashlib.sha256()
+    for key, arr in arrays:
+        h.update(f"{key} {arr.shape}\n".encode())
+        h.update(arr.astype("<f8").tobytes())
+    h.update(f"{ckpt.hyperparams!r} {ckpt.rate_ratio!r} {ckpt.beta_loss!r}\n".encode())
+    return h.hexdigest()
 
 
 def main():
@@ -94,6 +116,8 @@ def main():
             with open(path, "rb") as f:
                 digest = hashlib.sha256(f.read()).hexdigest()
             print(f"{digest}  {os.path.relpath(path, out)}")
+    for path in (ckpt, paper_ckpt):
+        print(f"{loaded_checkpoint_digest(path)}  {os.path.basename(path)} (loaded)")
 
 
 if __name__ == "__main__":

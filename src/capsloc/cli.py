@@ -227,6 +227,9 @@ def cmd_evaluate(args) -> int:
     eval_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
+        if ds.config.rate_ratio != ckpt.rate_ratio:
+            raise ValueError(f"{path}: rate ratio {ds.config.rate_ratio} differs from the "
+                             f"checkpoint's {ckpt.rate_ratio}")
         ests = magloc.localize_dataset(ds)
         eval_sets.append(
             {

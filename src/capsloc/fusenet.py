@@ -29,9 +29,9 @@ import numpy as np
 from .geometry import (
     Pose,
     Trajectory,
-    format_config,
+    format_header,
     integrate_deltas,
-    parse_config,
+    read_text_file,
     relative_pose,
     resample_trajectory,
 )
@@ -75,7 +75,7 @@ MAG_INPUT = 5
 VIS_INPUT = 6
 OUT_DIM = 6
 
-CHECKPOINT_VERSION = "capsloc-checkpoint v3"
+CHECKPOINT_VERSION = "capsloc-checkpoint v4"
 
 # The shape of each NormStats array, in field order, keyed as its
 # checkpoint W record.
@@ -350,8 +350,8 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class _MetaRecord:
-    """A checkpoint's META record. The defaults only give parse_config
-    each field's type."""
+    """The network settings on a checkpoint's header line besides the
+    Hyperparams. The defaults only give parse_config each field's type."""
 
     rate_ratio: int = 1
     beta_loss: float = 1.0
@@ -593,15 +593,15 @@ def predict_trajectory(
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """HP, META, then a W record per array, stats.<field> for NormStats.
-    HP and META are written from the classes load_checkpoint parses them
-    with, so a value it would refuse is refused before the file is opened."""
+    """A header line of the Hyperparams and _MetaRecord fields, then a W
+    record per array, stats.<field> for NormStats. The header is written
+    from the classes load_checkpoint parses it with, so a value it would
+    refuse is refused before the file is opened."""
     stats = {f"stats.{fld.name}": getattr(ckpt.stats, fld.name) for fld in fields(NormStats)}
     meta = _MetaRecord(ckpt.rate_ratio, ckpt.beta_loss)
+    header = format_header(CHECKPOINT_VERSION, ckpt.hyperparams, meta)
     with open(path, "w") as f:
-        f.write(f"# {CHECKPOINT_VERSION}\n")
-        f.write(f"HP {format_config(ckpt.hyperparams)}\n")
-        f.write(f"META {format_config(meta)}\n")
+        f.write(header)
         for name, arr in sorted({**ckpt.params, **stats}.items()):
             dims = "x".join(str(d) for d in arr.shape)
             vals = " ".join(repr(float(v)) for v in arr.ravel())
@@ -609,48 +609,33 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a save_checkpoint file. A malformed record raises ValueError
-    naming its line and kind. A repeated HP or META record is refused;
-    parse_config reads each, refusing a missing, repeated or unknown key,
-    and _MetaRecord refuses an out-of-range value. Every W record is checked
+    """Read a save_checkpoint file with read_text_file, whose header
+    parse_config reads, refusing a missing, repeated or unknown key;
+    _MetaRecord refuses an out-of-range value. A W record must hold finite
+    values, and a stats.*_sd record positive ones. Every W record is checked
     against one shape table, the network's arrays and the NormStats arrays
     alike."""
-    records, arrays = {}, {}
-    with open(path) as f:
-        first = f.readline().strip()
-        if first != f"# {CHECKPOINT_VERSION}":
-            raise ValueError(f"unsupported checkpoint version: {first!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            kind, *words = line.split()
-            try:
-                if kind in ("HP", "META"):
-                    if kind in records:
-                        raise ValueError(f"repeated {kind} record")
-                    cls = Hyperparams if kind == "HP" else _MetaRecord
-                    (records[kind],) = parse_config(" ".join(words), cls)
-                elif kind == "W":
-                    if len(words) < 3:
-                        raise ValueError("expected fields: name shape values")
-                    name, dims = words[:2]
-                    if name in arrays:
-                        raise ValueError(f"repeated W record {name!r}")
-                    shape = tuple(int(d) for d in dims.split("x"))
-                    values = np.array([float(v) for v in words[2:]])
-                    if values.size != np.prod(shape):
-                        raise ValueError(f"W record {name!r} holds {values.size} "
-                                         f"values for shape {dims}")
-                    arrays[name] = values.reshape(shape)
-                else:
-                    raise ValueError(f"unknown checkpoint record {kind!r}")
-            except ValueError as err:
-                msg = f"checkpoint line {lineno}, {kind} record: {err}"
-                raise ValueError(msg) from None
-    hp, meta = records.get("HP"), records.get("META")
-    if hp is None or meta is None:
-        raise ValueError("corrupt checkpoint: missing HP/META records")
+    arrays = {}
+
+    def record(words):
+        if words[0] != "W":
+            raise ValueError(f"unknown checkpoint record {words[0]!r}")
+        if len(words) < 4:
+            raise ValueError("W record: expected fields: name shape values")
+        name, dims = words[1:3]
+        if name in arrays:
+            raise ValueError(f"repeated W record {name!r}")
+        shape = tuple(int(d) for d in dims.split("x"))
+        values = np.array([float(v) for v in words[3:]])
+        if values.size != np.prod(shape):
+            raise ValueError(f"W record {name!r} holds {values.size} values for shape {dims}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"W record {name!r} has a non-finite value")
+        if name.endswith("_sd") and not np.all(values > 0):
+            raise ValueError(f"W record {name!r} has an sd <= 0")
+        arrays[name] = values.reshape(shape)
+
+    hp, meta = read_text_file(path, CHECKPOINT_VERSION, (Hyperparams, _MetaRecord), record)
     shapes = {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}
     for name, arr in arrays.items():
         if name not in shapes:

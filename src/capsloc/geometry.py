@@ -1,6 +1,7 @@
 """SE(3) pose algebra, trajectory containers, and error metrics, plus the
-`name=value` text form that dataset headers and checkpoints use for flat
-config dataclasses, and the finiteness check those dataclasses share.
+text file form that datasets and checkpoints share (a header line of
+`name=value` config tokens, then one record per line), and the finiteness
+check that config dataclasses share.
 
 Conventions used everywhere in this repo:
   * A pose is a 6-vector [tx ty tz roll pitch yaw]: translation in metres,
@@ -39,6 +40,8 @@ __all__ = [
     "resample_trajectory",
     "format_config",
     "parse_config",
+    "format_header",
+    "read_text_file",
     "require_finite",
 ]
 
@@ -345,6 +348,36 @@ def parse_config(text: str, *classes) -> tuple:
     if kv:
         raise ValueError(f"unknown config key {next(iter(kv))!r}")
     return tuple(out)
+
+
+def format_header(file_format: str, *configs) -> str:
+    """Line 1 of a file that read_text_file reads: `# <file_format>
+    <format_config tokens>`, newline included."""
+    return f"# {file_format} {format_config(*configs)}\n"
+
+
+def read_text_file(path, file_format: str, classes, record) -> tuple:
+    """One instance per config dataclass in classes, parsed from the
+    format_header line that must be line 1 of the file at path.
+
+    Each later line that is neither blank nor a `#` comment is handed to
+    record as its list of words. Any ValueError, from the header or from
+    record, is raised again as `<path>:<line>: <message>`."""
+    lineno, magic = 1, ["#", *file_format.split()]
+    try:
+        with open(path) as f:
+            header = f.readline().split()
+            if header[:len(magic)] != magic:
+                got = " ".join(header[:len(magic)])
+                raise ValueError(f"expected a '# {file_format}' header, got {got!r}")
+            configs = parse_config(" ".join(header[len(magic):]), *classes)
+            for lineno, line in enumerate(f, start=2):
+                words = line.split()
+                if words and not words[0].startswith("#"):
+                    record(words)
+    except ValueError as err:
+        raise ValueError(f"{path}:{lineno}: {err}") from None
+    return configs
 
 
 def require_finite(config) -> None:

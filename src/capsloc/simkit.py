@@ -17,8 +17,8 @@ from .geometry import (
     Pose,
     Trajectory,
     euler_to_matrix,
-    format_config,
-    parse_config,
+    format_header,
+    read_text_file,
     relative_pose,
     require_finite,
     resample_trajectory,
@@ -127,6 +127,12 @@ class SimConfig:
         ratio = self.mag_rate / self.vis_rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("mag_rate must be an integer multiple of vis_rate")
+        # At ratio 1 the last two visual frames would clamp to one
+        # ground-truth time and give a zero-length visual interval.
+        if self.rate_ratio < 2:
+            raise ValueError(f"mag_rate {self.mag_rate!r} Hz must be at least twice vis_rate "
+                             f"{self.vis_rate!r} Hz: the ground truth ends one magnetic period "
+                             "before the last visual frame")
         if self.motion_profile not in MOTION_PROFILES:
             raise ValueError(f"unknown motion profile {self.motion_profile!r}")
 
@@ -422,7 +428,7 @@ FORMAT_VERSION = "capsloc-dataset v1"
 
 def write_dataset(path, ds: Dataset) -> None:
     with open(path, "w") as f:
-        f.write(f"# {FORMAT_VERSION} {format_config(ds.config, ds.dipole)}\n")
+        f.write(format_header(FORMAT_VERSION, ds.config, ds.dipole))
         for t, p in zip(ds.gt.times, ds.gt.poses):
             f.write("GT " + " ".join(repr(float(v)) for v in (t, *p)) + "\n")
         for m in ds.mag:
@@ -433,56 +439,39 @@ def write_dataset(path, ds: Dataset) -> None:
             f.write(f"VIS {float(v.timestamp)!r} {vals}\n")
 
 
-def _parse_header(line: str):
-    body = line[1:].strip()
-    if not body.startswith(FORMAT_VERSION):
-        raise ValueError(f"unrecognized dataset header: {line.strip()!r}")
-    return parse_config(body[len(FORMAT_VERSION):], SimConfig, DipoleParams)
-
-
 def read_dataset(path) -> Dataset:
-    """Parse a dataset file. Every record must be finite, and each GT, MAG
-    and VIS record must come strictly after the previous one of its kind."""
-    cfg = dipole = None
+    """Parse a write_dataset file with read_text_file. Every record must be
+    finite, and each GT, MAG and VIS record must come strictly after the
+    previous one of its kind."""
     gt_t, gt_p, mag, vis = [], [], [], []
     last_t = {}  # record kind -> timestamp of its previous record
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                if line.startswith("#"):
-                    if cfg is None:
-                        cfg, dipole = _parse_header(line)
-                    continue
-                kind, rest = line.split(" ", 1)
-                vals = [float(x) for x in rest.split()]
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(f"{kind} record has a non-finite value")
-                if kind == "GT":
-                    if len(vals) != 7:
-                        raise ValueError("GT record needs 7 fields")
-                    gt_t.append(vals[0])
-                    gt_p.append(vals[1:])
-                elif kind == "MAG":
-                    if len(vals) != 1 + SENSOR_GRID_N**2:
-                        raise ValueError("MAG record needs 65 fields")
-                    mag.append(HallArrayReading(vals[0], np.array(vals[1:])))
-                elif kind == "VIS":
-                    if len(vals) != 7:
-                        raise ValueError("VIS record needs 7 fields")
-                    vis.append(VisMeasurement(vals[0], Pose(vals[1:4], vals[4:])))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-                if vals[0] <= last_t.get(kind, -math.inf):
-                    raise ValueError(
-                        f"{kind} record at t={vals[0]!r} does not follow the "
-                        f"previous {kind} record at t={last_t[kind]!r}"
-                    )
-                last_t[kind] = vals[0]
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-    if cfg is None:
-        raise ValueError(f"{path}:1: missing dataset header")
+
+    def record(words):
+        kind = words[0]
+        vals = [float(x) for x in words[1:]]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{kind} record has a non-finite value")
+        if kind == "GT":
+            if len(vals) != 7:
+                raise ValueError("GT record needs 7 fields")
+            gt_t.append(vals[0])
+            gt_p.append(vals[1:])
+        elif kind == "MAG":
+            if len(vals) != 1 + SENSOR_GRID_N**2:
+                raise ValueError("MAG record needs 65 fields")
+            mag.append(HallArrayReading(vals[0], np.array(vals[1:])))
+        elif kind == "VIS":
+            if len(vals) != 7:
+                raise ValueError("VIS record needs 7 fields")
+            vis.append(VisMeasurement(vals[0], Pose(vals[1:4], vals[4:])))
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+        if vals[0] <= last_t.get(kind, -math.inf):
+            raise ValueError(
+                f"{kind} record at t={vals[0]!r} does not follow the "
+                f"previous {kind} record at t={last_t[kind]!r}"
+            )
+        last_t[kind] = vals[0]
+
+    cfg, dipole = read_text_file(path, FORMAT_VERSION, (SimConfig, DipoleParams), record)
     return Dataset(cfg, dipole, Trajectory(np.array(gt_t), np.array(gt_p)), mag, vis)

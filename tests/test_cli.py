@@ -345,6 +345,9 @@ def test_bad_simulation_config_errors_to_stderr(tmp_path, capsys):
         ("sim.duration = 0.001", re.escape(no_frame.format(0.001))),
         ("sim.duration = 0.02", re.escape(no_frame.format(0.02))),
         ("sim.duration = 1e12", "Unable to allocate .+"),
+        ("sim.mag_rate = 25", re.escape("mag_rate 25.0 Hz must be at least twice vis_rate 25.0 Hz: "
+                                        "the ground truth ends one magnetic period before the "
+                                        "last visual frame")),
     ]:
         rc = main(["simulate", "--config", fast_cfg(tmp_path, line + "\n"),
                    "--out", str(tmp_path / "d")])
@@ -371,26 +374,88 @@ def test_bad_checkpoint_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_checkpoint_line_errors_to_stderr(tmp_path, capsys):
-    cfg = fast_cfg(tmp_path)
-    data = tmp_path / "data"
-    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(data)])
+def _untrained_checkpoint(path):
     net = fusenet.init_network(4, np.random.default_rng(0))
     ones = np.ones(6)
     stats = fusenet.NormStats(np.zeros(5), np.ones(5), 0 * ones, ones, 0 * ones, ones)
     ckpt = fusenet.Checkpoint(net, 2, Hyperparams(hidden_size=4), stats, 1.0)
-    path = tmp_path / "model.ckpt"
     fusenet.save_checkpoint(path, ckpt)
-    lines = path.read_text().splitlines()
-    lines[1] = "HP"
-    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_lines(path, edit):
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+def _set_word(line, k, word):
+    words = line.split()
+    words[k] = word
+    return " ".join(words)
+
+
+def test_malformed_checkpoint_line_errors_to_stderr(tmp_path, capsys):
+    # The checkpoint is refused before any dataset is localized, by one
+    # error line naming its path and line.
+    cfg = fast_cfg(tmp_path)
+    data = tmp_path / "data"
+    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(data)])
+    path = tmp_path / "model.ckpt"
+    v3_settings = ["# capsloc-checkpoint v3",
+                   "HP learning_rate=0.001 dropout_rate=0.25 hidden_size=4",
+                   "META rate_ratio=2 beta_loss=1.0"]
+    for edit, message in [
+        (lambda ls: ls[:1] + ["HP"] + ls[2:], "2: unknown checkpoint record 'HP'"),
+        (lambda ls: v3_settings + ls[1:],
+         "1: expected a '# capsloc-checkpoint v4' header, got '# capsloc-checkpoint v3'"),
+        (lambda ls: ls[:1] + [_set_word(ls[1], 3, "nan")] + ls[2:],
+         "2: W record 'core.W' has a non-finite value"),
+        (lambda ls: [_set_word(l, 3, "0.0") if l.startswith("W stats.vis_sd ") else l for l in ls],
+         "11: W record 'stats.vis_sd' has an sd <= 0"),
+    ]:
+        _untrained_checkpoint(path)
+        _edit_lines(path, edit)
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", cfg, str(data / "dataset_seed1.txt"),
+                   "--checkpoint", str(path), "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_bad_dataset_header_errors_to_stderr(tmp_path, capsys):
+    # Line 1 must be the header: one that follows the records is refused,
+    # and so is v10, whose name starts with v1's.
+    cfg = fast_cfg(tmp_path)
+    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "data")])
+    path = tmp_path / "data" / "dataset_seed1.txt"
+    text = path.read_text()
+    header = "1: expected a '# capsloc-dataset v1' header, got "
+    for edit, message in [
+        (lambda ls: ls[1:] + ls[:1], header + repr(" ".join(text.splitlines()[1].split()[:3]))),
+        (lambda ls: [ls[0].replace("v1", "v10", 1)] + ls[1:], header + "'# capsloc-dataset v10'"),
+    ]:
+        path.write_text(text)
+        _edit_lines(path, edit)
+        capsys.readouterr()
+        rc = main(["localize-mag", "--config", cfg, str(path), "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_evaluate_refuses_a_dataset_of_another_rate_ratio(tmp_path, capsys):
+    # Aligned at ratio 2, this ratio-3 stream keeps one fused step of its 50
+    # visual frames, at 2.0 s, past the ground truth's end at 1.987 s.
+    cfg = fast_cfg(tmp_path, "sim.mag_rate = 75\n")
+    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "data")])
+    dataset = tmp_path / "data" / "dataset_seed1.txt"
+    ckpt = tmp_path / "model.ckpt"
+    _untrained_checkpoint(ckpt)
     capsys.readouterr()
-    rc = main(["evaluate", "--config", cfg, str(data / "dataset_seed1.txt"),
-               "--checkpoint", str(path), "--out", str(tmp_path / "r.txt")])
+    rc = main(["evaluate", "--config", cfg, str(dataset), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "r.txt")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint line 2, HP record: ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {dataset}: rate ratio 3 differs from the checkpoint's 2\n"
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_unknown_subcommand_exits():
@@ -417,8 +482,9 @@ def test_script_help_runs_from_any_directory(script, tmp_path):
 def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
     # Byte-identity checks rest on this script: two runs, from a directory
     # outside the repository and without PYTHONPATH, hash the same files
-    # to the same digests, and stdout holds nothing but those hash lines,
-    # so that two runs into different directories diff equal.
+    # to the same digests, and stdout holds nothing but those hash lines and
+    # one hash per checkpoint as loaded, so that two runs into different
+    # directories diff equal.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     listings = []
     for run in ("a", "b"):
@@ -428,7 +494,8 @@ def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         hashed = result.stdout.splitlines()
-        assert len(hashed) == 18
+        assert len(hashed) == 20
+        assert [line[66:] for line in hashed[18:]] == ["model.ckpt (loaded)", "paper.ckpt (loaded)"]
         assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in hashed), hashed
         listings.append(hashed)
     assert listings[0] == listings[1]

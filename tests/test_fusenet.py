@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -825,11 +826,20 @@ def test_checkpoint_unknown_version(tmp_path):
     fn.save_checkpoint(path, ckpt)
     text = path.read_text()
     # v1 held each LSTM as eight gate blocks; no reader for it is kept.
-    # v2 held the NormStats arrays as STAT records.
-    for version in ("capsloc-checkpoint v999", "capsloc-checkpoint v1",
-                    "capsloc-checkpoint v2"):
-        path.write_text(text.replace(fn.CHECKPOINT_VERSION, version))
-        with pytest.raises(ValueError, match="version"):
+    # v2 held the NormStats arrays as STAT records. v3 held the settings as
+    # HP and META records below a bare version line.
+    header, w_records = text.split("\n", 1)
+    tokens = header.split()[3:]  # three Hyperparams keys, then rate_ratio and beta_loss
+    v3 = (f"# capsloc-checkpoint v3\nHP {' '.join(tokens[:3])}\n"
+          f"META {' '.join(tokens[3:])}\n{w_records}")
+    for version, bad in [("v999", text.replace(fn.CHECKPOINT_VERSION, "capsloc-checkpoint v999")),
+                         ("v1", text.replace(fn.CHECKPOINT_VERSION, "capsloc-checkpoint v1")),
+                         ("v2", text.replace(fn.CHECKPOINT_VERSION, "capsloc-checkpoint v2")),
+                         ("v3", v3)]:
+        path.write_text(bad)
+        message = (f"{path}:1: expected a '# capsloc-checkpoint v4' header, "
+                   f"got '# capsloc-checkpoint {version}'")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fn.load_checkpoint(path)
 
 
@@ -845,26 +855,31 @@ def _drop_lines(path, prefix):
     path.write_text("\n".join(l for l in lines if not l.startswith(prefix)) + "\n")
 
 
+def _edit_header(path, edit):
+    """Replace the checkpoint's header tokens with edit(tokens)."""
+    lines = path.read_text().splitlines()
+    lines[0] = " ".join(["#", fn.CHECKPOINT_VERSION, *edit(lines[0].split()[3:])])
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_checkpoint_missing_hp_key_is_named(tmp_path):
     path = tmp_path / "ckpt.txt"
-    fn.save_checkpoint(path, trained_tiny_checkpoint())
-    text = path.read_text()
-    hp_line = next(l for l in text.splitlines() if l.startswith("HP "))
-    cut = " ".join(tok for tok in hp_line.split() if not tok.startswith("dropout_rate="))
-    path.write_text(text.replace(hp_line, cut))
-    with pytest.raises(ValueError, match="missing config key 'dropout_rate'"):
-        fn.load_checkpoint(path)
+    for keep, missing in [(lambda tok: not tok.startswith("dropout_rate="), "dropout_rate"),
+                          (lambda tok: tok.split("=")[0] in ("rate_ratio", "beta_loss"),
+                           "learning_rate")]:
+        fn.save_checkpoint(path, trained_tiny_checkpoint())
+        _edit_header(path, lambda tokens: filter(keep, tokens))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "
+                                             f"missing config key '{missing}'$"):
+            fn.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key", ["rate_ratio", "beta_loss"])
 def test_checkpoint_missing_meta_key_is_named(tmp_path, key):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
-    text = path.read_text()
-    meta_line = next(l for l in text.splitlines() if l.startswith("META "))
-    cut = " ".join(tok for tok in meta_line.split() if not tok.startswith(key + "="))
-    path.write_text(text.replace(meta_line, cut))
-    with pytest.raises(ValueError, match=f"META record: missing config key '{key}'"):
+    _edit_header(path, lambda tokens: [t for t in tokens if not t.startswith(key + "=")])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: missing config key '{key}'$"):
         fn.load_checkpoint(path)
 
 
@@ -872,48 +887,34 @@ def test_checkpoint_missing_meta_key_is_named(tmp_path, key):
     ("rate_ratio=2 beta_loss=1.0 beta_loss=5.0", "repeated config key 'beta_loss'"),
     ("rate_ratio=2 beta_loss=1.0 foo=1", "unknown config key 'foo'"),
     ("rate_ratio=2 beta_loss=nan", "beta_loss must be finite and > 0, got nan"),
-    ("rate_ratio=2 beta_loss=-3.0", r"beta_loss must be finite and > 0, got -3\.0"),
+    ("rate_ratio=2 beta_loss=-3.0", "beta_loss must be finite and > 0, got -3.0"),
     ("rate_ratio=0 beta_loss=1.0", "rate_ratio must be >= 1, got 0"),
-    ("rate_ratio beta_loss=1.0", "expected key=value, got 'rate_ratio'$"),
+    ("rate_ratio beta_loss=1.0", "expected key=value, got 'rate_ratio'"),
+    ("rate_ratio=two beta_loss=1.0", "invalid literal for int() with base 10: 'two'"),
+    ("rate_ratio=2 beta_loss=1.0 hidden_size=8", "repeated config key 'hidden_size'"),
+    ("", "missing config key 'rate_ratio'"),
 ], ids=["repeated-key", "unknown-key", "nan-beta", "negative-beta", "zero-rate-ratio",
-        "token-without-equals"])
+        "token-without-equals", "non-integer-rate-ratio", "repeated-hp-key", "no-meta-keys"])
 def test_checkpoint_meta_record_it_cannot_use_is_refused(tmp_path, meta, message):
-    # Each value is checked where it is read: rate_ratio 0 would otherwise
+    # The _MetaRecord settings follow the Hyperparams on the header line, and
+    # each value is checked where it is read: rate_ratio 0 would otherwise
     # fail only inside predict_trajectory, as an AlignmentError.
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
-    lines = path.read_text().splitlines()
-    k = next(i for i, l in enumerate(lines) if l.startswith("META "))
-    lines[k] = f"META {meta}"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"^checkpoint line {k + 1}, META record: {message}"):
+    _edit_header(path, lambda tokens: tokens[:3] + meta.split())
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
         fn.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("kind, record", [
-    ("HP", "HP learning_rate=0.5 dropout_rate=0.0 hidden_size=4"),
-    ("META", "META rate_ratio=3 beta_loss=7.0"),
-], ids=["HP", "META"])
-def test_checkpoint_repeated_hp_or_meta_record_is_refused(tmp_path, kind, record):
-    # A second record would otherwise silently replace the first.
+def test_checkpoint_settings_are_read_from_line_1_only(tmp_path):
+    # A later line that repeats the header is a comment: it cannot replace
+    # the settings of line 1.
     path = tmp_path / "ckpt.txt"
-    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    ckpt = trained_tiny_checkpoint()
+    fn.save_checkpoint(path, ckpt)
     lines = path.read_text().splitlines()
-    k = next(i for i, l in enumerate(lines) if l.startswith(kind + " "))
-    lines.insert(k + 1, record)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError,
-                       match=rf"^checkpoint line {k + 2}, {kind} record: repeated {kind} record$"):
-        fn.load_checkpoint(path)
-
-
-@pytest.mark.parametrize("kind", ["HP", "META"])
-def test_checkpoint_missing_hp_or_meta_record_is_refused(tmp_path, kind):
-    path = tmp_path / "ckpt.txt"
-    fn.save_checkpoint(path, trained_tiny_checkpoint())
-    _drop_lines(path, kind + " ")
-    with pytest.raises(ValueError, match="^corrupt checkpoint: missing HP/META records$"):
-        fn.load_checkpoint(path)
+    path.write_text("\n".join(lines + [lines[0].replace("beta_loss=", "beta_loss=7")]) + "\n")
+    assert fn.load_checkpoint(path).beta_loss == ckpt.beta_loss
 
 
 def test_checkpoint_missing_stat_record_is_named(tmp_path):
@@ -925,11 +926,15 @@ def test_checkpoint_missing_stat_record_is_named(tmp_path):
 
 
 def test_checkpoint_holds_one_w_record_per_param(tmp_path):
-    # The network's five arrays and the six NormStats arrays, sorted.
+    # The header line, then the network's five arrays and the six NormStats
+    # arrays, sorted.
     path = tmp_path / "ckpt.txt"
-    fn.save_checkpoint(path, trained_tiny_checkpoint())
+    ckpt = trained_tiny_checkpoint()
+    fn.save_checkpoint(path, ckpt)
     lines = path.read_text().splitlines()
-    assert [l.split()[0] for l in lines] == ["#", "HP", "META"] + ["W"] * 11
+    assert [l.split()[0] for l in lines] == ["#"] + ["W"] * 11
+    assert lines[0] == ("# capsloc-checkpoint v4 learning_rate=0.001 dropout_rate=0.0 "
+                        f"hidden_size=4 rate_ratio=2 beta_loss={ckpt.beta_loss!r}")
     names = [l.split()[1] for l in lines if l.startswith("W ")]
     assert names == ["core.W", "head.W", "head.b", "mag.W", "stats.mag_mean",
                      "stats.mag_sd", "stats.target_mean", "stats.target_sd",
@@ -979,8 +984,8 @@ def test_checkpoint_w_record_value_count_is_named(tmp_path):
     k = next(i for i, l in enumerate(lines) if l.startswith("W head.b "))
     lines[k] = "W head.b 6 1.0 2.0"
     path.write_text("\n".join(lines) + "\n")
-    message = f"checkpoint line {k + 1}, W record: W record 'head.b' holds 2 values for shape 6"
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    message = f"{path}:{k + 1}: W record 'head.b' holds 2 values for shape 6"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn.load_checkpoint(path)
 
 
@@ -1001,21 +1006,31 @@ def test_checkpoint_wrong_shape_stats_record_is_named(tmp_path, record, message)
         fn.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("prefix, replacement, kind", [
+@pytest.mark.parametrize("prefix, replacement, named", [
     ("HP ", "HP", "HP"),
     ("W stats.vis_sd ", "STAT vis_sd 1.0", "STAT"),
     ("W head.b ", "W", "W"),
     ("W stats.vis_sd ", "W stats.vis_sd", "W"),
     ("W head.b ", "W head.b 6", "W"),
+    # A value that forward would carry into every output.
+    ("W head.b ", "W head.b 6 0.0 nan 0.0 0.0 0.0 0.0", "'head.b' has a non-finite value"),
+    ("W head.b ", "W head.b 6 0.0 0.0 0.0 -inf 0.0 0.0", "'head.b' has a non-finite value"),
+    # normalize divides by each sd.
+    ("W stats.vis_sd ", "W stats.vis_sd 6 0.0 1.0 1.0 1.0 1.0 1.0", "'stats.vis_sd' has an sd <= 0"),
+    ("W stats.target_sd ", "W stats.target_sd 6 1.0 1.0 1.0 1.0 1.0 -2.0",
+     "'stats.target_sd' has an sd <= 0"),
     ("META ", "META rate_ratio beta_loss=1.0", "META"),
     ("META ", "META rate_ratio=two beta_loss=1.0", "META"),
 ])
-def test_checkpoint_malformed_record_names_line_and_kind(tmp_path, prefix, replacement, kind):
+def test_checkpoint_malformed_record_names_line_and_kind(tmp_path, prefix, replacement, named):
+    # The error names the line, and the record's kind or what is wrong with it.
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     lines = path.read_text().splitlines()
-    k = next(i for i, l in enumerate(lines) if l.startswith(prefix))
-    lines[k] = replacement
+    # A record of an older version (STAT of v2, HP and META of v3) is an
+    # unknown kind; one that no line starts with is appended.
+    k = next((i for i, l in enumerate(lines) if l.startswith(prefix)), len(lines))
+    lines[k:k + 1] = [replacement]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"^checkpoint line {k + 1}, {kind} record: "):
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{k + 1}: ')}.*{re.escape(named)}\b"):
         fn.load_checkpoint(path)

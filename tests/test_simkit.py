@@ -312,19 +312,25 @@ def test_dataset_truncated_file_reports_line(tmp_path, kind, fields):
         sk.read_dataset(path)
 
 
-@pytest.mark.parametrize("prefix, edit, message", [
-    ("VIS ", lambda l: "IMU" + l[3:], "unknown record kind 'IMU'"),
-    ("# ", lambda l: l.replace("v1", "v9", 1), "unrecognized dataset header: '# capsloc-dataset v9 "),
-    ("# ", lambda l: "", "missing dataset header"),
-], ids=["unknown-kind", "unrecognized-header", "missing-header"])
-def test_dataset_bad_header_or_record_kind_reports_line(tmp_path, prefix, edit, message):
+_HEADER_ERROR = "1: expected a '# capsloc-dataset v1' header, got "
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls[:-1] + ["IMU" + ls[-1][3:]], "{n}: unknown record kind 'IMU'"),
+    (lambda ls: [ls[0].replace("v1", "v9", 1)] + ls[1:], _HEADER_ERROR + "'# capsloc-dataset v9'"),
+    (lambda ls: [""] + ls[1:], _HEADER_ERROR + "''"),
+    # Line 1 must be the header: one that follows the records is refused,
+    # and so is v10, whose name starts with v1's.
+    (lambda ls: ls[1:] + ls[:1], _HEADER_ERROR + "{first!r}"),
+    (lambda ls: [ls[0].replace("v1", "v10", 1)] + ls[1:], _HEADER_ERROR + "'# capsloc-dataset v10'"),
+], ids=["unknown-kind", "unrecognized-header", "missing-header", "late-header", "v10-header"])
+def test_dataset_bad_header_or_record_kind_reports_line(tmp_path, edit, message):
     path = tmp_path / "ds.txt"
     sk.write_dataset(path, sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=12)))
-    lines = path.read_text().splitlines()
-    idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
-    lines[idx] = edit(lines[idx])
+    lines = edit(path.read_text().splitlines())
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{idx + 1}: {message}')}"):
+    message = message.format(n=len(lines), first=" ".join(lines[0].split()[:3]))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
         sk.read_dataset(path)
 
 
@@ -440,5 +446,13 @@ def test_config_validation():
             sk.DipoleParams(**kwargs)
     with pytest.raises(ValueError):
         sk.SimConfig(duration=1.0, seed=0, mag_rate=50, vis_rate=30)
+    # At a rate ratio of 1 the last two visual frames would share one
+    # ground-truth time.
+    for kwargs in (dict(mag_rate=25.0), dict(mag_rate=30.0, vis_rate=30.0)):
+        message = (f"mag_rate {kwargs['mag_rate']!r} Hz must be at least twice vis_rate "
+                   f"{kwargs.get('vis_rate', 25.0)!r} Hz: the ground truth ends one magnetic "
+                   "period before the last visual frame")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sk.SimConfig(duration=1.0, **kwargs)
     with pytest.raises(ValueError):
         sk.SimConfig(duration=1.0, seed=0, motion_profile="sprint")
