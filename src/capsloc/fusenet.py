@@ -614,7 +614,8 @@ def load_checkpoint(path) -> Checkpoint:
     _MetaRecord refuses an out-of-range value. A W record must hold finite
     values, and a stats.*_sd record positive ones. Every W record is checked
     against one shape table, the network's arrays and the NormStats arrays
-    alike."""
+    alike; as that table needs the header's hidden size, those errors name
+    the file but no line."""
     arrays = {}
 
     def record(words):
@@ -639,13 +640,13 @@ def load_checkpoint(path) -> Checkpoint:
     shapes = {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}
     for name, arr in arrays.items():
         if name not in shapes:
-            raise ValueError(f"unknown W record {name!r}")
+            raise ValueError(f"{path}: unknown W record {name!r}")
         if arr.shape != shapes[name]:
             raise ValueError(
-                f"W record {name!r} has shape {arr.shape}, expected {shapes[name]}"
+                f"{path}: W record {name!r} has shape {arr.shape}, expected {shapes[name]}"
             )
     for name in shapes:
         if name not in arrays:
-            raise ValueError(f"corrupt checkpoint: missing W record {name!r}")
+            raise ValueError(f"{path}: corrupt checkpoint: missing W record {name!r}")
     stats = NormStats(*(arrays.pop(name) for name in _STATS_SHAPES))
     return Checkpoint(arrays, meta.rate_ratio, hp, stats, meta.beta_loss)

@@ -13,6 +13,13 @@ candidates, every Levenberg-Marquardt iterate and the estimate. A step is
 (b1, b2) is an orthonormal basis of the plane tangent to h. No heading is
 a singular point of this step.
 
+The fit stops on its step, not its cost: once the next step is shorter
+than _STEP_TOL standard deviations of the fit's own covariance
+sigma^2 (J^T J)^-1, sigma^2 = r.r / (64 - 5). The residual of a noisy
+reading is sensor noise, so Gauss-Newton converges only linearly, and
+iterating on to a relative cost change of rounding size would move the
+estimate by a small fraction of that sd per iteration.
+
 One frame's data fixes the position only to within its noise: a few
 millimetres near the array, centimetres at 10 cm depth. On a stream, a
 causal Kalman filter therefore pools the per-frame position fits, each
@@ -90,6 +97,8 @@ class MagMeasurement5DoF:
     heading: np.ndarray  # (3,) unit, dipole axis direction in world
     converged: bool = True
     residual: float = 0.0
+    # Levenberg-Marquardt iterations of the fit's attempt, counting the one
+    # whose solve stopped it.
     iterations: int = 0
 
     def __post_init__(self):
@@ -103,11 +112,12 @@ class MagMeasurement5DoF:
         self.heading = h / n
 
 
-# Levenberg-Marquardt: iterations per attempt, the relative step norm that
-# ends it, its starting damping, and the randomized restarts after a first
-# attempt that does not converge.
+# Levenberg-Marquardt: iterations per attempt, the length of the next step,
+# in standard deviations of the fit's own covariance, under which it stops,
+# its starting damping, and the randomized restarts after a first attempt
+# that does not converge.
 _MAX_ITERATIONS = 60
-_CONVERGENCE_TOL = 1e-12
+_STEP_TOL = 0.01
 _INITIAL_DAMPING = 1e-3
 _RESTARTS = 3
 
@@ -253,19 +263,29 @@ def _levenberg_marquardt(p0, h0, target_flat, dipole):
     (p, h), so A[5] is the residual and W[5, 5] its squared norm. Each
     trial evaluates _lm_rows once, in the tangent basis of its own heading,
     and an iteration reads its normal equations from the W of the trial
-    accepted last."""
+    accepted last.
+
+    The fit converges when a solve's step delta, at the damping of the
+    moment, satisfies delta.(-J^T r) <= _STEP_TOL^2 sigma^2, with sigma^2 =
+    r.r / (n - 5) over the n cells: as (J^T J + lam D) delta = -J^T r, the
+    left side bounds delta^T J^T J delta, so the step is then under
+    _STEP_TOL standard deviations of the fit's covariance sigma^2 (J^T J)^-1.
+    The fit returns the pose it stands at, without taking that step. It
+    also converges, stalled at a minimum, when 25 damping increases in one
+    iteration find no lower cost, and fails after _MAX_ITERATIONS.
+    iterations counts the iteration that stopped it."""
     M = dipole.moment_magnitude
+    dof = target_flat.size - 5
     p, h = p0.copy(), h0
     basis = _tangent_basis(h)
     A, W = _lm_rows(p, h, basis, target_flat, M)
     lam = _INITIAL_DAMPING
-    iters = 0
     for iters in range(1, _MAX_ITERATIONS + 1):
-        cost_prev = cost = W[5, 5]
+        cost = W[5, 5]
         neg_g = -W[:5, 5]
         H = W[:5, :5]
         D = H.diagonal()  # Marquardt scaling
-        stepped = False
+        tol = _STEP_TOL * _STEP_TOL * cost / dof
         for _ in range(25):
             A_damped = H.copy()
             A_damped.ravel()[::6] += lam * D  # H + lam diag(D)
@@ -274,24 +294,20 @@ def _levenberg_marquardt(p0, h0, target_flat, dipole):
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            if delta @ neg_g <= tol:
+                return p, h, A, W, iters, True
             p_trial = p + delta[:3]
             h_trial = _retract(h, basis, delta[3:])
             basis_trial = _tangent_basis(h_trial)
             A_trial, W_trial = _lm_rows(p_trial, h_trial, basis_trial, target_flat, M)
             if W_trial[5, 5] < cost:
-                rel_step = _norm(delta) / math.sqrt(p @ p + 1.0)
                 p, h, basis, A, W = p_trial, h_trial, basis_trial, A_trial, W_trial
                 lam = max(lam / 10.0, 1e-14)
-                stepped = True
                 break
             lam *= 10.0
-        if not stepped:
+        else:
             return p, h, A, W, iters, True  # stalled at a minimum
-        if rel_step < _CONVERGENCE_TOL:
-            return p, h, A, W, iters, True
-        if cost_prev - W[5, 5] <= 1e-9 * cost_prev:
-            return p, h, A, W, iters, True  # at the noise floor
-    return p, h, A, W, iters, False
+    return p, h, A, W, _MAX_ITERATIONS, False
 
 
 def estimate_pose_5dof(

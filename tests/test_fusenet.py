@@ -945,7 +945,8 @@ def test_checkpoint_missing_w_record_is_named(tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     _drop_lines(path, "W vis.W ")
-    with pytest.raises(ValueError, match="missing W record 'vis.W'"):
+    message = f"{path}: corrupt checkpoint: missing W record 'vis.W'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn.load_checkpoint(path)
 
 
@@ -964,7 +965,8 @@ def test_checkpoint_unknown_w_record_is_named(tmp_path):
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     with open(path, "a") as f:
         f.write("W mag.W_ix 4x5 " + " ".join(["0.0"] * 20) + "\n")
-    with pytest.raises(ValueError, match="unknown W record 'mag.W_ix'"):
+    message = f"{path}: unknown W record 'mag.W_ix'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn.load_checkpoint(path)
 
 
@@ -973,7 +975,8 @@ def test_checkpoint_wrong_shape_w_record_is_named(tmp_path):
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     text = path.read_text()
     path.write_text(text.replace("W head.b 6 ", "W head.b 2x3 "))
-    with pytest.raises(ValueError, match=r"'head.b' has shape \(2, 3\), expected \(6,\)"):
+    message = f"{path}: W record 'head.b' has shape (2, 3), expected (6,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn.load_checkpoint(path)
 
 
