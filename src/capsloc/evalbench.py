@@ -109,9 +109,7 @@ def evo_only_baseline(vis, initial_pose: Pose) -> Trajectory:
     )
 
 
-def magnetic_only_baseline(
-    mag, initial_pose: Pose, dipole_axis=(1.0, 0.0, 0.0)
-) -> Trajectory:
+def magnetic_only_baseline(mag, initial_pose: Pose, dipole_axis) -> Trajectory:
     """Absolute 5-DoF estimates; the unobservable rotation about the dipole
     axis is held at its initial value: each attitude is the smallest
     rotation taking the initial dipole direction to the measured heading,
@@ -132,8 +130,9 @@ def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
     """Pooled per-method RMSE reports over held-out datasets.
 
     eval_sets: list of dicts with keys gt (Trajectory), mag_estimates
-    (list of MagMeasurement5DoF), vis (list of VisMeasurement), and
-    optionally dipole_axis. Aggregation pools segment errors across
+    (list of MagMeasurement5DoF), vis (list of VisMeasurement) and
+    dipole_axis (the magnet's axis in the capsule frame, as
+    DipoleParams.moment_axis). Aggregation pools segment errors across
     datasets before taking the RMSE."""
     if not eval_sets:
         raise ValueError("no evaluation datasets")
@@ -142,11 +141,10 @@ def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
         gt = ds["gt"]
         vis = ds["vis"]
         mag_est = ds["mag_estimates"]
-        axis = ds.get("dipole_axis", (1.0, 0.0, 0.0))
         init = gt.pose(0)
         trajs = {
             "evo_only": evo_only_baseline(vis, init),
-            "magnetic_only": magnetic_only_baseline(mag_est, init, axis),
+            "magnetic_only": magnetic_only_baseline(mag_est, init, ds["dipole_axis"]),
         }
         if checkpoint is not None:
             trajs["fusion"] = fusenet.predict_trajectory(checkpoint, mag_est, vis, init)

@@ -171,12 +171,14 @@ def align_streams(mag, vis, gt: Trajectory | None = None, rate_ratio: int = 2):
 
     One FusedSet step (raw units) per visual measurement whose preceding
     interval contains exactly rate_ratio magnetic samples (timestamps in
-    (t_prev, t_k]); other visual frames are dropped. No interpolation."""
-    if not mag or not vis:
-        raise AlignmentError("both streams must be nonempty")
+    (t_prev, t_k]); other visual frames are dropped. No interpolation. The
+    first frame's interval is taken as long as the second's, so at least
+    two visual frames are needed."""
+    if not mag or len(vis) < 2:
+        raise AlignmentError("need a magnetic frame and at least two visual frames")
     mag_ts = np.array([m.timestamp for m in mag])
     vis_ts = np.array([v.timestamp for v in vis])
-    first = vis_ts[0] - (vis_ts[1] - vis_ts[0]) if len(vis) > 1 else vis_ts[0] - 1.0 / 25.0
+    first = vis_ts[0] - (vis_ts[1] - vis_ts[0])
     prev_ts = np.concatenate([[first], vis_ts[:-1]])
     eps = 1e-9
     lo = np.searchsorted(mag_ts, prev_ts + eps, side="left")
@@ -613,12 +615,11 @@ def load_checkpoint(path) -> Checkpoint:
     parse_config reads, refusing a missing, repeated or unknown key;
     _MetaRecord refuses an out-of-range value. A W record must hold finite
     values, and a stats.*_sd record positive ones. Every W record is checked
-    against one shape table, the network's arrays and the NormStats arrays
-    alike; as that table needs the header's hidden size, those errors name
-    the file but no line."""
+    against one shape table, built from the header's hidden size, the
+    network's arrays and the NormStats arrays alike."""
     arrays = {}
 
-    def record(words):
+    def record(words, header):
         if words[0] != "W":
             raise ValueError(f"unknown checkpoint record {words[0]!r}")
         if len(words) < 4:
@@ -626,7 +627,12 @@ def load_checkpoint(path) -> Checkpoint:
         name, dims = words[1:3]
         if name in arrays:
             raise ValueError(f"repeated W record {name!r}")
+        shapes = {**_param_shapes(header[0].hidden_size), **_STATS_SHAPES}
+        if name not in shapes:
+            raise ValueError(f"unknown W record {name!r}")
         shape = tuple(int(d) for d in dims.split("x"))
+        if shape != shapes[name]:
+            raise ValueError(f"W record {name!r} has shape {shape}, expected {shapes[name]}")
         values = np.array([float(v) for v in words[3:]])
         if values.size != np.prod(shape):
             raise ValueError(f"W record {name!r} holds {values.size} values for shape {dims}")
@@ -637,15 +643,7 @@ def load_checkpoint(path) -> Checkpoint:
         arrays[name] = values.reshape(shape)
 
     hp, meta = read_text_file(path, CHECKPOINT_VERSION, (Hyperparams, _MetaRecord), record)
-    shapes = {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}
-    for name, arr in arrays.items():
-        if name not in shapes:
-            raise ValueError(f"{path}: unknown W record {name!r}")
-        if arr.shape != shapes[name]:
-            raise ValueError(
-                f"{path}: W record {name!r} has shape {arr.shape}, expected {shapes[name]}"
-            )
-    for name in shapes:
+    for name in {**_param_shapes(hp.hidden_size), **_STATS_SHAPES}:
         if name not in arrays:
             raise ValueError(f"{path}: corrupt checkpoint: missing W record {name!r}")
     stats = NormStats(*(arrays.pop(name) for name in _STATS_SHAPES))

@@ -361,8 +361,9 @@ def read_text_file(path, file_format: str, classes, record) -> tuple:
     format_header line that must be line 1 of the file at path.
 
     Each later line that is neither blank nor a `#` comment is handed to
-    record as its list of words. Any ValueError, from the header or from
-    record, is raised again as `<path>:<line>: <message>`."""
+    record as its list of words, with that tuple of instances. Any
+    ValueError, from the header or from record, is raised again as
+    `<path>:<line>: <message>`."""
     lineno, magic = 1, ["#", *file_format.split()]
     try:
         with open(path) as f:
@@ -374,7 +375,7 @@ def read_text_file(path, file_format: str, classes, record) -> tuple:
             for lineno, line in enumerate(f, start=2):
                 words = line.split()
                 if words and not words[0].startswith("#"):
-                    record(words)
+                    record(words, configs)
     except ValueError as err:
         raise ValueError(f"{path}:{lineno}: {err}") from None
     return configs

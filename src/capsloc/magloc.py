@@ -73,7 +73,6 @@ from .simkit import (
 
 __all__ = [
     "MagMeasurement5DoF",
-    "DivergenceError",
     "subtract_actuator_field",
     "directional_second_difference",
     "predict_normal_components",
@@ -97,8 +96,8 @@ class MagMeasurement5DoF:
     heading: np.ndarray  # (3,) unit, dipole axis direction in world
     converged: bool = True
     residual: float = 0.0
-    # Levenberg-Marquardt iterations of the fit's attempt, counting the one
-    # whose solve stopped it.
+    # Levenberg-Marquardt iterations of the fit, counting the one whose
+    # solve stopped it.
     iterations: int = 0
 
     def __post_init__(self):
@@ -112,14 +111,12 @@ class MagMeasurement5DoF:
         self.heading = h / n
 
 
-# Levenberg-Marquardt: iterations per attempt, the length of the next step,
-# in standard deviations of the fit's own covariance, under which it stops,
-# its starting damping, and the randomized restarts after a first attempt
-# that does not converge.
+# Levenberg-Marquardt: iterations after which a fit fails, the length of
+# the next step, in standard deviations of the fit's own covariance, under
+# which it stops, and its starting damping. A failed fit is not retried.
 _MAX_ITERATIONS = 60
 _STEP_TOL = 0.01
 _INITIAL_DAMPING = 1e-3
-_RESTARTS = 3
 
 # A streamed frame is gated when its differentiated fit residual exceeds
 # this multiple of the median over the last _GATE_HISTORY frames.
@@ -128,16 +125,6 @@ _GATE_HISTORY = 200
 
 # (64, 3) sensor positions, read by every model evaluation.
 _SENSORS = sensor_positions().reshape(-1, 3)
-
-
-class DivergenceError(RuntimeError):
-    """Inversion failed to converge; carries the best estimate found. Part
-    of the test oracle estimate_pose_5dof, which alone raises it; the
-    pipeline marks such a frame converged=False instead."""
-
-    def __init__(self, message, best: MagMeasurement5DoF):
-        super().__init__(message)
-        self.best = best
 
 
 def _tangent_basis(h) -> np.ndarray:
@@ -316,51 +303,29 @@ def estimate_pose_5dof(
     dipole: DipoleParams,
     init: MagMeasurement5DoF,
 ) -> MagMeasurement5DoF:
-    """Levenberg-Marquardt fit of position + heading to one reading.
-
-    Raises DivergenceError, carrying the best attempt, when no attempt
-    converges. A test oracle (criterion 4 and the solver tests); no
+    """Levenberg-Marquardt fit of position + heading to one reading, from
+    init. A fit that runs out of iterations returns where it stopped, with
+    converged=False. A test oracle (criterion 4 and the solver tests); no
     pipeline path calls it."""
     target = subtract_actuator_field(reading, actuator).values.ravel()
-    est = _fit_5dof(target, reading.timestamp, dipole, init)[0]
-    if not est.converged:
-        raise DivergenceError(f"no convergence after {_RESTARTS + 1} attempts", est)
-    return est
+    return _fit_5dof(target, reading.timestamp, dipole, init)[0]
 
 
 def _fit_5dof(target, timestamp, dipole, init):
-    """estimate_pose_5dof on an actuator-free, flattened reading, without
-    the raise: a fit with no converged attempt returns its lowest-residual
-    attempt, with converged=False.
+    """estimate_pose_5dof on an actuator-free, flattened reading: one
+    Levenberg-Marquardt fit from init, reflected below the array if it ends
+    above it.
 
-    Returns (estimate, A, W): _lm_rows at the estimate's pose, that of its
-    attempt's fit or its mirror, so A[5] is the estimate's residual vector."""
-    best = None
-    rng = None  # restarts only; the same seed each frame
-    for attempt in range(_RESTARTS + 1):
-        p0, h0 = init.position, init.heading
-        if attempt > 0:
-            if rng is None:
-                rng = np.random.default_rng(0xC0FFEE)
-            p0 = p0 + rng.normal(0.0, 0.01, size=3)
-            h0 = _retract(h0, _tangent_basis(h0), rng.normal(0.0, 0.15, size=2))
-        p, h, A, W, iters, ok = _levenberg_marquardt(p0, h0, target, dipole)
-        if p[2] > 0.0:
-            p, h = p * [1.0, 1.0, -1.0], h * [-1.0, -1.0, 1.0]
-            A, W = _lm_rows(p, h, _tangent_basis(h), target, dipole.moment_magnitude)
-        est = MagMeasurement5DoF(
-            timestamp,
-            p,
-            h,
-            converged=ok,
-            residual=float(np.sqrt(W[5, 5])),
-            iterations=iters,
-        )
-        if best is None or est.residual < best[0].residual:
-            best = (est, A, W)
-        if ok:
-            break
-    return best
+    Returns (estimate, A, W): _lm_rows at the estimate's pose, that of the
+    fit or its mirror, so A[5] is the estimate's residual vector."""
+    p, h, A, W, iters, ok = _levenberg_marquardt(init.position, init.heading, target, dipole)
+    if p[2] > 0.0:
+        p, h = p * [1.0, 1.0, -1.0], h * [-1.0, -1.0, 1.0]
+        A, W = _lm_rows(p, h, _tangent_basis(h), target, dipole.moment_magnitude)
+    est = MagMeasurement5DoF(
+        timestamp, p, h, converged=ok, residual=float(np.sqrt(W[5, 5])), iterations=iters
+    )
+    return est, A, W
 
 
 def grid_search_init(
@@ -510,10 +475,10 @@ def localize_stream(
     """Streaming inversion: frame k warm-started from frame k-1's fit, and
     positions filtered across frames.
 
-    Each frame is fitted on its own (estimate_pose_5dof, without the
-    raise). A diverged or gated frame carries the previous fit's pose
-    forward, with its own residual and iterations, and has
-    converged=False. The output position is that of a causal Kalman
+    Each frame is fitted once on its own, as by estimate_pose_5dof; a
+    failed fit is not retried. A diverged or gated frame carries the
+    previous fit's pose forward, with its own residual and iterations, and
+    has converged=False. The output position is that of a causal Kalman
     filter on position (see the module docstring): every converged frame's
     fit updates it with covariance sigma^2 (J^T J)^-1, J being the Jacobian
     Levenberg-Marquardt holds at the fit; a diverged or gated frame only

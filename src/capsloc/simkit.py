@@ -446,7 +446,7 @@ def read_dataset(path) -> Dataset:
     gt_t, gt_p, mag, vis = [], [], [], []
     last_t = {}  # record kind -> timestamp of its previous record
 
-    def record(words):
+    def record(words, _header):
         kind = words[0]
         vals = [float(x) for x in words[1:]]
         if not all(map(math.isfinite, vals)):

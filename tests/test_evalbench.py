@@ -143,7 +143,7 @@ def test_magnetic_only_baseline_positions_passthrough():
         h /= np.linalg.norm(h)
         mag.append(MagMeasurement5DoF(k * 0.02, pos, h, True, 0.0, 1))
     start = Pose([0, 0, -0.08], [0.1, 0.2, 0.3])
-    traj = eb.magnetic_only_baseline(mag, start)
+    traj = eb.magnetic_only_baseline(mag, start, (1.0, 0.0, 0.0))
     for k, m in enumerate(mag):
         assert np.allclose(traj.poses[k][:3], m.position, atol=1e-12)
         # Completed attitude must map the dipole axis onto the heading.
@@ -156,7 +156,7 @@ def test_magnetic_only_hold_initial_identity_when_heading_fixed():
     R0 = euler_to_matrix(start.r)
     h0 = R0 @ np.array([1.0, 0.0, 0.0])
     mag = [MagMeasurement5DoF(k * 0.02, np.zeros(3), h0, True, 0.0, 1) for k in range(5)]
-    traj = eb.magnetic_only_baseline(mag, start)
+    traj = eb.magnetic_only_baseline(mag, start, (1.0, 0.0, 0.0))
     for k in range(5):
         assert np.allclose(traj.poses[k][3:], start.r, atol=1e-10)
 
@@ -164,7 +164,7 @@ def test_magnetic_only_hold_initial_identity_when_heading_fixed():
 def test_magnetic_only_empty_or_bad_rule():
     start = Pose([0, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError):
-        eb.magnetic_only_baseline([], start)
+        eb.magnetic_only_baseline([], start, (1.0, 0.0, 0.0))
 
 
 def test_pooled_rmse_oracle():
@@ -184,7 +184,8 @@ def test_pooled_rmse_oracle():
         mag = [MagMeasurement5DoF(t, p[:3] + rng.normal(0, sd, 3),
                                   np.array([1.0, 0, 0]), True, 0.0, 1)
                for t, p in zip(gt.times, gt.poses)]
-        sets.append({"gt": gt, "vis": vis, "mag_estimates": mag})
+        sets.append({"gt": gt, "vis": vis, "mag_estimates": mag,
+                     "dipole_axis": (1.0, 0.0, 0.0)})
         evo = eb.evo_only_baseline(vis, gt.pose(0))
         pooled.extend(eb.segment_errors(evo, gt, L)[0.02])
     reports = eb.compare_methods(sets, None, bucket_lengths=L)

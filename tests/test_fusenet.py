@@ -128,6 +128,14 @@ def test_align_empty_stream_errors():
         fn.align_streams(mag, [])
 
 
+def test_align_single_visual_frame_errors():
+    # One visual frame has no interval of its own to measure the first one
+    # by, whatever the visual rate.
+    mag = [mag_meas(0.02), mag_meas(0.04)]
+    with pytest.raises(fn.AlignmentError, match="at least two visual frames"):
+        fn.align_streams(mag, [vis_meas(0.04)])
+
+
 def test_align_no_overlap_errors():
     mag = [mag_meas(k / 50.0) for k in range(10)]
     vis = [vis_meas(100.0 + k / 25.0) for k in range(1, 5)]
@@ -965,7 +973,8 @@ def test_checkpoint_unknown_w_record_is_named(tmp_path):
     fn.save_checkpoint(path, trained_tiny_checkpoint())
     with open(path, "a") as f:
         f.write("W mag.W_ix 4x5 " + " ".join(["0.0"] * 20) + "\n")
-    message = f"{path}: unknown W record 'mag.W_ix'"
+    k = len(path.read_text().splitlines())
+    message = f"{path}:{k}: unknown W record 'mag.W_ix'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn.load_checkpoint(path)
 
@@ -973,9 +982,11 @@ def test_checkpoint_unknown_w_record_is_named(tmp_path):
 def test_checkpoint_wrong_shape_w_record_is_named(tmp_path):
     path = tmp_path / "ckpt.txt"
     fn.save_checkpoint(path, trained_tiny_checkpoint())
-    text = path.read_text()
-    path.write_text(text.replace("W head.b 6 ", "W head.b 2x3 "))
-    message = f"{path}: W record 'head.b' has shape (2, 3), expected (6,)"
+    lines = path.read_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if l.startswith("W head.b "))
+    lines[k] = lines[k].replace("W head.b 6 ", "W head.b 2x3 ")
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:{k + 1}: W record 'head.b' has shape (2, 3), expected (6,)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn.load_checkpoint(path)
 

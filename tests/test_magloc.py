@@ -36,6 +36,13 @@ def init_from(pose, dipole, dpos=(0, 0, 0), dr=(0, 0, 0)):
     )
 
 
+def converged_estimate(reading, actuator, dipole, init):
+    """estimate_pose_5dof, whose fit must converge."""
+    est = ml.estimate_pose_5dof(reading, actuator, dipole, init)
+    assert est.converged
+    return est
+
+
 def test_measurement_heading_validation():
     with pytest.raises(ValueError):
         ml.MagMeasurement5DoF(0.0, np.zeros(3), np.array([1.0, 1.0, 0.0]), True, 0.0, 0)
@@ -109,7 +116,7 @@ def test_heading_unobservability():
 def test_estimate_truth_init_noiseless():
     pose = Pose([0.015, -0.02, -0.065], [0.3, -0.2, 0.5])
     reading = make_reading(pose, DESK_DIPOLE)
-    est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init_from(pose, DESK_DIPOLE))
+    est = converged_estimate(reading, ZERO_ACT, DESK_DIPOLE, init_from(pose, DESK_DIPOLE))
     assert np.linalg.norm(est.position - pose.t) < 1e-9
     assert est.residual < 1e-18
     assert est.converged
@@ -119,7 +126,7 @@ def test_estimate_perturbed_init_noiseless():
     pose = Pose([0.01, 0.02, -0.07], [0.2, 0.3, -0.4])
     reading = make_reading(pose, DESK_DIPOLE)
     init = init_from(pose, DESK_DIPOLE, dpos=(0.013, -0.01, 0.011), dr=(0.0, 0.25, 0.25))
-    est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
+    est = converged_estimate(reading, ZERO_ACT, DESK_DIPOLE, init)
     assert np.linalg.norm(est.position - pose.t) < 1e-6
     h_true = truth_heading(pose, DESK_DIPOLE)
     ang = np.arccos(np.clip(np.dot(est.heading, h_true), -1, 1))
@@ -138,7 +145,7 @@ def test_estimate_residual_not_worse_than_init():
         target = ml.subtract_actuator_field(reading, ZERO_ACT).values.ravel()
         r0 = ml.predict_normal_components(init.position, init.heading, DESK_DIPOLE) - target
         cost0 = float(r0 @ r0)
-        est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
+        est = converged_estimate(reading, ZERO_ACT, DESK_DIPOLE, init)
         assert est.residual**2 <= cost0 + 1e-30
 
 
@@ -157,7 +164,7 @@ def test_estimate_noisy_monte_carlo():
         init = ml.MagMeasurement5DoF(
             0.0, pos + rng.normal(0, 0.002, 3), truth_heading(pose, dipole), True, 0.0, 0
         )
-        est = ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, init)
+        est = converged_estimate(reading, ZERO_ACT, dipole, init)
         errs.append(np.linalg.norm(est.position - pos))
     assert np.mean(np.asarray(errs) < 0.002) >= 0.95
 
@@ -172,7 +179,7 @@ def test_scale_consistency():
         )
         reading = make_reading(pose, dip)
         init = init_from(pose, dip, dpos=(0.005, -0.005, 0.004))
-        results.append(ml.estimate_pose_5dof(reading, ZERO_ACT, dip, init))
+        results.append(converged_estimate(reading, ZERO_ACT, dip, init))
     assert np.allclose(results[0].position, results[1].position, atol=1e-9)
     assert np.allclose(results[0].heading, results[1].heading, atol=1e-9)
 
@@ -181,7 +188,7 @@ def test_grid_search_init_close_to_truth():
     pose = Pose([0.02, -0.03, -0.09], [0.0, 0.5, -0.7])
     reading = make_reading(pose, DESK_DIPOLE)
     init = ml.grid_search_init(reading, ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
-    est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
+    est = converged_estimate(reading, ZERO_ACT, DESK_DIPOLE, init)
     assert np.linalg.norm(est.position - pose.t) < 1e-6
 
 
@@ -194,7 +201,7 @@ def test_localize_stream_single_frame_equals_grid_init_estimate():
     reading = make_reading(pose, DESK_DIPOLE)
     stream_out = ml.localize_stream([reading], ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
     init = ml.grid_search_init(reading, ZERO_ACT, DESK_DIPOLE, *WORKSPACE)
-    single = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
+    single = converged_estimate(reading, ZERO_ACT, DESK_DIPOLE, init)
     assert len(stream_out) == 1
     assert np.allclose(stream_out[0].position, single.position, atol=1e-12)
     assert np.allclose(stream_out[0].heading, single.heading, atol=1e-12)
@@ -240,12 +247,7 @@ def test_localize_stream_filter_beats_per_frame_fits_at_depth():
     ]
     streamed = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
     truth = init_from(pose, dipole)
-    per_frame = []
-    for reading in readings:
-        try:
-            per_frame.append(ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, truth))
-        except ml.DivergenceError as e:
-            per_frame.append(e.best)
+    per_frame = [ml.estimate_pose_5dof(r, ZERO_ACT, dipole, truth) for r in readings]
 
     def rms(ests):
         return np.sqrt(np.mean([np.sum((e.position - pose.t) ** 2) for e in ests]))
@@ -265,7 +267,7 @@ def test_localize_stream_keeps_per_frame_fields():
     streamed = ml.localize_stream(readings, ZERO_ACT, dipole, *WORKSPACE)
     prev = ml.grid_search_init(readings[0], ZERO_ACT, dipole, *WORKSPACE)
     for reading, est in zip(readings, streamed):
-        fit = ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, prev)
+        fit = converged_estimate(reading, ZERO_ACT, dipole, prev)
         assert np.array_equal(est.heading, fit.heading)
         assert est.residual == fit.residual
         assert est.iterations == fit.iterations
@@ -314,7 +316,7 @@ def test_position_covariance_matches_per_frame_scatter():
     errs, traces = [], []
     for seed in range(200, 240):
         reading = make_reading(pose, dipole, noise_sd=5e-7, seed=seed)
-        est = ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, init)
+        est = converged_estimate(reading, ZERO_ACT, dipole, init)
         cov = ml.position_covariance(est, reading.values.ravel(), dipole)
         errs.append(np.sum((est.position - pose.t) ** 2))
         traces.append(np.trace(cov))
@@ -485,7 +487,7 @@ def test_fit_started_at_heading_pole_converges():
         init = ml.MagMeasurement5DoF(
             0.0, pose.t + 0.005 * dpos / np.linalg.norm(dpos), pole
         )
-        est = ml.estimate_pose_5dof(reading, ZERO_ACT, dipole, init)
+        est = converged_estimate(reading, ZERO_ACT, dipole, init)
         assert np.linalg.norm(est.position - pose.t) < 1e-3, fits
         fits += 1
 
@@ -499,7 +501,7 @@ def test_fit_started_at_mirror_pose_lands_below_the_array():
     init = ml.MagMeasurement5DoF(
         0.0, pose.t * [1.0, 1.0, -1.0] + [0.0, 0.001, 0.0], h_true * [-1.0, -1.0, 1.0]
     )
-    est = ml.estimate_pose_5dof(reading, ZERO_ACT, DESK_DIPOLE, init)
+    est = converged_estimate(reading, ZERO_ACT, DESK_DIPOLE, init)
     assert np.linalg.norm(est.position - pose.t) < 1e-9
     assert np.arccos(np.clip(est.heading @ h_true, -1.0, 1.0)) < 1e-7
     # The J^T J the stream's filter reads is the one at the reflected pose.
@@ -630,16 +632,12 @@ def _per_frame_gate_and_covariance(readings, act, dipole, center, half_extent):
         init = prev
         if prev is None:
             init = ml.grid_search_init(reading, act, dipole, center, half_extent)
-        try:
-            est = ml.estimate_pose_5dof(reading, act, dipole, init)
-        except ml.DivergenceError as e:
-            est = e.best
-            if prev is not None:
-                est = ml.MagMeasurement5DoF(
-                    reading.timestamp, prev.position, prev.heading,
-                    residual=e.best.residual, iterations=e.best.iterations,
-                )
-            est.converged = False
+        est = ml.estimate_pose_5dof(reading, act, dipole, init)
+        if not est.converged and prev is not None:
+            est = ml.MagMeasurement5DoF(
+                reading.timestamp, prev.position, prev.heading, converged=False,
+                residual=est.residual, iterations=est.iterations,
+            )
         fit = ml.predict_normal_components(est.position, est.heading, dipole).reshape(8, 8)
         gate = float(np.linalg.norm(ml.directional_second_difference(subtracted - fit)))
         is_gated = False
@@ -670,9 +668,9 @@ def test_localize_stream_matches_per_frame_gate_and_covariance(
     max_iterations, tmp_path, monkeypatch
 ):
     # The stream's gate and covariance read the fit's own residual and
-    # Jacobian. At 5 iterations about a quarter of the frames diverge and
-    # carry the previous pose, and some converge only after restarts; at 60
-    # none diverge. Frame 40 carries a spike.
+    # Jacobian. At 5 iterations about a third of the frames diverge and
+    # carry the previous pose without a second fit; at 60 none diverge.
+    # Frame 40 carries a spike.
     monkeypatch.setattr(ml, "_MAX_ITERATIONS", max_iterations)
     cfg = sk.SimConfig(duration=2.0, seed=5)
     ds = sk.simulate_dataset(cfg)
@@ -684,11 +682,21 @@ def test_localize_stream_matches_per_frame_gate_and_covariance(
     ref, ref_gates, ref_gated = _per_frame_gate_and_covariance(
         readings, act, ds.dipole, cfg.workspace_center, cfg.workspace_half_extent
     )
+    fits = 0
+    levenberg_marquardt = ml._levenberg_marquardt
+
+    def counted(*args):
+        nonlocal fits
+        fits += 1
+        return levenberg_marquardt(*args)
+
+    monkeypatch.setattr(ml, "_levenberg_marquardt", counted)
     diag = tmp_path / "diag.txt"
     got = ml.localize_stream(
         readings, act, ds.dipole, cfg.workspace_center,
         cfg.workspace_half_extent, diagnostics_path=diag,
     )
+    assert fits == len(readings)
     assert ref_gated[40] and sum(ref_gated) < 5
     diverged = sum(not r.converged and not g for r, g in zip(ref, ref_gated))
     assert (diverged > 0) == (max_iterations == 5)
