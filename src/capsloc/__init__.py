@@ -4,7 +4,7 @@ Submodules:
     geometry   SE(3) pose algebra, trajectories, error metrics
     simkit     seeded simulator for motion and sensor streams
     magloc     5-DoF magnetic localization (dipole-model inversion)
-    evoalign   windowed sparse feature-correspondence alignment
+    evoalign   closed-form two-frame feature-correspondence alignment
     neuralcore from-scratch LSTM / BPTT / Adam building blocks
     fusenet    fusion network, training loop, checkpoints
     evalbench  RMSE-vs-path-length evaluation

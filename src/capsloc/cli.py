@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -202,6 +203,17 @@ def cmd_localize_mag(args) -> int:
     return 0
 
 
+@contextmanager
+def _errors_name(path):
+    """Prefix a ValueError raised inside the block with `path: `, for the
+    per-dataset work after the dataset file is read (read_dataset's own
+    errors already name it)."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     # Checked before the datasets are localized.
@@ -209,10 +221,11 @@ def cmd_train(args) -> int:
     sample_sets = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
-        ests = magloc.localize_dataset(ds)
-        samples = fusenet.align_streams(
-            ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio
-        )
+        with _errors_name(path):
+            ests = magloc.localize_dataset(ds)
+            samples = fusenet.align_streams(
+                ests, ds.vis, ds.gt, rate_ratio=ds.config.rate_ratio
+            )
         sample_sets.append(samples)
     ckpt, log = fusenet.train(sample_sets, train_cfg, hp)
     fusenet.save_checkpoint(args.out, ckpt)
@@ -223,23 +236,25 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
+    bucket_lengths = cfg.bucket_lengths()
     ckpt = fusenet.load_checkpoint(args.checkpoint)
-    eval_sets = []
+    dataset_errors = []
     for path in args.datasets:
         ds = simkit.read_dataset(path)
-        if ds.config.rate_ratio != ckpt.rate_ratio:
-            raise ValueError(f"{path}: rate ratio {ds.config.rate_ratio} differs from the "
-                             f"checkpoint's {ckpt.rate_ratio}")
-        ests = magloc.localize_dataset(ds)
-        eval_sets.append(
-            {
+        with _errors_name(path):
+            if ds.config.rate_ratio != ckpt.rate_ratio:
+                raise ValueError(f"rate ratio {ds.config.rate_ratio} differs from the "
+                                 f"checkpoint's {ckpt.rate_ratio}")
+            eval_set = {
                 "gt": ds.gt,
-                "mag_estimates": ests,
+                "mag_estimates": magloc.localize_dataset(ds),
                 "vis": ds.vis,
                 "dipole_axis": ds.dipole.moment_axis,
             }
-        )
-    reports = evalbench.compare_methods(eval_sets, ckpt, cfg.bucket_lengths())
+            dataset_errors.append(
+                evalbench.dataset_segment_errors(eval_set, ckpt, bucket_lengths)
+            )
+    reports = evalbench.pool_reports(dataset_errors, bucket_lengths)
     evalbench.write_report(args.out, reports, cfg.header_lines())
     for rep in reports:
         for L, tr, rr, n in rep.buckets:

@@ -37,6 +37,8 @@ __all__ = [
     "rmse_by_length",
     "evo_only_baseline",
     "magnetic_only_baseline",
+    "dataset_segment_errors",
+    "pool_reports",
     "compare_methods",
     "run_fusion_comparison",
     "write_report",
@@ -102,6 +104,8 @@ def rmse_by_length(est: Trajectory, gt: Trajectory, bucket_lengths):
 
 def evo_only_baseline(vis, initial_pose: Pose) -> Trajectory:
     """Integrate visual-odometry deltas from the initial pose."""
+    if not vis:
+        raise ValueError("empty visual stream")
     return integrate_deltas(
         initial_pose.as_vector(),
         [v.timestamp for v in vis],
@@ -126,42 +130,48 @@ def magnetic_only_baseline(mag, initial_pose: Pose, dipole_axis) -> Trajectory:
     )
 
 
-def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
-    """Pooled per-method RMSE reports over held-out datasets.
+def dataset_segment_errors(eval_set, checkpoint, bucket_lengths=DEFAULT_BUCKETS) -> dict:
+    """Method -> segment_errors of one evaluation set, a dict with keys gt
+    (Trajectory), mag_estimates (list of MagMeasurement5DoF), vis (list of
+    VisMeasurement) and dipole_axis (the magnet's axis in the capsule
+    frame, as DipoleParams.moment_axis). Fusion is scored only with a
+    checkpoint."""
+    gt, vis, mag_est = eval_set["gt"], eval_set["vis"], eval_set["mag_estimates"]
+    init = gt.pose(0)
+    trajs = {
+        "evo_only": evo_only_baseline(vis, init),
+        "magnetic_only": magnetic_only_baseline(mag_est, init, eval_set["dipole_axis"]),
+    }
+    if checkpoint is not None:
+        trajs["fusion"] = fusenet.predict_trajectory(checkpoint, mag_est, vis, init)
+    return {method: segment_errors(est, gt, bucket_lengths) for method, est in trajs.items()}
 
-    eval_sets: list of dicts with keys gt (Trajectory), mag_estimates
-    (list of MagMeasurement5DoF), vis (list of VisMeasurement) and
-    dipole_axis (the magnet's axis in the capsule frame, as
-    DipoleParams.moment_axis). Aggregation pools segment errors across
-    datasets before taking the RMSE."""
-    if not eval_sets:
+
+def pool_reports(dataset_errors, bucket_lengths=DEFAULT_BUCKETS) -> list:
+    """One RmseReport per method of dataset_segment_errors' results,
+    pooling each bucket's segment errors across datasets before taking
+    the RMSE."""
+    if not dataset_errors:
         raise ValueError("no evaluation datasets")
-    pooled = {m: {L: [] for L in bucket_lengths} for m in METHODS}
-    for ds in eval_sets:
-        gt = ds["gt"]
-        vis = ds["vis"]
-        mag_est = ds["mag_estimates"]
-        init = gt.pose(0)
-        trajs = {
-            "evo_only": evo_only_baseline(vis, init),
-            "magnetic_only": magnetic_only_baseline(mag_est, init, ds["dipole_axis"]),
-        }
-        if checkpoint is not None:
-            trajs["fusion"] = fusenet.predict_trajectory(checkpoint, mag_est, vis, init)
-        for method, est in trajs.items():
-            errs = segment_errors(est, gt, bucket_lengths)
-            for L in bucket_lengths:
-                pooled[method][L].append(errs[L])
     reports = []
     for method in METHODS:
-        if method == "fusion" and checkpoint is None:
+        if method not in dataset_errors[0]:
             continue
         buckets = []
         for L in bucket_lengths:
-            errs = np.concatenate(pooled[method][L])
+            errs = np.concatenate([errors[method][L] for errors in dataset_errors])
             buckets.append((L, *_rmse(errs), len(errs)))
         reports.append(RmseReport(method, buckets))
     return reports
+
+
+def compare_methods(eval_sets, checkpoint, bucket_lengths=DEFAULT_BUCKETS):
+    """Pooled per-method RMSE reports over held-out datasets, each an
+    evaluation set as dataset_segment_errors takes."""
+    return pool_reports(
+        [dataset_segment_errors(ds, checkpoint, bucket_lengths) for ds in eval_sets],
+        bucket_lengths,
+    )
 
 
 def run_fusion_comparison(train_seeds, eval_seeds):

@@ -1,14 +1,17 @@
-"""Windowed sparse alignment: per-frame rigid transforms that bring feature
-correspondences between the frames of a window into agreement.
+"""Sparse alignment: per-frame rigid transforms that bring feature
+correspondences between frames into agreement.
 
-Over a window of frames with per-frame rigid transforms tau_i (frame 0
-fixed to identity), the energy is
+Over frames with per-frame rigid transforms tau_i (frame 0 fixed to
+identity), the energy is
 
     E_sparse = sum over pairs (i, j, P_i, P_j) of |tau_i P_i - tau_j P_j|^2
 
-It is minimized by damped Gauss-Newton with analytic Jacobians. Rotation
-increments are axis-angle vectors composed by right multiplication onto
-the current estimate, which keeps the parameterization singularity-free.
+e_sparse evaluates it over any number of frames and any frame pairs.
+minimize_alignment aligns two frames, whose correspondences are all
+(0, 1) pairs; its minimizer is closed form: tau_1 = (R, t) with
+t = mean(P_0) - R mean(P_1) and R from the SVD of the cross-covariance,
+with a guard against a reflection (Arun, Huang & Blostein 1987; Umeyama
+1991). A window of more than two frames would need an iterative solver.
 
 The pipeline's visual stream comes from simkit.emulate_evo_stream, so no
 image data reaches this module; `capsloc align-demo` and the alignment
@@ -20,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import rotation_exp, skew
 
 __all__ = [
     "CorrespondenceSet",
@@ -61,122 +62,49 @@ class AlignmentState:
     t: np.ndarray  # (n, 3)
 
 
-# Solver settings of minimize_alignment.
-_MAX_SPARSE_ITERATIONS = 30
-_CONVERGENCE_TOL = 1e-12  # increment norm
-_INITIAL_DAMPING = 1e-6
-
-
-def _residuals(state: AlignmentState, corr: CorrespondenceSet) -> np.ndarray:
-    """(m, 3) differences tau_i P_i - tau_j P_j."""
-    q_i = (state.R[corr.i] @ corr.p_i[:, :, None])[:, :, 0] + state.t[corr.i]
-    q_j = (state.R[corr.j] @ corr.p_j[:, :, None])[:, :, 0] + state.t[corr.j]
-    return q_i - q_j
-
-
 def e_sparse(state: AlignmentState, corr: CorrespondenceSet) -> float:
     """Sum of squared distances between transformed corresponding points."""
-    d = _residuals(state, corr)
+    q_i = (state.R[corr.i] @ corr.p_i[:, :, None])[:, :, 0] + state.t[corr.i]
+    q_j = (state.R[corr.j] @ corr.p_j[:, :, None])[:, :, 0] + state.t[corr.j]
+    d = q_i - q_j
     return float(np.sum(d * d))
 
 
 def _check_correspondences(corr: CorrespondenceSet):
-    if np.any(corr.i < 0) or np.any(corr.j < 0):
-        raise DegenerateInputError("correspondence frame index out of window")
-    frame_pairs, which, counts = np.unique(
-        np.sort(np.stack([corr.i, corr.j], axis=1), axis=1),
-        axis=0, return_inverse=True, return_counts=True,
-    )
-    which = which.reshape(-1)
-    for k, (i, j) in enumerate(frame_pairs):
-        if counts[k] < 3:
-            raise DegenerateInputError(
-                f"pair ({i},{j}) has {counts[k]} correspondences, need >= 3"
-            )
-        P = corr.p_i[which == k]
+    other = (corr.i != 0) | (corr.j != 1)
+    if np.any(other):
+        k = int(np.argmax(other))
+        raise DegenerateInputError(
+            f"pair ({corr.i[k]},{corr.j[k]}) is not (0,1): only two frames are aligned"
+        )
+    if len(corr) < 3:
+        raise DegenerateInputError(
+            f"pair (0,1) has {len(corr)} correspondences, need >= 3"
+        )
+    for frame, P in ((0, corr.p_i), (1, corr.p_j)):
         if np.linalg.matrix_rank(P - P.mean(axis=0), tol=1e-12) < 2:
-            raise DegenerateInputError(f"pair ({i},{j}) correspondences are collinear")
-
-
-def _sparse_residual_jacobian(state: AlignmentState, corr: CorrespondenceSet):
-    """Stacked sparse residuals and analytic Jacobian wrt per-frame
-    (dt, axis-angle) increments applied by right multiplication."""
-    n_frames = len(state.R)
-    m = len(corr)
-    R_i, R_j = state.R[corr.i], state.R[corr.j]
-    # Right perturbation: T (I + [dw]x, dt) p = T p + R dt - R [p]x dw.
-    blocks_i = np.concatenate([R_i, -R_i @ skew(corr.p_i)], axis=-1)
-    blocks_j = np.concatenate([-R_j, R_j @ skew(corr.p_j)], axis=-1)
-    # Scattered with np.add.at so i == j correspondences accumulate both
-    # contributions; the columns of the fixed frame 0 are dropped.
-    J = np.zeros((m, 3, n_frames, 6))
-    rows = np.arange(m)
-    np.add.at(J, (rows, slice(None), corr.i), blocks_i)
-    np.add.at(J, (rows, slice(None), corr.j), blocks_j)
-    r = _residuals(state, corr).reshape(-1)
-    return r, J[:, :, 1:].reshape(3 * m, 6 * (n_frames - 1))
-
-
-def _apply_increment(state: AlignmentState, delta) -> AlignmentState:
-    d = np.vstack([np.zeros(6), delta.reshape(-1, 6)])  # frame 0 stays
-    R = state.R @ rotation_exp(d[:, 3:])
-    t = state.t + (state.R @ d[:, :3, None])[:, :, 0]
-    return AlignmentState(R, t)
-
-
-def _lm_minimize(state, corr):
-    """Damped Gauss-Newton on e_sparse accepting only energy-decreasing
-    steps. Returns (state, energy, trace, converged); converged is False
-    when _MAX_SPARSE_ITERATIONS iterations ran without the solver
-    stopping on its own."""
-    energy = e_sparse(state, corr)
-    lam = _INITIAL_DAMPING
-    trace = [energy]
-    for _ in range(_MAX_SPARSE_ITERATIONS):
-        r, J = _sparse_residual_jacobian(state, corr)
-        g = J.T @ r
-        H = J.T @ J
-        stepped = False
-        for _ in range(25):
-            A = H + lam * np.eye(H.shape[0])
-            try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = _apply_increment(state, delta)
-            e_trial = e_sparse(trial, corr)
-            if e_trial < energy:
-                state, energy = trial, e_trial
-                lam = max(lam / 10.0, 1e-15)
-                stepped = True
-                trace.append(energy)
-                break
-            lam *= 10.0
-        if not stepped or np.linalg.norm(delta) < _CONVERGENCE_TOL:
-            return state, energy, trace, True
-    return state, energy, trace, False
+            raise DegenerateInputError(
+                f"pair (0,1) correspondences are collinear in frame {frame}"
+            )
 
 
 def minimize_alignment(corr: CorrespondenceSet):
-    """Sparse alignment of a window; returns (AlignmentState, info dict).
+    """Align frame 1 to frame 0; returns (AlignmentState, info dict).
 
-    The window has 1 + the largest frame index in corr frames. info holds
-    final_energy, energy_trace (the energy after each accepted step,
-    starting from the identity) and converged.
+    corr must hold only (0, 1) pairs, at least three, not collinear in
+    either frame. The state has two frames, frame 0 the identity. info
+    holds final_energy and energy_trace: the energy at the identity, then
+    at the closed-form fit if that is lower.
     """
-    n_frames = 1 + int(max(corr.i.max(initial=0), corr.j.max(initial=0)))
-    if n_frames < 2:
-        raise DegenerateInputError("need at least 2 frames")
     _check_correspondences(corr)
-
-    state = AlignmentState(
-        np.tile(np.eye(3), (n_frames, 1, 1)), np.zeros((n_frames, 3))
-    )
-    state, energy, trace, converged = _lm_minimize(state, corr)
-    info = {
-        "final_energy": energy,
-        "energy_trace": trace,
-        "converged": converged,
-    }
-    return state, info
+    a_mean, b_mean = corr.p_i.mean(axis=0), corr.p_j.mean(axis=0)
+    # R = V D U^T maximizes trace(R H) for H = U S V^T; D flips the last
+    # axis when V U^T is a reflection.
+    U, _, Vt = np.linalg.svd((corr.p_j - b_mean).T @ (corr.p_i - a_mean))
+    R = Vt.T @ np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))]) @ U.T
+    identity = AlignmentState(np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)))
+    fit = AlignmentState(np.stack([np.eye(3), R]), np.stack([np.zeros(3), a_mean - R @ b_mean]))
+    e_identity, e_fit = e_sparse(identity, corr), e_sparse(fit, corr)
+    if e_fit < e_identity:
+        return fit, {"final_energy": e_fit, "energy_trace": [e_identity, e_fit]}
+    return identity, {"final_energy": e_identity, "energy_trace": [e_identity]}

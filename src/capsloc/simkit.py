@@ -441,8 +441,8 @@ def write_dataset(path, ds: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     """Parse a write_dataset file with read_text_file. Every record must be
-    finite, and each GT, MAG and VIS record must come strictly after the
-    previous one of its kind."""
+    finite, each GT, MAG and VIS record must come strictly after the
+    previous one of its kind, and there must be a GT record."""
     gt_t, gt_p, mag, vis = [], [], [], []
     last_t = {}  # record kind -> timestamp of its previous record
 
@@ -474,4 +474,6 @@ def read_dataset(path) -> Dataset:
         last_t[kind] = vals[0]
 
     cfg, dipole = read_text_file(path, FORMAT_VERSION, (SimConfig, DipoleParams), record)
+    if not gt_t:
+        raise ValueError(f"{path}: dataset has no GT record")
     return Dataset(cfg, dipole, Trajectory(np.array(gt_t), np.array(gt_p)), mag, vis)

@@ -279,10 +279,12 @@ def test_align_demo_command(tmp_path, capsys):
     lines = (tmp_path / "align.txt").read_text().splitlines()
     kv = dict(l.split(maxsplit=1) for l in lines if not l.startswith("#") and
               not l.startswith("energy "))
-    # Exact correspondences (align.noise_sd = 0) recover the transform to
-    # rounding; the alignment unit tests cover accuracy in detail.
-    assert float(kv["trans_error"]) < 1e-4
-    assert float(kv["rot_error"]) < 1e-3
+    # align-demo's correspondences are exact, so the closed-form fit
+    # recovers the transform to rounding (1.3e-16 m and 0 rad at seed 2);
+    # rotation_angle's arccos floor is about 2e-8 rad. The alignment unit
+    # tests cover accuracy in detail.
+    assert float(kv["trans_error"]) < 1e-12
+    assert float(kv["rot_error"]) < 1e-7
     assert float(kv["final_energy"]) >= 0.0
 
 
@@ -458,6 +460,50 @@ def test_evaluate_refuses_a_dataset_of_another_rate_ratio(tmp_path, capsys):
     assert not (tmp_path / "r.txt").exists()
 
 
+def _gt_only_dataset(tmp_path, cfg):
+    """A simulated dataset with its MAG and VIS records removed."""
+    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "data")])
+    path = tmp_path / "data" / "dataset_seed1.txt"
+    _edit_lines(path, lambda ls: [l for l in ls if not l.startswith(("MAG ", "VIS "))])
+    return path
+
+
+def test_train_names_the_dataset_it_cannot_align(tmp_path, capsys):
+    cfg = fast_cfg(tmp_path)
+    dataset = _gt_only_dataset(tmp_path, cfg)
+    capsys.readouterr()
+    rc = main(["train", "--config", cfg, str(dataset), "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {dataset}: need a magnetic frame and at least two visual frames\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_evaluate_names_the_dataset_it_cannot_score(tmp_path, capsys):
+    cfg = fast_cfg(tmp_path)
+    dataset = _gt_only_dataset(tmp_path, cfg)
+    ckpt = tmp_path / "model.ckpt"
+    _untrained_checkpoint(ckpt)
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", cfg, str(dataset), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "r.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {dataset}: empty visual stream\n"
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_header_only_dataset_is_named(tmp_path, capsys):
+    cfg = fast_cfg(tmp_path)
+    main(["simulate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "data")])
+    path = tmp_path / "data" / "dataset_seed1.txt"
+    _edit_lines(path, lambda ls: ls[:1])
+    capsys.readouterr()
+    rc = main(["localize-mag", "--config", cfg, str(path), "--out", str(tmp_path / "m.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: dataset has no GT record\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -479,6 +525,7 @@ def test_script_help_runs_from_any_directory(script, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.slow
 def test_fixed_seed_outputs_repeat_from_any_directory(tmp_path):
     # Byte-identity checks rest on this script: two runs, from a directory
     # outside the repository and without PYTHONPATH, hash the same files

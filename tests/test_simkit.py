@@ -296,6 +296,17 @@ def test_dataset_empty_mag_stream(tmp_path):
     assert len(back.vis) == len(ds.vis)
 
 
+def test_dataset_without_gt_records_is_named(tmp_path):
+    # Magnetic and visual records alone give no trajectory to read.
+    ds = sk.simulate_dataset(sk.SimConfig(duration=1.0, seed=10))
+    path = tmp_path / "no_gt.txt"
+    sk.write_dataset(path, ds)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith("GT ")) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: dataset has no GT record$"):
+        sk.read_dataset(path)
+
+
 @pytest.mark.parametrize("kind, fields", [("GT", 7), ("MAG", 65), ("VIS", 7)])
 def test_dataset_truncated_file_reports_line(tmp_path, kind, fields):
     cfg = sk.SimConfig(duration=1.0, seed=11)
